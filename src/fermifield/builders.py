@@ -203,13 +203,6 @@ def cutoff_ball(grid: GridSpec, radius: float, center=None) -> ScalarField:
     return ScalarField(grid, plateau_bump(r / radius))
 
 
-def _parse_args(argstr: str) -> list[float]:
-    argstr = argstr.strip()
-    if not argstr:
-        return []
-    return [float(tok) for tok in argstr.split(",")]
-
-
 V_BUILDERS = {
     "bump": bump_potential,
     "constball": constant_on_ball,

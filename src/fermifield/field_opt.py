@@ -30,7 +30,14 @@ from .grid import (
     leray_project,
     mean_zero_normalize,
 )
-from .operators import PAULI, HamiltonianSpec, dense_matrix, DENSE_LIMIT
+from .operators import (
+    BLOCK,
+    DENSE_LIMIT,
+    HamiltonianSpec,
+    _block,
+    _current_form,
+    dense_matrix,
+)
 from .spectral import (
     DensityMatrix,
     NegativeSpectrum,
@@ -82,11 +89,6 @@ class EnergyConfig:
             raise ValueError("localized variants need the ball radius R")
         if self.r is not None and self.R is not None and self.R < self.r:
             raise ValueError("need R >= r")
-
-    @property
-    def kappa(self) -> float:
-        """Equivalent coupling kappa = 1 / (beta h^2); h supplied by the spec."""
-        return 1.0 / self.beta  # caller divides by h^2
 
     def region(self, grid):
         if self.variant == GLOBAL_CURL:
@@ -175,86 +177,42 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig) -> Vec
          + sum_{j<=0, k<=0, k!=j} Re[conj(c_kj) S_kj]
          + sum_{j<=0, k>0} 2 lam_j / (lam_j - lam_k) Re[conj(c_kj) S_kj]
 
-    with c_kj = <u_k, dH u_j>, S_kj = <u_k, psi^2 u_j>, w_j = S_jj.
+    with c_kj = <u_k, dH u_j>, S_kj = <u_k, psi^2 u_j>, w_j = S_jj.  With
+    W_kj the weight of Re[conj(c_kj)] and Y_j = sum_k W_kj u_k, the pair
+    densities sum to Re[Pi(Y_j, u_j) + Pi(u_j, Y_j)] over j <= 0, Pi the
+    current form, so only the negative block needs its momenta.
     """
-    from dataclasses import replace as _replace
+    from .spectral import dense_eigh
 
-    from .spectral import _momentum_apply
-
-    bare = _replace(spec, psi=None)
+    bare = replace(spec, psi=None)
     if bare.dim > DENSE_LIMIT:
         raise ValueError("psi-outside gradient needs the dense path")
     g = spec.grid
-    d, spin, w = g.d, spec.spin, g.weight
-    H = dense_matrix(bare)
-    from .spectral import dense_eigh
-    vals, vecs = dense_eigh(H)
-    vecs = vecs / np.sqrt(w)  # quadrature-normalized columns
-    psi2 = np.real(spec.psi.data) ** 2
-    shape = (spin,) + g.shape
-    neg = np.nonzero(vals <= 0.0)[0]
-    if len(neg) == 0:
-        return VectorField(g, np.zeros((d,) + g.shape))
+    vals, vecs = dense_eigh(dense_matrix(bare))
+    vecs = vecs / np.sqrt(g.weight)  # quadrature-normalized columns
+    m = int(np.count_nonzero(vals <= 0.0))  # eigh sorts ascending
+    grad = np.zeros((g.d,) + g.shape)
+    if m == 0:
+        return VectorField(g, grad)
 
-    nvec = vecs.shape[1]
-    U = [vecs[:, k].reshape(shape) for k in range(nvec)]
-    P = [
-        [np.stack(_momentum_apply(bare, U[k][s])) for s in range(spin)]
-        for k in range(nvec)
-    ]  # P[k][s][j] = (D_j + A_j) u_k[s]
-
-    if spec.flavor == PAULI:
-        V_ = []
-        for k in range(nvec):
-            wv = [np.stack([P[k][0][j], P[k][1][j]]) for j in range(3)]
-            up = wv[2][0] + wv[0][1] - 1j * wv[1][1]
-            dn = wv[0][0] + 1j * wv[1][0] - wv[2][1]
-            V_.append(np.stack([up, dn]))
-
-        def pair_density(kk, jj):
-            ua, ub = U[kk], U[jj]
-            va, vb = V_[kk], V_[jj]
-            ca, cva = np.conj(ua), np.conj(va)
-            out = np.empty((3,) + g.shape, dtype=np.complex128)
-            out[0] = ca[0] * vb[1] + ca[1] * vb[0] + cva[0] * ub[1] + cva[1] * ub[0]
-            out[1] = -1j * (ca[0] * vb[1] - ca[1] * vb[0]) - 1j * (
-                cva[0] * ub[1] - cva[1] * ub[0]
-            )
-            out[2] = ca[0] * vb[0] - ca[1] * vb[1] + cva[0] * ub[0] - cva[1] * ub[1]
-            return out
-
-    else:
-
-        def pair_density(kk, jj):
-            out = np.zeros((d,) + g.shape, dtype=np.complex128)
-            for s in range(spin):
-                for j in range(d):
-                    out[j] += np.conj(P[kk][s][j]) * U[jj][s] + np.conj(U[kk][s]) * P[jj][s][j]
-            return out
-
-    # psi^2 overlaps S_kj = <u_k, psi^2 u_j>
-    psi2_cols = np.stack([(psi2 * U[j]).ravel() for j in range(nvec)], axis=1)
-    S = vecs.conj().T @ psi2_cols * w
-
-    grad = np.zeros((d,) + g.shape)
+    psi2 = np.tile(np.real(spec.psi.data).ravel() ** 2, spec.spin)
+    S = vecs.conj().T @ (psi2[:, None] * vecs[:, :m]) * g.weight
+    lam = vals[:m]
+    above = vals[:, None] > 0.0
+    denom = np.where(above, lam[None, :] - vals[:, None], 1.0)
+    coupled = np.abs(S) >= 1e-14
     tiny = 1e-12 * max(abs(vals[0]), 1.0)
-    for j in neg:
-        lam_j = min(vals[j], 0.0)
-        grad += float(np.real(S[j, j])) * np.real(pair_density(j, j))
-        for k in range(nvec):
-            if k == j or abs(S[k, j]) < 1e-14:
-                continue
-            if vals[k] <= 0.0:
-                if k < j:
-                    continue  # ordered pair handled once with factor 2
-                coeff = 1.0
-                grad += 2.0 * coeff * np.real(np.conj(pair_density(k, j)) * S[k, j])
-            else:
-                denom = vals[j] - vals[k]
-                if abs(denom) < tiny:
-                    raise NonSmoothPoint("degenerate crossing at the Fermi level")
-                coeff = 2.0 * lam_j / denom
-                grad += coeff * np.real(np.conj(pair_density(k, j)) * S[k, j])
+    if np.any(coupled & above & (np.abs(denom) < tiny)):
+        raise NonSmoothPoint("degenerate crossing at the Fermi level")
+    # k <= 0 pairs are counted once, from the larger index, with factor 2
+    later = np.arange(len(vals))[:, None] > np.arange(m)[None, :]
+    W = np.where(coupled, np.where(above, 2.0 * lam / denom, 2.0 * later) * S, 0.0)
+    W[np.arange(m), np.arange(m)] = np.real(np.diag(S))
+    Y = vecs @ W
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        U_j, Y_j = _block(bare, vecs[:, lo:hi]), _block(bare, Y[:, lo:hi])
+        grad += np.real(_current_form(bare, Y_j, U_j) + _current_form(bare, U_j, Y_j))
     return VectorField(g, grad)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from .grid import GridSpec, ScalarField, SpinorField, VectorField
 
 MAGIC = b"FFIELD\x00\x01"
-_HEADER = struct.Struct("<4i")  # d, N, ncomp, dtype after the float64 L
 _DTYPES = {0: np.complex64, 1: np.complex128}
 
 

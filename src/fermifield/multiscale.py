@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, _fft, _ifft, gradient
+from .grid import GridSpec, _fft, _ifft
 from .profiles import bump, pou_pair, smooth_step
 
 __all__ = [
-    "ScalingFunctions",
-    "scaling_functions",
     "PartitionSpec",
     "partition_weight",
     "partition_defect",
@@ -32,58 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 4.0 / 9.0  # error-optimizing exponent for the scale function
-
-
-# ---------------------------------------------------------------------------
-# scale functions l = f^2 = (V^2 + h^{2 alpha})^{1/2} / K
-
-
-@dataclass(frozen=True)
-class ScalingFunctions:
-    ell: ScalarField
-    f: ScalarField
-    K: float
-    alpha: float
-    h: float
-    repaired: bool  # K was inflated to restore the gradient/size bounds
-    grad_ell_max: float
-    ell_max: float
-
-
-def scaling_functions(
-    V: ScalarField,
-    h: float,
-    K: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-    region: np.ndarray | None = None,
-) -> ScalingFunctions:
-    """Build l and f; inflate K minimally if the bounds fail on the region."""
-    if not (0.4 < alpha < 0.5):
-        raise ValueError("alpha must lie in (2/5, 1/2)")
-    if K <= 0:
-        raise ValueError("K must be positive")
-    g = V.grid
-
-    def build(Kval: float):
-        ell_data = np.sqrt(np.real(V.data) ** 2 + h ** (2 * alpha)) / Kval
-        ell = ScalarField(g, ell_data)
-        grad_max = float(np.max(np.abs(gradient(ell).data)))
-        if region is not None:
-            emax = float(np.max(ell_data[region]))
-        else:
-            emax = float(ell_data.max())
-        return ell, grad_max, emax
-
-    ell, grad_max, emax = build(K)
-    repaired = False
-    if grad_max >= 0.25 or emax > 0.25:
-        # both bounds scale as 1/K, so the minimal multiplier is explicit
-        factor = max(grad_max / 0.25, emax / 0.25) * (1.0 + 1e-9)
-        K = K * factor
-        ell, grad_max, emax = build(K)
-        repaired = True
-    f = ScalarField(g, np.sqrt(np.real(ell.data)))
-    return ScalingFunctions(ell, f, K, alpha, h, repaired, grad_max, emax)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +230,6 @@ class DyadicFamily:
     def t(self, u2) -> np.ndarray:
         return (np.asarray(u2, dtype=float) - self.W) / (self.w * self.W)
 
-    def shell_width(self, i: int) -> float:
-        return 2.0 ** abs(i) * self.w
-
     def f(self, i: int, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if i == 0:
@@ -304,15 +247,6 @@ class DyadicFamily:
         if i > 0:
             return _chi_tilde_positive(i, t)
         return _chi_tilde_positive(-i, -t)
-
-    def f_greater(self, t) -> np.ndarray:
-        """f_> with f_>^2 = sum_{i > i0} f_i^2."""
-        t = np.asarray(t, dtype=float)
-        imax = self._imax(t)
-        acc = np.zeros_like(t)
-        for i in range(self.i0 + 1, imax + 1):
-            acc += self.f(i, t) ** 2
-        return np.sqrt(acc)
 
     def _imax(self, t) -> int:
         tmax = float(np.max(np.abs(t), initial=4.0))

@@ -5,6 +5,16 @@ The kinetic part acts through FFTs, everything else by pointwise
 multiplication; the Pauli kinetic energy is applied as the factored square
 [sigma.(D+A)]^2 so it is nonnegative by construction.  A dense debug path
 materializes the operator for dim <= DENSE_LIMIT.
+
+One Fourier-space core acts on raw arrays laid out (spin, *batch, *grid):
+any number of batch axes between the spin axis and the last d grid axes, so
+a whole block of vectors goes through one call.  n-d transforms per vector,
+counted in units of one grid-sized transform (at d = 3):
+
+    Schrodinger, A = None    2       ifft(h^2 |k|^2 fft u)
+    Schrodinger, with A      2d + 2  v_j = (D_j + A_j) u, then sum_j (D_j + A_j) v_j
+    Pauli, A = None          4       (sigma.hk)^2 = h^2 |k|^2 on the full lattice
+    Pauli, with A            8       sigma.(D+A) twice, one fft and ifft of the spinor each
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
+BLOCK = 512  # most vectors per core call; caps the memory of block temporaries
 
 PAULI = "pauli"
 SCHRODINGER = "schrodinger"
@@ -99,64 +110,94 @@ class HamiltonianSpec:
         Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def _kinetic_momenta(spec: HamiltonianSpec):
-    """h*k per axis: D = -ih grad acts as multiplication by these.
+# ---------------------------------------------------------------------------
+# Fourier-space kinetic core: raw (spin, *batch, *grid) arrays, whole blocks
 
-    The full dual lattice (Nyquist included) keeps the multiplier Hermitian
-    and the kinetic symbol strictly positive away from k = 0; the zeroed
-    variant k_deriv is only for differentiating real fields.
+
+def _block(spec: HamiltonianSpec, cols: np.ndarray) -> np.ndarray:
+    """Columns (dim, m) of the flattened operator -> block (spin, m, *grid)."""
+    shape = (spec.spin,) + spec.grid.shape + (cols.shape[1],)
+    return np.ascontiguousarray(np.moveaxis(cols.reshape(shape), -1, 1))
+
+
+def _columns(block: np.ndarray) -> np.ndarray:
+    """Inverse of _block: (spin, m, *grid) -> columns (dim, m)."""
+    return np.moveaxis(block, 1, -1).reshape(-1, block.shape[1])
+
+
+def _sigma_dot(v, w: np.ndarray) -> np.ndarray:
+    """sigma.v acting on a 2-spinor array w = (up, down, ...)."""
+    return np.stack([
+        v[2] * w[0] + (v[0] - 1j * v[1]) * w[1],
+        (v[0] + 1j * v[1]) * w[0] - v[2] * w[1],
+    ])
+
+
+def _sigma_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spin densities a* sigma_j b for j = x, y, z, pointwise in everything else."""
+    ca = np.conj(a)
+    return np.stack([
+        ca[0] * b[1] + ca[1] * b[0],
+        -1j * ca[0] * b[1] + 1j * ca[1] * b[0],
+        ca[0] * b[0] - ca[1] * b[1],
+    ])
+
+
+def _momenta(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
+    """(D_j + A_j) u for every j, stacked first: one fft and d iffts of u.
+
+    D = -ih grad multiplies by h*k on the full dual lattice (Nyquist
+    included), which keeps the kinetic operator Hermitian with a strictly
+    positive symbol away from k = 0; k_deriv is only for real fields.
     """
-    return [spec.h * kj for kj in spec.grid.k]
-
-
-def _apply_D_plus_A(spec: HamiltonianSpec, comp: np.ndarray) -> list[np.ndarray]:
-    """(D_j + A_j) applied to one spin component, for every j."""
     g = spec.grid
-    ch = _fft(comp, g.d)
-    hk = _kinetic_momenta(spec)
-    out = [_ifft(hk[j] * ch, g.d) for j in range(g.d)]
+    uh = _fft(u, g.d)
+    out = _ifft(np.stack([spec.h * kj * uh for kj in g.k]), g.d)
     if spec.A is not None:
-        for j in range(g.d):
-            out[j] = out[j] + spec.A.data[j] * comp
+        for j, a in enumerate(spec.A.data):
+            out[j] += a * u
     return out
 
 
-def _sigma_dot(v: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """sigma.v acting on a 2-spinor array u with shape (2, ...)."""
-    up, dn = u[0], u[1]
-    return np.stack(
-        [
-            v[2] * up + (v[0] - 1j * v[1]) * dn,
-            (v[0] + 1j * v[1]) * up - v[2] * dn,
-        ]
-    )
-
-
-def _kinetic_apply(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    """(D+A)^2 componentwise in spin (Schrodinger kinetic energy)."""
+def _sigma_momentum(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
+    """sigma.(D+A) u on 2-spinors: one fft and one ifft of u, sigma.hk between."""
     g = spec.grid
-    out = np.empty_like(u, dtype=np.complex128)
-    for s in range(u.shape[0]):
-        vj = _apply_D_plus_A(spec, u[s])
-        acc = np.zeros_like(vj[0])
-        for j in range(g.d):
-            acc += _apply_D_plus_A(spec, vj[j])[j]
-        out[s] = acc
+    out = _ifft(_sigma_dot([spec.h * kj for kj in g.k], _fft(u, g.d)), g.d)
+    if spec.A is not None:
+        out += _sigma_dot(spec.A.data, u)
     return out
 
 
-def _pauli_kinetic_apply(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    def sigma_d_plus_a(w: np.ndarray) -> np.ndarray:
-        comps = [None, None, None]
-        per_spin = [_apply_D_plus_A(spec, w[s]) for s in range(2)]
-        for j in range(3):
-            comps[j] = np.stack([per_spin[0][j], per_spin[1][j]])
-        # sigma.v where v_j is itself a 2-spinor array: combine componentwise
-        up = comps[2][0] + comps[0][1] - 1j * comps[1][1]
-        dn = comps[0][0] + 1j * comps[1][0] - comps[2][1]
-        return np.stack([up, dn])
+def _schrodinger_kinetic(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
+    """(D+A)^2 componentwise in spin: 2 transforms without A, 2d + 2 with A."""
+    g = spec.grid
+    if spec.A is None:
+        return _ifft(spec.h**2 * g.k2 * _fft(u, g.d), g.d)
+    v = _momenta(spec, u)
+    vh = _fft(v, g.d)
+    out = _ifft(sum(spec.h * kj * vh[j] for j, kj in enumerate(g.k)), g.d)
+    return out + sum(a * v[j] for j, a in enumerate(spec.A.data))
 
-    return sigma_d_plus_a(sigma_d_plus_a(u))
+
+def _kinetic(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
+    """T_h(A) u; the Pauli square [sigma.(D+A)]^2 equals h^2 |k|^2 at A = None."""
+    if spec.flavor == PAULI and spec.A is not None:
+        return _sigma_momentum(spec, _sigma_momentum(spec, u))
+    return _schrodinger_kinetic(spec, u)
+
+
+def _current_form(spec: HamiltonianSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over spin and batch of a* Pi_j b, with Pi_j the current operator.
+
+    Pi_j = D_j + A_j (Schrodinger) or sigma_j sigma.(D+A) (Pauli, which adds
+    the spin current); a and b are blocks of the same shape.  Returns the
+    complex density (d, *grid); the physical current takes minus its real part.
+    """
+    if spec.flavor == PAULI:
+        dens = _sigma_pair(a, _sigma_momentum(spec, b))  # spin already traced
+    else:
+        dens = np.sum(np.conj(a) * _momenta(spec, b), axis=1)
+    return np.sum(dens, axis=tuple(range(1, dens.ndim - spec.grid.d)))
 
 
 def pauli_expanded_apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
@@ -166,10 +207,9 @@ def pauli_expanded_apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
     w = u.data
     if spec.psi is not None:
         w = spec.psi.data * w
-    out = _kinetic_apply(spec, w)
+    out = _schrodinger_kinetic(spec, w)
     if spec.A is not None:
-        B = curl(spec.A)
-        out = out + spec.h * _sigma_dot([B.data[j] for j in range(3)], w)
+        out = out + spec.h * _sigma_dot(curl(spec.A).data, w)
     if spec.V is not None:
         out = out - spec.V.data * w
     if spec.psi is not None:
@@ -177,13 +217,28 @@ def pauli_expanded_apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
     return SpinorField(spec.grid, out)
 
 
-def apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
-    """psi (T_h(A) - V) psi u, or (T_h(A) - V) u without localization."""
-    if u.grid != spec.grid:
+def apply(spec: HamiltonianSpec, u):
+    """psi (T_h(A) - V) psi u, or (T_h(A) - V) u without localization.
+
+    u is a SpinorField or a raw block laid out (spin, *batch, *grid); a block
+    comes back as a block of the same shape, every vector in one pass.
+    """
+    g = spec.grid
+    field = isinstance(u, SpinorField)
+    w = u.data if field else np.asarray(u)
+    grid_ok = u.grid == g if field else w.shape[w.ndim - g.d:] == g.shape
+    if not grid_ok:
         raise ValueError("spinor grid mismatch")
-    if u.spin != spec.spin:
-        raise ValueError(f"spinor has {u.spin} components, spec expects {spec.spin}")
-    return SpinorField(spec.grid, _apply_raw(spec, u.data))
+    if w.shape[0] != spec.spin:
+        raise ValueError(f"spinor has {w.shape[0]} components, spec expects {spec.spin}")
+    if spec.psi is not None:
+        w = spec.psi.data * w
+    out = _kinetic(spec, w)
+    if spec.V is not None:
+        out -= spec.V.data * w
+    if spec.psi is not None:
+        out *= spec.psi.data
+    return SpinorField(g, out) if field else out
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +317,15 @@ def ims_localized_family(spec: HamiltonianSpec, cutoffs, tol: float = 1e-8):
 # dense debug path
 
 
-def _apply_raw(spec: HamiltonianSpec, w: np.ndarray) -> np.ndarray:
-    """Operator action on a (possibly batched) spin-major sample array.
-
-    w has shape (spin, ..., N, ..., N); the kinetic pipeline only touches the
-    last d axes, so extra batch axes pass through untouched.
-    """
-    if spec.psi is not None:
-        w = spec.psi.data * w
-    if spec.flavor == PAULI:
-        out = _pauli_kinetic_apply(spec, w)
-    else:
-        out = _kinetic_apply(spec, w)
-    if spec.V is not None:
-        out = out - spec.V.data * w
-    if spec.psi is not None:
-        out = spec.psi.data * out
-    return out
-
-
-def dense_matrix(spec: HamiltonianSpec, block: int = 512) -> np.ndarray:
+def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Materialize the operator in column blocks (dim <= DENSE_LIMIT)."""
     dim = spec.dim
     if dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {dim}")
-    g = spec.grid
     H = np.empty((dim, dim), dtype=np.complex128)
-    for lo in range(0, dim, block):
-        hi = min(lo + block, dim)
+    for lo in range(0, dim, BLOCK):
+        hi = min(lo + BLOCK, dim)
         cols = np.zeros((dim, hi - lo), dtype=np.complex128)
         cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        # rows are (spin, grid); put the batch axis right after spin
-        batch = np.moveaxis(
-            cols.reshape((spec.spin,) + g.shape + (hi - lo,)), -1, 1
-        )
-        out = _apply_raw(spec, batch)
-        H[:, lo:hi] = np.moveaxis(out, 1, -1).reshape(dim, hi - lo)
+        H[:, lo:hi] = _columns(apply(spec, _block(spec, cols)))
     return H

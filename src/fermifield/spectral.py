@@ -16,9 +16,12 @@ import scipy.sparse.linalg as spla
 
 from .grid import ScalarField, SpinorField, VectorField, _fft, _ifft
 from .operators import (
+    BLOCK,
     DENSE_LIMIT,
-    PAULI,
     HamiltonianSpec,
+    _block,
+    _columns,
+    _current_form,
     apply,
     dense_matrix,
 )
@@ -107,12 +110,16 @@ def _wrap_vectors(spec: HamiltonianSpec, vecs: np.ndarray) -> list:
     return [SpinorField(spec.grid, vecs[:, j].reshape(shape)) for j in range(vecs.shape[1])]
 
 
-def _residual_check(spec: HamiltonianSpec, vals, fields, tol_eig: float):
+def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray, tol_eig: float):
+    """Largest ||H u - lam u|| over the columns of vecs, one apply per block."""
     scale = max(abs(float(vals.min(initial=0.0))), default_tol_zero(spec) / 1e-8, 1e-300)
     worst = 0.0
-    for lam, u in zip(vals, fields):
-        r = apply(spec, u) - lam * u
-        worst = max(worst, r.norm(2))
+    for lo in range(0, len(vals), BLOCK):
+        U = _block(spec, vecs[:, lo:lo + BLOCK])
+        lam = vals[lo:lo + BLOCK].reshape((1, -1) + (1,) * spec.grid.d)
+        R = apply(spec, U) - lam * U
+        norms = np.sqrt(np.sum(np.abs(_columns(R)) ** 2, axis=0) * spec.grid.weight)
+        worst = max(worst, float(norms.max()))
     if worst > tol_eig * scale:
         raise EigenFailure(
             f"eigenpair residual {worst:.3e} exceeds {tol_eig:.1e} * scale {scale:.3e}"
@@ -142,7 +149,7 @@ def negative_spectrum(
         fields = _wrap_vectors(spec, vecs)
         zero_band = bool(np.any(np.abs(vals) <= tol_zero))
         ns = NegativeSpectrum(spec, vals, fields, tol_zero, zero_band)
-        _residual_check(spec, vals, fields, max(tol_eig, 1e-7))
+        _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
         return ns
 
     op, minv = _iterative_operators(spec)
@@ -165,7 +172,7 @@ def negative_spectrum(
     vals, vecs = vals[keep], vecs[:, keep]
     vecs = _normalize_columns(vecs, weight) if vals.size else vecs
     fields = _wrap_vectors(spec, vecs)
-    _residual_check(spec, vals, fields, max(tol_eig, 1e-7))
+    _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
 
     # probe solve: an independent start block must not find anything lower
     pvals, _ = _lobpcg_lowest(op, minv, dim, 4, rng, 1e-6)
@@ -183,30 +190,28 @@ def _iterative_operators(spec: HamiltonianSpec):
     """Matrix-free operator and its Fourier-diagonal preconditioner.
 
     The preconditioner inverts h^2 k^2 + (max|V| + 1), which compresses the
-    kinetic spread that otherwise stalls edge-eigenvalue iterations.
+    kinetic spread that otherwise stalls edge-eigenvalue iterations.  Both
+    act on whole column blocks, BLOCK columns per core call.
     """
     g = spec.grid
     dim = spec.dim
-    shape = (spec.spin,) + g.shape
-
-    def matvec(x):
-        u = SpinorField(g, x.reshape(shape))
-        return apply(spec, u).data.ravel()
-
     vmax = 0.0 if spec.V is None else float(np.abs(spec.V.data).max())
     pre = 1.0 / (spec.h**2 * g.k2 + vmax + 1.0)
 
-    def minv(x):
-        X = x if x.ndim == 2 else x[:, None]
-        cols = []
-        for i in range(X.shape[1]):
-            u = X[:, i].reshape(shape)
-            out = np.stack([_ifft(pre * _fft(u[s], g.d), g.d) for s in range(spec.spin)])
-            cols.append(out.ravel())
-        return np.stack(cols, axis=1) if x.ndim == 2 else cols[0]
+    def blockwise(fn):
+        def matmat(X):
+            cols = X.reshape(dim, -1)
+            out = np.empty(cols.shape, dtype=np.complex128)
+            for lo in range(0, cols.shape[1], BLOCK):
+                out[:, lo:lo + BLOCK] = _columns(fn(_block(spec, cols[:, lo:lo + BLOCK])))
+            return out.reshape(X.shape)
 
-    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    M = spla.LinearOperator((dim, dim), matvec=minv, matmat=minv, dtype=np.complex128)
+        return matmat
+
+    op_mat = blockwise(lambda U: apply(spec, U))
+    pre_mat = blockwise(lambda U: _ifft(pre * _fft(U, g.d), g.d))
+    op = spla.LinearOperator((dim, dim), matvec=op_mat, matmat=op_mat, dtype=np.complex128)
+    M = spla.LinearOperator((dim, dim), matvec=pre_mat, matmat=pre_mat, dtype=np.complex128)
     return op, M
 
 
@@ -236,16 +241,6 @@ def density(gamma: DensityMatrix) -> ScalarField:
     return ScalarField(g, rho)
 
 
-def _momentum_apply(spec: HamiltonianSpec, comp: np.ndarray) -> list[np.ndarray]:
-    g = spec.grid
-    ch = _fft(comp, g.d)
-    out = [_ifft(spec.h * g.k[j] * ch, g.d) for j in range(g.d)]
-    if spec.A is not None:
-        for j in range(g.d):
-            out[j] = out[j] + spec.A.data[j] * comp
-    return out
-
-
 def current(gamma: DensityMatrix, spec: HamiltonianSpec) -> VectorField:
     """Fermi-gas current density driving the Maxwell equation.
 
@@ -255,24 +250,10 @@ def current(gamma: DensityMatrix, spec: HamiltonianSpec) -> VectorField:
     if spec.flavor != gamma.spec.flavor:
         raise ValueError("density matrix flavor does not match spec")
     g = spec.grid
+    occ = np.asarray(gamma.occupations, dtype=float)
     J = np.zeros((g.d,) + g.shape)
-    for occ, u in zip(gamma.occupations, gamma.eigenvectors):
-        if spec.flavor == PAULI:
-            # sigma (sigma.(D+A)) u: v = sigma.(D+A) u, then tr u* sigma_j v
-            per_spin = [_momentum_apply(spec, u.data[s]) for s in range(2)]
-            w = [np.stack([per_spin[0][j], per_spin[1][j]]) for j in range(3)]
-            v_up = w[2][0] + w[0][1] - 1j * w[1][1]
-            v_dn = w[0][0] + 1j * w[1][0] - w[2][1]
-            v = np.stack([v_up, v_dn])
-            uc = np.conj(u.data)
-            # tr_{C^2}(u* sigma_j v)
-            jx = uc[0] * v[1] + uc[1] * v[0]
-            jy = -1j * uc[0] * v[1] + 1j * uc[1] * v[0]
-            jz = uc[0] * v[0] - uc[1] * v[1]
-            J += -occ * np.real(np.stack([jx, jy, jz]))
-        else:
-            for s in range(u.data.shape[0]):
-                pu = _momentum_apply(spec, u.data[s])
-                for j in range(g.d):
-                    J[j] += -occ * np.real(np.conj(u.data[s]) * pu[j])
+    for lo in range(0, len(gamma.eigenvectors), BLOCK):
+        U = np.stack([u.data for u in gamma.eigenvectors[lo:lo + BLOCK]], axis=1)
+        w = occ[lo:lo + BLOCK].reshape((1, -1) + (1,) * g.d)
+        J -= np.real(_current_form(spec, w * U, U))
     return VectorField(g, J)

@@ -81,6 +81,67 @@ def test_psi_outside_gradient_matches_finite_differences(spec3d):
     assert dd == pytest.approx(fd, rel=1e-6)
 
 
+def _psi_outside_gradient_loop(spec):
+    """Reference: the pair-density double loop over (j <= 0, every k)."""
+    from dataclasses import replace
+
+    from fermifield.operators import dense_matrix
+    from fermifield.spectral import dense_eigh
+
+    g = spec.grid
+    vals, vecs = dense_eigh(dense_matrix(replace(spec, psi=None)))
+    vecs = vecs / np.sqrt(g.weight)
+    U = [vecs[:, k].reshape((spec.spin,) + g.shape) for k in range(len(vals))]
+    axes = tuple(range(1, g.d + 1))
+
+    def momenta(u):  # (D_j + A_j) u for each j
+        uh = np.fft.fftn(u, axes=axes)
+        return [np.fft.ifftn(spec.h * kj * uh, axes=axes) + spec.A.data[j] * u
+                for j, kj in enumerate(g.k)]
+
+    P = [momenta(u) for u in U]
+    if spec.flavor == "pauli":
+        sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        Vs = [np.einsum("jst,jt...->s...", sigma, np.stack(p)) for p in P]
+
+        def pair(k, j):
+            return sum(np.einsum("s...,ist,t...->i...", np.conj(a), sigma, b)
+                       for a, b in ((U[k], Vs[j]), (Vs[k], U[j])))
+    else:
+
+        def pair(k, j):
+            return np.stack([np.sum(np.conj(P[k][i]) * U[j] + np.conj(U[k]) * P[j][i], axis=0)
+                             for i in range(g.d)])
+
+    psi2 = np.real(spec.psi.data) ** 2
+    S = np.array([[np.vdot(a, psi2 * b) * g.weight for b in U] for a in U])
+    grad = np.zeros((g.d,) + g.shape)
+    for j in np.nonzero(vals <= 0.0)[0]:
+        grad += np.real(S[j, j]) * np.real(pair(j, j))
+        for k in range(len(vals)):
+            if k == j or abs(S[k, j]) < 1e-14 or (vals[k] <= 0.0 and k < j):
+                continue
+            coeff = 2.0 if vals[k] <= 0.0 else 2.0 * vals[j] / (vals[j] - vals[k])
+            grad += coeff * np.real(np.conj(pair(k, j)) * S[k, j])
+    return grad
+
+
+# amplitudes chosen so that several eigenvalues are negative and the
+# in-band pair terms contribute
+@pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
+def test_psi_outside_gradient_matches_pair_density_loop(flavor, d, N, amp):
+    from fermifield.field_opt import _trace_gradient_psi_outside
+
+    g = GridSpec(d=d, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
+                           V=bump_potential(g, amplitude=amp, radius=0.7),
+                           A=random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3))
+    cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    ref = _psi_outside_gradient_loop(spec)
+    got = _trace_gradient_psi_outside(spec, cfg).data
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_minimize_contracts(spec3d):
     cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
     rep = minimize(None, spec3d, cfg, Schedule(max_iters=3))

@@ -8,7 +8,7 @@ from fermifield.builders import (
     constant_potential,
     random_divfree_potential,
 )
-from fermifield.grid import GridSpec, ScalarField, SpinorField
+from fermifield.grid import GridSpec, ScalarField, SpinorField, VectorField
 from fermifield.operators import (
     GaugeError,
     HamiltonianSpec,
@@ -144,3 +144,70 @@ def test_constant_potential_shift_identity(rng):
     v0, _ = dense_eigh(dense_matrix(s0))
     v1, _ = dense_eigh(dense_matrix(s1))
     np.testing.assert_allclose(v1, v0 - 1.5, atol=1e-10)
+
+
+_CORE_CASES = [
+    # (flavor, d, N, with A); transforms per vector are pinned at d = 3 below
+    ("schrodinger", 1, 16, False),
+    ("schrodinger", 1, 16, True),
+    ("schrodinger", 2, 8, False),
+    ("schrodinger", 2, 8, True),
+    ("schrodinger", 3, 4, False),
+    ("schrodinger", 3, 4, True),
+    ("pauli", 3, 4, False),
+    ("pauli", 3, 4, True),
+]
+
+
+def _core_spec(flavor, d, N, with_A, with_psi, rng):
+    g = GridSpec(d=d, N=N, L=2.0)
+    A = VectorField(g, 0.5 * rng.standard_normal((d,) + g.shape)) if with_A else None
+    psi = (ScalarField.from_function(g, lambda x, *_: np.cos(np.pi * x / g.L) ** 2)
+           if with_psi else None)
+    return HamiltonianSpec(grid=g, h=0.6, flavor=flavor, A=A, psi=psi,
+                           V=bump_potential(g, amplitude=3.0, radius=0.6))
+
+
+@pytest.mark.parametrize("with_psi", [False, True])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_block_apply_equals_single_applies(flavor, d, N, with_A, with_psi, rng):
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    g = spec.grid
+    block = rng.standard_normal((spec.spin, 5) + g.shape) + 1j * rng.standard_normal(
+        (spec.spin, 5) + g.shape
+    )
+    out = apply(spec, block)
+    assert out.shape == block.shape
+    for i in range(5):
+        single = apply(spec, SpinorField(g, block[:, i])).data
+        np.testing.assert_allclose(out[:, i], single, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(single)))
+
+
+@pytest.mark.parametrize("flavor,d,N,with_A,per_vector", [
+    ("schrodinger", 3, 4, False, 2),
+    ("schrodinger", 3, 4, True, 8),
+    ("pauli", 3, 4, False, 4),
+    ("pauli", 3, 4, True, 8),
+])
+def test_transform_count_per_vector(flavor, d, N, with_A, per_vector, rng, monkeypatch):
+    spec = _core_spec(flavor, d, N, with_A, True, rng)
+    volume = []
+    for name in ("fftn", "ifftn"):
+        orig = getattr(np.fft, name)
+
+        def counted(a, *args, _orig=orig, **kwargs):
+            volume.append(np.asarray(a).size)
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    block = rng.standard_normal((spec.spin, 5) + spec.grid.shape)
+    apply(spec, block)
+    assert sum(volume) == per_vector * 5 * spec.grid.size
+
+
+def test_apply_rejects_mismatched_block(spec1d):
+    with pytest.raises(ValueError):
+        apply(spec1d, np.zeros((1, 3, spec1d.grid.N // 2)))
+    with pytest.raises(ValueError):
+        apply(spec1d, np.zeros((2, 3, spec1d.grid.N)))

@@ -5,8 +5,8 @@ import pytest
 
 import fermifield.spectral as spectral
 from fermifield.builders import bump_potential, constant_potential
-from fermifield.grid import GridSpec
-from fermifield.operators import HamiltonianSpec
+from fermifield.grid import GridSpec, SpinorField
+from fermifield.operators import HamiltonianSpec, apply
 from fermifield.spectral import (
     DensityMatrix,
     current,
@@ -138,3 +138,33 @@ def test_current_reacts_to_field():
     assert len(ns.eigenvalues) > 0
     J = current(ns.to_density_matrix(), spec)
     assert J.norm(2) > 1e-6
+
+
+def test_iterative_block_operators_match_columns(spec3d, rng):
+    from fermifield.builders import random_divfree_potential
+
+    spec = spec3d.with_A(random_divfree_potential(spec3d.grid, seed=2, amplitude=0.3))
+    op, minv = spectral._iterative_operators(spec)
+    X = rng.standard_normal((spec.dim, 6)) + 1j * rng.standard_normal((spec.dim, 6))
+    for lin in (op, minv):
+        block = lin.matmat(X)
+        cols = np.stack([lin.matvec(X[:, i]) for i in range(6)], axis=1)
+        np.testing.assert_allclose(block, cols, rtol=0, atol=1e-13 * np.max(np.abs(cols)))
+    shape = (spec.spin,) + spec.grid.shape
+    fields = [apply(spec, SpinorField(spec.grid, X[:, i].reshape(shape))) for i in range(6)]
+    by_field = np.stack([u.data.ravel() for u in fields], axis=1)
+    np.testing.assert_allclose(op.matmat(X), by_field, rtol=0,
+                               atol=1e-13 * np.max(np.abs(by_field)))
+
+
+def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
+    # blocks of 3: the perturbed vector sits in the last, partial block
+    monkeypatch.setattr(spectral, "BLOCK", 3)
+    H = spectral.dense_matrix(spec1d)
+    vals, vecs = dense_eigh(H)
+    vals, vecs = vals[:7], vecs[:, :7] / np.sqrt(spec1d.grid.weight)
+    spectral._residual_check(spec1d, vals, vecs, 1e-7)
+    bad = vecs.copy()
+    bad[:, 6] += 1e-3 * bad[:, 0]
+    with pytest.raises(spectral.EigenFailure):
+        spectral._residual_check(spec1d, vals, bad, 1e-7)
