@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .builders import (
@@ -577,6 +578,7 @@ def _write_outputs(outdir: Path, args, cfg_echo, rows, header, reports, plots,
         "versions": {
             "fermifield": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "status": status,

@@ -128,7 +128,12 @@ def _trace_part(spec: HamiltonianSpec, cfg: EnergyConfig, seed: int):
 
 def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
                  seed: int = 0):
-    """(energy, parts dict) with trace and field contributions itemized."""
+    """(energy, parts dict) with trace and field contributions itemized.
+
+    parts["spectrum"] is the NegativeSpectrum of spec.with_A(A), which the
+    gradient and the residual at this A can reuse; None for psi-outside,
+    whose trace part solves the operator without psi.
+    """
     sA = spec.with_A(A)
     tr, ns, zero_band = _trace_part(sA, cfg, seed)
     fe = _field_energy(A, cfg) if A is not None else 0.0
@@ -138,6 +143,7 @@ def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig
         "field": fe,
         "beta_field": cfg.beta * fe,
         "zero_band": zero_band,
+        "spectrum": None if cfg.variant == PSI_OUTSIDE else ns,
     }
     return total, parts
 
@@ -216,14 +222,29 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig) -> Vec
     return VectorField(g, grad)
 
 
+def _spectrum_at(A: VectorField, spec: HamiltonianSpec, seed: int,
+                 spectrum: NegativeSpectrum | None) -> NegativeSpectrum:
+    """The negative spectrum of spec.with_A(A): the one given, else a new solve."""
+    if spectrum is None:
+        return negative_spectrum(spec.with_A(A), seed=seed)
+    if spectrum.spec.A is not A:
+        raise ValueError("spectrum was solved at a different vector potential")
+    return spectrum
+
+
 def energy_gradient(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
-                    seed: int = 0, reject_zero_band: bool = True) -> VectorField:
-    """Unconstrained gradient field: <grad, a> = d/dt E(A + t a) at t = 0."""
+                    seed: int = 0, reject_zero_band: bool = True,
+                    spectrum: NegativeSpectrum | None = None) -> VectorField:
+    """Unconstrained gradient field: <grad, a> = d/dt E(A + t a) at t = 0.
+
+    spectrum: the NegativeSpectrum of spec.with_A(A) if already solved
+    (total_energy's parts["spectrum"]); unused by psi-outside.
+    """
     sA = spec.with_A(A)
     if cfg.variant == PSI_OUTSIDE:
         tg = _trace_gradient_psi_outside(sA, cfg)
     else:
-        ns = negative_spectrum(sA, seed=seed)
+        ns = _spectrum_at(A, spec, seed, spectrum)
         if reject_zero_band and ns.zero_band:
             raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
         J = current(ns.to_density_matrix(), sA)
@@ -239,12 +260,16 @@ def energy_directional_derivative(A: VectorField, a: VectorField,
 
 
 def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
-                seed: int = 0) -> float:
-    """Normalized Maxwell residual ||beta curl B - J_A|| / scale."""
+                seed: int = 0, spectrum: NegativeSpectrum | None = None) -> float:
+    """Normalized Maxwell residual ||beta (field part)'/2 - J_A|| / scale.
+
+    The left side is half the field energy's first variation, beta curl B
+    for global-curl; spectrum as in energy_gradient.
+    """
     sA = spec.with_A(A)
-    ns = negative_spectrum(sA, seed=seed)
+    ns = _spectrum_at(A, spec, seed, spectrum)
     J = current(ns.to_density_matrix(), sA)
-    lhs = cfg.beta * curl(curl(A))
+    lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
     resid = (lhs - J).norm(2)
     scale = max(lhs.norm(2), J.norm(2), 1e-300)
     return float(resid / scale)
@@ -305,7 +330,7 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
 
     for _ in range(schedule.max_iters):
         try:
-            grad = energy_gradient(A, spec, cfg, seed=seed)
+            grad = energy_gradient(A, spec, cfg, seed=seed, spectrum=parts["spectrum"])
         except NonSmoothPoint:
             termination = "non-smooth point"
             break
@@ -335,11 +360,9 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
     rep.final_A = A
     rep.final_field_energy = _field_energy(A, cfg)
     rep.termination = termination
+    # the report keeps no spectrum: its eigenvectors would outlive the descent
+    rep.el_residual = el_residual(A, spec, cfg, seed=seed, spectrum=parts.pop("spectrum"))
     rep.parts = parts
-    try:
-        rep.el_residual = el_residual(A, spec, cfg, seed=seed)
-    except Exception:
-        rep.el_residual = np.nan
     return rep
 
 

@@ -414,13 +414,11 @@ def check_variational_sandwich(
         raise ValueError("sandwich checker requires the dense path")
     g = spec.grid
     inside = replace(spec, psi=psi)
-    Hin = dense_matrix(inside)
-    vals_in, _ = dense_eigh(Hin, vectors=False)
-    tr_inside = float(np.sum(np.minimum(vals_in, 0.0)))
+    vals_in, _ = dense_eigh(dense_matrix(inside), vectors=False, upper=0.0)
+    tr_inside = float(np.sum(vals_in))
 
     bare = replace(spec, psi=None)
-    Hb = dense_matrix(bare)
-    vals, vecs = dense_eigh(Hb)
+    vals, vecs = dense_eigh(dense_matrix(bare), upper=0.0)
     vecs = vecs / math.sqrt(g.weight)
     psi2 = np.real(psi.data) ** 2
     gpsi = gradient(psi)
@@ -428,9 +426,7 @@ def check_variational_sandwich(
     shape = (spec.spin,) + g.shape
     tr_outside = 0.0
     tr_kink = 0.0
-    for j in np.nonzero(vals <= 0.0)[0]:
-        if vals[j] > 0.0:
-            continue
+    for j in range(len(vals)):
         u = vecs[:, j].reshape(shape)
         dens = np.sum(np.abs(u) ** 2, axis=0)
         tr_outside += vals[j] * float(np.sum(psi2 * dens) * g.weight)

@@ -3,8 +3,10 @@ Matrix-free Pauli and Schrodinger Hamiltonians on the periodic box.
 
 The kinetic part acts through FFTs, everything else by pointwise
 multiplication; the Pauli kinetic energy is applied as the factored square
-[sigma.(D+A)]^2 so it is nonnegative by construction.  A dense debug path
-materializes the operator for dim <= DENSE_LIMIT.
+[sigma.(D+A)]^2 so it is nonnegative by construction.  For dim <= DENSE_LIMIT
+dense_matrix assembles the same operator in closed form: every kinetic piece
+is a circulant (one inverse transform of its symbol), and A, V and psi only
+scale its rows and columns.
 
 One Fourier-space core acts on raw arrays laid out (spin, *batch, *grid):
 any number of batch axes between the spin axis and the last d grid axes, so
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
-BLOCK = 512  # most vectors per core call; caps the memory of block temporaries
+BLOCK = 512  # most vectors per core call and rows per dense slab; caps temporaries
 
 PAULI = "pauli"
 SCHRODINGER = "schrodinger"
@@ -314,18 +316,87 @@ def ims_localized_family(spec: HamiltonianSpec, cutoffs, tol: float = 1e-8):
 
 
 # ---------------------------------------------------------------------------
-# dense debug path
+# dense path: closed-form assembly
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _circulant_rows(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows of C[x, y] = c[(x - y) mod N] whose first grid index is in [lo, hi).
+
+    Indexed by broadcasting one (rows, N) difference table per axis, so no
+    dim^2 index table exists; returns (rows, N^d) in flattened grid order.
+    """
+    N, d = c.shape[0], c.ndim
+    idx = []
+    for j in range(d):
+        x = np.arange(lo, hi) if j == 0 else np.arange(N)
+        shape = [1] * (2 * d)
+        shape[j], shape[d + j] = len(x), N
+        idx.append(((x[:, None] - np.arange(N)) % N).reshape(shape))
+    return c[tuple(idx)].reshape(-1, c.size)
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Materialize the operator in column blocks (dim <= DENSE_LIMIT)."""
+    """The operator as a (dim, dim) matrix, assembled in closed form.
+
+    A Fourier multiplier s on the full lattice is the circulant
+    C_s[x, y] = c_s[(x - y) mod N] with c_s = ifft(s).  With C_j = C_{hk_j},
+    the entries of (T_h(A) - V) are, for x, y on the grid,
+
+        C_{h^2|k|^2} + sum_j C_j (A_j(x) + A_j(y)) + (sum_j A_j^2 - V) delta_xy
+
+    on each spin component (Schrodinger), and as 2x2 spin blocks with
+    M = sigma.A (Pauli, [sigma.(D+A)]^2 expanded; M = 0 without A)
+
+        C_{h^2|k|^2} I + sum_j C_j (M(x) sigma_j + sigma_j M(y)) + (M^2 - V) delta_xy
+
+    times psi(x) psi(y).  Rows are built in slabs of about BLOCK, so the
+    temporaries stay a small multiple of BLOCK * dim (dim <= DENSE_LIMIT).
+    """
     dim = spec.dim
     if dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {dim}")
-    H = np.empty((dim, dim), dtype=np.complex128)
-    for lo in range(0, dim, BLOCK):
-        hi = min(lo + BLOCK, dim)
-        cols = np.zeros((dim, hi - lo), dtype=np.complex128)
-        cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        H[:, lo:hi] = _columns(apply(spec, _block(spec, cols)))
+    g = spec.grid
+    n, N, spin = g.size, g.N, spec.spin
+    kin = _ifft(spec.h**2 * g.k2, g.d)
+    V = np.zeros(n) if spec.V is None else spec.V.data.ravel()
+    # sb spin components are coupled; C_j is scaled by right[j](x) + left[j](y)
+    mom = []
+    if spec.A is None:
+        sb, pot = 1, np.zeros((n, 1, 1))
+    else:
+        A = spec.A.data.reshape(g.d, n)
+        mom = [_ifft(spec.h * np.broadcast_to(kj, g.shape), g.d) for kj in g.k]
+        if spec.flavor == PAULI:
+            M = np.tensordot(A.T, _SIGMA, 1)  # sigma.A, (n, 2, 2)
+            sb, left, right, pot = 2, _SIGMA[:, None] @ M, M @ _SIGMA[:, None], M @ M
+        else:
+            sb, left = 1, A[:, :, None, None]
+            right, pot = left, np.sum(A * A, axis=0)[:, None, None]
+    pot = pot - V[:, None, None] * np.eye(sb)
+
+    H = np.zeros((spin, n, spin, n), dtype=np.complex128)
+    step = max(1, BLOCK * N // n)  # first-axis grid values per slab
+    for lo in range(0, N, step):
+        hi = min(lo + step, N)
+        rows = slice(lo * n // N, hi * n // N)
+        diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+        kin_rows = _circulant_rows(kin, lo, hi)
+        mom_rows = [_circulant_rows(c, lo, hi) for c in mom]
+        for a in range(sb):
+            for b in range(sb):
+                out = H[a, rows, b]  # a view: every update lands in H
+                if a == b:
+                    out += kin_rows
+                for j, C in enumerate(mom_rows):
+                    out += C * (right[j, rows, a, b, None] + left[j, :, a, b])
+                out[diag] += pot[rows, a, b]
+        for s in range(sb, spin):  # uncoupled components repeat the first
+            H[s, rows, s] = H[0, rows, 0]
+    H = H.reshape(dim, dim)
+    if spec.psi is not None:
+        psi = np.tile(spec.psi.data.ravel(), spin)
+        H *= psi[:, None]
+        H *= psi
     return H

@@ -1,10 +1,13 @@
 """
 Negative-spectrum computation, density matrices, densities and currents.
 
-The eigensolver finds every eigenvalue <= 0: a dense path for small
-problems, otherwise preconditioned LOBPCG (scipy) with the block grown
-until the spectrum is bracketed at zero.  A probe solve with an
-independent start block guards against missed eigenvalues.
+The eigensolver finds every eigenvalue <= tol_zero.  Up to DENSE_LIMIT it
+assembles the closed-form matrix and asks LAPACK's MRRR driver (?heevr) for
+the eigenpairs in (-inf, tol_zero] only: one tridiagonal reduction plus the
+kept vectors.  Above it, preconditioned LOBPCG (scipy) grows its block until
+the spectrum is bracketed at zero, and a probe solve with an independent
+start block guards against missed eigenvalues.  Every kept eigenpair is
+checked against the matrix-free operator, whichever path found it.
 """
 
 from __future__ import annotations
@@ -90,14 +93,26 @@ def default_tol_zero(spec: HamiltonianSpec) -> float:
     return 1e-8 * (vmax + kin_scale)
 
 
-def dense_eigh(H: np.ndarray, vectors: bool = True):
-    """Hermitian eigendecomposition of the symmetrized matrix (fast driver)."""
+def dense_eigh(H: np.ndarray, vectors: bool = True, upper: float | None = None):
+    """Eigenpairs of the Hermitian H, ascending, read from one triangle.
+
+    Every eigenpair by default.  With upper set, only the eigenvalues in
+    (-inf, upper] and their vectors, and H is overwritten in place: LAPACK
+    gets the Fortran-ordered transpose of a C-ordered H, which is conj(H),
+    so no dim^2 copy is made.  MRRR driver ?heevr either way; (0,) and
+    (dim, 0) when nothing lies in the interval.
+    """
     import scipy.linalg as _sla
 
-    M = 0.5 * (H + H.conj().T)
-    if vectors:
-        return _sla.eigh(M, driver="evr")
-    return _sla.eigvalsh(M, driver="evr"), None
+    conj, subset = False, {}
+    if upper is not None:
+        conj, subset = H.flags.c_contiguous, {"subset_by_value": (-np.inf, upper)}
+    out = _sla.eigh(H.T if conj else H, eigvals_only=not vectors, driver="evr",
+                    overwrite_a=upper is not None, **subset)
+    if not vectors:
+        return out, None
+    vals, vecs = out
+    return vals, (vecs.conj() if conj else vecs)
 
 
 def _normalize_columns(vecs: np.ndarray, weight: float) -> np.ndarray:
@@ -137,21 +152,20 @@ def negative_spectrum(
     """Compute every eigenvalue <= tol_zero of the represented operator."""
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
+    if spec.dim <= DENSE_LIMIT:
+        vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
+    else:
+        vals, vecs = _lobpcg_negative(spec, tol_eig, tol_zero, seed, max_vectors)
+    vecs = _normalize_columns(vecs, spec.grid.weight) if vals.size else vecs
+    _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
+    zero_band = bool(np.any(np.abs(vals) <= tol_zero))
+    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band)
+
+
+def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float,
+                     seed: int, max_vectors: int | None):
+    """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed."""
     dim = spec.dim
-    weight = spec.grid.weight
-
-    if dim <= DENSE_LIMIT:
-        H = dense_matrix(spec)
-        vals, vecs = dense_eigh(H)
-        keep = vals <= tol_zero
-        vals, vecs = vals[keep], vecs[:, keep]
-        vecs = _normalize_columns(vecs, weight) if vals.size else vecs
-        fields = _wrap_vectors(spec, vecs)
-        zero_band = bool(np.any(np.abs(vals) <= tol_zero))
-        ns = NegativeSpectrum(spec, vals, fields, tol_zero, zero_band)
-        _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
-        return ns
-
     op, minv = _iterative_operators(spec)
     rng = np.random.default_rng(seed)
 
@@ -170,9 +184,6 @@ def negative_spectrum(
 
     keep = vals <= tol_zero
     vals, vecs = vals[keep], vecs[:, keep]
-    vecs = _normalize_columns(vecs, weight) if vals.size else vecs
-    fields = _wrap_vectors(spec, vecs)
-    _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
 
     # probe solve: an independent start block must not find anything lower
     pvals, _ = _lobpcg_lowest(op, minv, dim, 4, rng, 1e-6)
@@ -181,9 +192,7 @@ def negative_spectrum(
         raise EigenFailure(
             f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
         )
-
-    zero_band = bool(np.any(np.abs(vals) <= tol_zero))
-    return NegativeSpectrum(spec, vals, fields, tol_zero, zero_band)
+    return vals, vecs
 
 
 def _iterative_operators(spec: HamiltonianSpec):

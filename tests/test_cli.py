@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import scipy
 
 from fermifield.cli import (
     EXPERIMENTS,
@@ -112,6 +113,7 @@ def test_main_check_dyadic_outputs(tmp_path):
     assert manifest["status"] == "passed"
     assert manifest["experiment"] == "check-dyadic"
     assert "fermifield" in manifest["versions"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
     csv_lines = (out / "results.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith("quantity")
     reports = [json.loads(l) for l in

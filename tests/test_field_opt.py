@@ -178,3 +178,46 @@ def test_variant_ordering_small():
     assert res["ordering_ok"]
     assert res["E_prime"] <= res["E_ball"] + res["tol_opt"]
     assert res["E_ball"] <= res["E_global"] + res["tol_opt"]
+
+
+@pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD])
+def test_minimize_reuses_the_accepted_spectrum(spec3d, variant, monkeypatch):
+    import fermifield.field_opt as field_opt
+
+    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    A0 = random_divfree_potential(spec3d.grid, seed=11, kmax=2, amplitude=0.3)
+    calls = []
+    solve = field_opt.negative_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", counted)
+    rep = minimize(A0, spec3d, cfg, Schedule(max_iters=2))
+    reused = len(calls)
+
+    # reference: every gradient and the residual solve their point again
+    energy = field_opt.total_energy
+
+    def no_spectrum(*args, **kwargs):
+        E, parts = energy(*args, **kwargs)
+        return E, {**parts, "spectrum": None}
+
+    monkeypatch.setattr(field_opt, "total_energy", no_spectrum)
+    calls.clear()
+    ref = minimize(A0, spec3d, cfg, Schedule(max_iters=2))
+    assert rep.energies == ref.energies
+    assert rep.el_residual == ref.el_residual
+    assert len(rep.steps) == 2
+    assert reused == len(calls) - 3  # two gradients and the residual
+    assert "spectrum" not in rep.parts  # the report does not pin eigenvectors
+
+
+def test_el_residual_is_finite_in_two_dimensions():
+    g = GridSpec(d=2, N=8, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=8.0, radius=0.7))
+    A0 = random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3)
+    rep = minimize(A0, spec, EnergyConfig(beta=2.0, variant=GLOBAL_CURL), Schedule(max_iters=2))
+    assert np.isfinite(rep.el_residual)
+    assert 0.0 <= rep.el_residual

@@ -211,3 +211,38 @@ def test_apply_rejects_mismatched_block(spec1d):
         apply(spec1d, np.zeros((1, 3, spec1d.grid.N // 2)))
     with pytest.raises(ValueError):
         apply(spec1d, np.zeros((2, 3, spec1d.grid.N)))
+
+
+def _dense_by_columns(spec):
+    """Reference: the operator applied to one unit column at a time."""
+    shape = (spec.spin, 1) + spec.grid.shape
+    H = np.empty((spec.dim, spec.dim), dtype=complex)
+    for i in range(spec.dim):
+        e = np.zeros(spec.dim, dtype=complex)
+        e[i] = 1.0
+        H[:, i] = apply(spec, e.reshape(shape)).ravel()
+    return H
+
+
+@pytest.mark.parametrize("block", [512, 3])  # 3: several row slabs per matrix
+@pytest.mark.parametrize("with_psi", [False, True])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, with_psi,
+                                                         block, rng, monkeypatch):
+    import fermifield.operators as operators
+
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    monkeypatch.setattr(operators, "BLOCK", block)
+    ref = _dense_by_columns(spec)
+    H = dense_matrix(spec)
+    np.testing.assert_allclose(H, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("with_A", [False, True])
+def test_closed_form_dense_matrix_two_component_schrodinger(with_A, rng):
+    from dataclasses import replace
+
+    spec = replace(_core_spec("schrodinger", 2, 4, with_A, True, rng), spin=2)
+    ref = _dense_by_columns(spec)
+    np.testing.assert_allclose(dense_matrix(spec), ref, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))

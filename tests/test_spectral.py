@@ -168,3 +168,54 @@ def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
     bad[:, 6] += 1e-3 * bad[:, 0]
     with pytest.raises(spectral.EigenFailure):
         spectral._residual_check(spec1d, vals, bad, 1e-7)
+
+
+def _full_eigh_kept(spec, tol_zero):
+    """Reference: every eigenvalue of the dense matrix, then the <= tol_zero filter."""
+    vals = np.linalg.eigvalsh(spectral.dense_matrix(spec))
+    return vals[vals <= tol_zero]
+
+
+def _subset_cases():
+    from fermifield.builders import cutoff_ball, random_divfree_potential
+
+    g1 = GridSpec(d=1, N=32, L=2.0)
+    g3 = GridSpec(d=3, N=4, L=2.0)
+    A3 = random_divfree_potential(g3, seed=3, kmax=1, amplitude=0.3)
+    return {
+        "schrodinger-1d": HamiltonianSpec(grid=g1, h=0.5, V=bump_potential(g1, amplitude=3.0)),
+        "pauli-A": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", A=A3,
+                                   V=bump_potential(g3, amplitude=10.0, radius=0.7)),
+        "empty": HamiltonianSpec(grid=g1, h=1.0, V=constant_potential(g1, -1.0)),
+        "psi-zero-band": HamiltonianSpec(grid=g3, h=0.6, A=A3, psi=cutoff_ball(g3, 0.6),
+                                         V=bump_potential(g3, amplitude=8.0, radius=0.7)),
+    }
+
+
+@pytest.mark.parametrize("case", ["schrodinger-1d", "pauli-A", "empty", "psi-zero-band"])
+def test_dense_subset_equals_full_eigh_filtered(case):
+    spec = _subset_cases()[case]
+    ns = negative_spectrum(spec)
+    ref = _full_eigh_kept(spec, ns.tol_zero)
+    assert len(ns.eigenvalues) == len(ref)
+    np.testing.assert_allclose(ns.eigenvalues, ref, rtol=0, atol=1e-12)
+    assert len(ns.eigenvectors) == len(ref)
+    if case == "empty":
+        assert ns.sum == 0.0 and not ns.zero_band
+    if case == "psi-zero-band":
+        # psi (T - V) psi vanishes outside supp psi: a whole band sits at 0
+        assert ns.zero_band
+        assert np.count_nonzero(np.abs(ref) <= ns.tol_zero) > 1
+
+
+def test_dense_eigh_subset_matches_full(rng):
+    M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    M = M + M.conj().T
+    full_vals, _ = dense_eigh(M)
+    for H in (M.copy(), np.asfortranarray(M)):  # C order goes in as conj(H)
+        vals, vecs = dense_eigh(H, upper=0.0)
+        np.testing.assert_allclose(vals, full_vals[full_vals <= 0.0], atol=1e-12)
+        np.testing.assert_allclose(M @ vecs, vecs * vals,
+                                   atol=1e-12 * np.max(np.abs(vals)))
+    none, empty = dense_eigh(M.copy(), upper=full_vals[0] - 1.0)
+    assert none.shape == (0,) and empty.shape == (40, 0)
