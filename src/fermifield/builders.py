@@ -17,6 +17,7 @@ from .grid import (
     gradient,
     leray_project,
     mean_zero_normalize,
+    periodic_dist2,
 )
 from .profiles import bump, plateau_bump
 
@@ -36,16 +37,6 @@ __all__ = [
 ]
 
 
-def _periodic_r(grid: GridSpec, center) -> np.ndarray:
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    r2 = np.zeros(grid.shape)
-    for j in range(grid.d):
-        dx = grid.coords[j] - center[j]
-        dx = (dx + grid.L / 2) % grid.L - grid.L / 2
-        r2 = r2 + dx**2
-    return np.sqrt(r2)
-
-
 def bump_potential(grid: GridSpec, amplitude: float = 1.0, radius: float | None = None,
                    center=None) -> ScalarField:
     """Smooth compactly supported bump, amplitude at the center."""
@@ -53,7 +44,7 @@ def bump_potential(grid: GridSpec, amplitude: float = 1.0, radius: float | None 
         radius = grid.L / 4
     if center is None:
         center = (grid.L / 2,) * grid.d
-    r = _periodic_r(grid, center)
+    r = np.sqrt(periodic_dist2(grid, center))
     return ScalarField(grid, amplitude * bump(r / radius))
 
 
@@ -74,7 +65,7 @@ def soft_coulomb(grid: GridSpec, charge: float = 1.0, eps: float = 0.1,
         raise ValueError("softcoulomb regularization eps must be positive")
     if center is None:
         center = (grid.L / 2,) * grid.d
-    r = _periodic_r(grid, center)
+    r = np.sqrt(periodic_dist2(grid, center))
     return ScalarField(grid, charge / np.sqrt(r**2 + eps**2))
 
 
@@ -199,7 +190,7 @@ def cutoff_ball(grid: GridSpec, radius: float, center=None) -> ScalarField:
     """Smooth cutoff, 1 on the half-radius ball, supported in B(radius)."""
     if center is None:
         center = (grid.L / 2,) * grid.d
-    r = _periodic_r(grid, center)
+    r = np.sqrt(periodic_dist2(grid, center))
     return ScalarField(grid, plateau_bump(r / radius))
 
 

@@ -1,10 +1,14 @@
 """Batch experiment runner.
 
-One executable, one subcommand per experiment kind.  Every run writes into
---out: manifest.json (config echo, seeds, versions, status), results.csv,
-reports.jsonl, and two-column .dat plot files.  Exit status: 0 all hard
-assertions passed, 1 numerical failure or assertion failure, 2 config error
-(the offending key is named on stderr).
+One executable, one subcommand per experiment kind.  Each experiment
+registers its config schema with @experiment; main validates the INI file
+and the --set overrides against it once (load_config is the only reader)
+and hands the typed config to the experiment, which returns its CheckReports
+and never a verdict of its own.  Every run writes into --out: manifest.json
+(the validated config with defaults filled, seed, versions, status),
+results.csv, reports.jsonl, and two-column .dat plot files.  Exit status:
+0 every CheckReport passed, 1 numerical failure or a failed report, 2 config
+error (the offending key is named on stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -58,10 +63,16 @@ from .multiscale import (
     partition_from_potential,
 )
 from .operators import PAULI, SCHRODINGER, HamiltonianSpec
-from .profiles import plateau_bump, smooth_step
+from .profiles import bump, plateau_bump, smooth_step
 from .weyl import convergence_study
 
-EXPERIMENTS = {}
+
+class Experiment(NamedTuple):
+    schema: dict  # key -> (kind, default); default None marks a required key
+    run: Callable  # run(cfg, seed) -> (header, rows, reports, plots)
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
 
 
 class ConfigError(Exception):
@@ -87,7 +98,10 @@ def load_config(path: str | None, schema: dict, overrides: dict) -> dict:
     raw = {}
     if path:
         cp = configparser.ConfigParser()
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError("config", f"cannot parse {path}: {exc}")
         if not read:
             raise ConfigError("config", f"cannot read {path}")
         for section in cp.sections():
@@ -141,41 +155,48 @@ def _build_A(name: str, grid: GridSpec, h: float, seed: int, args: list):
     raise ConfigError("a_init", f"unhandled builder {name!r}")
 
 
-def experiment(name):
+def experiment(name: str, schema: dict):
+    """Register run(cfg, seed) under name; main validates cfg against schema."""
     def deco(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = Experiment(schema, fn)
         return fn
 
     return deco
 
 
-# ---------------------------------------------------------------------------
-# experiments; each returns (rows, header, reports, plots, passed)
-# rows: list of tuples; plots: {filename: [(x, y), ...]}
-# ---------------------------------------------------------------------------
-
 _GRID_KEYS = {"d": ("int", 1), "n": ("int", 64), "box": ("float", 2.0)}
+_PROBLEM_KEYS = {**_GRID_KEYS, "v": ("str", "bump"), "v_args": ("floats", [])}
 
 
-@experiment("weyl-converge")
+def _spec(cfg: dict, h: float, n: int | None = None,
+          psi_radius: float | None = None) -> HamiltonianSpec:
+    """The operator of a _PROBLEM_KEYS config with a flavor at h; n replaces N."""
+    grid = GridSpec(d=cfg["d"], N=cfg["n"] if n is None else n, L=cfg["box"])
+    V = _build_V(cfg["v"], cfg["v_args"], grid)
+    psi = None if psi_radius is None else cutoff_ball(grid, psi_radius)
+    return HamiltonianSpec(grid=grid, h=h, flavor=cfg["flavor"], V=V, psi=psi)
+
+
+# ---------------------------------------------------------------------------
+# experiments; each returns (header, rows, reports, plots)
+# rows: list of tuples; plots: {filename: [(x, y), ...]}; the run passes iff
+# every report does
+# ---------------------------------------------------------------------------
+
+
+@experiment("weyl-converge", {
+    **_PROBLEM_KEYS,
+    "h_list": ("floats", [0.5, 0.25, 0.125, 0.0625]),
+    "flavor": ("str", SCHRODINGER),
+    "certify": ("int", 1),
+    "cert_threshold": ("float", 1e-3),
+})
 def run_weyl_converge(cfg, seed):
-    schema = {
-        **_GRID_KEYS,
-        "h_list": ("floats", [0.5, 0.25, 0.125, 0.0625]),
-        "v": ("str", "bump"),
-        "v_args": ("floats", []),
-        "flavor": ("str", SCHRODINGER),
-        "certify": ("int", 1),
-        "cert_threshold": ("float", 1e-3),
-    }
-    cfg = load_config(None, schema, cfg)
     if cfg["flavor"] not in (PAULI, SCHRODINGER):
         raise ConfigError("flavor", "must be pauli or schrodinger")
 
     def problem(h, double=False):
-        grid = GridSpec(d=cfg["d"], N=cfg["n"] * (2 if double else 1), L=cfg["box"])
-        V = _build_V(cfg["v"], cfg["v_args"], grid)
-        return HamiltonianSpec(grid=grid, h=h, flavor=cfg["flavor"], V=V), None
+        return _spec(cfg, h, n=cfg["n"] * (2 if double else 1)), None
 
     reports, resolved, fit = convergence_study(
         problem, cfg["h_list"], certify=bool(cfg["certify"]),
@@ -188,43 +209,36 @@ def run_weyl_converge(cfg, seed):
     ]
     kept = [r for r, ok in zip(reports, resolved) if ok]
     errs = [r.rel_err for r in sorted(kept, key=lambda r: -r.h)]
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
     plots = {"relerr_vs_h.dat": [(r.h, r.rel_err) for r in reports]}
     notes = f"fit={fit}" if not isinstance(fit, tuple) or fit[0] != "rejected" else f"fit rejected: {fit[1]}"
     rep = CheckReport(
         name="weyl_convergence",
-        params={k: v for k, v in cfg.items()},
+        params=dict(cfg),
         lhs=errs[-1] if errs else math.inf,
         rhs_terms={"first_rel_err": errs[0] if errs else math.inf},
-        passed=monotone,
+        passed=all(b < a for a, b in zip(errs, errs[1:])),
         notes=notes,
     )
-    return rows, header, [rep], plots, monotone
+    return header, rows, [rep], plots
 
 
-@experiment("minimize-field")
+@experiment("minimize-field", {
+    **_PROBLEM_KEYS,
+    "h": ("float", 1.0),
+    "beta": ("float", 1.0),
+    "flavor": ("str", PAULI),
+    "a_init": ("str", "zero"),
+    "a_args": ("floats", []),
+    "variant": ("str", GLOBAL_CURL),
+    "max_iters": ("int", 40),
+    "grad_tol": ("float", 1e-6),
+    "r": ("float", 0.0),
+    "big_r": ("float", 0.0),
+})
 def run_minimize_field(cfg, seed):
-    schema = {
-        **_GRID_KEYS,
-        "h": ("float", 1.0),
-        "beta": ("float", 1.0),
-        "flavor": ("str", PAULI),
-        "v": ("str", "bump"),
-        "v_args": ("floats", []),
-        "a_init": ("str", "zero"),
-        "a_args": ("floats", []),
-        "variant": ("str", GLOBAL_CURL),
-        "max_iters": ("int", 40),
-        "grad_tol": ("float", 1e-6),
-        "r": ("float", 0.0),
-        "big_r": ("float", 0.0),
-    }
-    cfg = load_config(None, schema, cfg)
-    grid = GridSpec(d=cfg["d"], N=cfg["n"], L=cfg["box"])
-    V = _build_V(cfg["v"], cfg["v_args"], grid)
-    psi = cutoff_ball(grid, cfg["r"]) if cfg["variant"] == PSI_OUTSIDE else None
-    spec = HamiltonianSpec(grid=grid, h=cfg["h"], flavor=cfg["flavor"], V=V, psi=psi)
-    A0 = _build_A(cfg["a_init"], grid, cfg["h"], seed, cfg["a_args"])
+    spec = _spec(cfg, cfg["h"],
+                 psi_radius=cfg["r"] if cfg["variant"] == PSI_OUTSIDE else None)
+    A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
     ecfg = EnergyConfig(beta=cfg["beta"], variant=cfg["variant"],
                         r=cfg["r"] or None, R=cfg["big_r"] or None)
     sched = Schedule(max_iters=cfg["max_iters"], grad_tol=cfg["grad_tol"])
@@ -237,48 +251,39 @@ def run_minimize_field(cfg, seed):
         base, _ = total_energy(None, spec, ecfg, seed=seed)
     else:
         base = rep.energies[0]  # the descent started at A = 0 and solved it
-    passed = monotone and div_norm <= 1e-8 and rep.energies[-1] <= base + 1e-10
     crep = CheckReport(
         name="minimize_field",
-        params={k: v for k, v in cfg.items()},
+        params=dict(cfg),
         lhs=rep.energies[-1],
         rhs_terms={"zero_field_energy": base},
-        passed=passed,
+        passed=monotone and div_norm <= 1e-8 and rep.energies[-1] <= base + 1e-10,
         notes=f"terminated: {rep.termination}; div={div_norm:.3e}",
     )
     plots = {"energy_vs_iter.dat": list(enumerate(rep.energies))}
-    return rows, header, [crep], plots, passed
+    return header, rows, [crep], plots
 
 
-@experiment("variant-order")
+@experiment("variant-order", {
+    **_PROBLEM_KEYS,
+    "h": ("float", 1.0),
+    "beta": ("float", 1.0),
+    "flavor": ("str", SCHRODINGER),
+    "r": ("float", 0.25),
+    "ratios": ("floats", [2.0, 4.0]),
+    "max_iters": ("int", 30),
+    "a_init": ("str", "randband"),
+    "a_args": ("floats", [0.2]),
+})
 def run_variant_order(cfg, seed):
-    schema = {
-        **_GRID_KEYS,
-        "h": ("float", 1.0),
-        "beta": ("float", 1.0),
-        "flavor": ("str", SCHRODINGER),
-        "v": ("str", "bump"),
-        "v_args": ("floats", []),
-        "r": ("float", 0.25),
-        "ratios": ("floats", [2.0, 4.0]),
-        "max_iters": ("int", 30),
-        "a_init": ("str", "randband"),
-        "a_args": ("floats", [0.2]),
-    }
-    cfg = load_config(None, schema, cfg)
-    grid = GridSpec(d=cfg["d"], N=cfg["n"], L=cfg["box"])
-    V = _build_V(cfg["v"], cfg["v_args"], grid)
-    spec = HamiltonianSpec(grid=grid, h=cfg["h"], flavor=cfg["flavor"], V=V)
-    A0 = _build_A(cfg["a_init"], grid, cfg["h"], seed, cfg["a_args"])
+    spec = _spec(cfg, cfg["h"])
+    A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
     header = ["ratio", "E_prime", "E_ball", "E_global", "inflation", "ordering_ok"]
-    rows, reports, ok_all = [], [], True
-    inflations = []
+    rows, reports, inflations = [], [], []
     for ratio in cfg["ratios"]:
         R = cfg["r"] * ratio
         res = variant_ordering_check(spec, cfg["r"], R, cfg["beta"], A0=A0, seed=seed,
                                      schedule=Schedule(max_iters=cfg["max_iters"]))
         ok = res["ordering_ok"]
-        ok_all &= ok
         inflations.append(res["inflation"])
         rows.append((ratio, res["E_prime"], res["E_ball"], res["E_global"],
                      res["inflation"], int(ok)))
@@ -290,21 +295,27 @@ def run_variant_order(cfg, seed):
             passed=ok,
             notes=f"inflation={res['inflation']:.4f}",
         ))
-    trend = all(b <= a + 1e-9 for a, b in zip(inflations, inflations[1:]))
+    steps = list(zip(inflations, inflations[1:]))
+    reports.append(CheckReport(
+        name="inflation_trend",
+        params={"ratios": cfg["ratios"], "inflations": inflations},
+        lhs=max((b - a for a, b in steps), default=0.0),
+        rhs_terms={"tolerance": 1e-9},
+        passed=all(b <= a + 1e-9 for a, b in steps),
+        notes="largest rise of the inflation as R/r grows",
+    ))
     plots = {"inflation_vs_ratio.dat": list(zip(cfg["ratios"], inflations))}
-    return rows, header, reports, plots, ok_all and trend
+    return header, rows, reports, plots
 
 
-@experiment("check-partition")
+@experiment("check-partition", {
+    "d": ("int", 1),
+    "h": ("float", 0.1),
+    "alpha": ("float", DEFAULT_ALPHA),
+    "kappa": ("float", 8.0),
+    "n_samples": ("int", 24),
+})
 def run_check_partition(cfg, seed):
-    schema = {
-        "d": ("int", 1),
-        "h": ("float", 0.1),
-        "alpha": ("float", DEFAULT_ALPHA),
-        "kappa": ("float", 8.0),
-        "n_samples": ("int", 24),
-    }
-    cfg = load_config(None, schema, cfg)
     d = cfg["d"]
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2.0, 2.0, size=(cfg["n_samples"], d))
@@ -321,50 +332,46 @@ def run_check_partition(cfg, seed):
     )
     defect_var = partition_defect(var, xs)
 
-    passed = defect_const <= 1e-10 and defect_var <= 1e-6
     header = ["case", "defect", "tolerance"]
     rows = [("constant", defect_const, 1e-10), ("variable", defect_var, 1e-6)]
     reports = [CheckReport(
         name="partition_defect",
-        params={k: v for k, v in cfg.items()},
+        params=dict(cfg),
         lhs=max(defect_const, defect_var),
         rhs_terms={"tolerance": 1e-6},
-        passed=passed,
+        passed=defect_const <= 1e-10 and defect_var <= 1e-6,
         notes=f"constant={defect_const:.3e} variable={defect_var:.3e} "
               f"K={K:.3f} repaired={repaired}",
     )]
-    return rows, header, reports, {}, passed
+    return header, rows, reports, {}
 
 
-@experiment("check-dyadic")
+@experiment("check-dyadic", {
+    "w_fermi": ("float", 1.0), "w_width": ("float", 0.125),
+    "h": ("float", 0.1), "n_grid": ("int", 10000),
+})
 def run_check_dyadic(cfg, seed):
-    schema = {"w_fermi": ("float", 1.0), "w_width": ("float", 0.125),
-              "h": ("float", 0.1), "n_grid": ("int", 10000)}
-    cfg = load_config(None, schema, cfg)
     fam = dyadic_build(cfg["w_fermi"], cfg["w_width"], h=cfg["h"])
     u = np.linspace(0.0, 4.0 * math.sqrt(cfg["w_fermi"]), cfg["n_grid"])
     dev = float(np.max(np.abs(fam.sum_f_sq(u) - 1.0)))
-    passed = dev <= 1e-12
     header = ["quantity", "value"]
     rows = [("max_partition_deviation", dev), ("i0", fam.i0)]
     reports = [CheckReport(
         name="dyadic_partition",
-        params={k: v for k, v in cfg.items()},
-        lhs=dev, rhs_terms={"tolerance": 1e-12}, passed=passed,
+        params=dict(cfg),
+        lhs=dev, rhs_terms={"tolerance": 1e-12}, passed=dev <= 1e-12,
         notes=f"i0={fam.i0}",
     )]
-    return rows, header, reports, {}, passed
+    return header, rows, reports, {}
 
 
-@experiment("check-lt")
+@experiment("check-lt", {
+    "n": ("int", 8), "box": ("float", 2.0),
+    "h_list": ("floats", [1.0, 0.5]),
+    "draws": ("int", 10),
+    "flavor": ("str", PAULI),
+})
 def run_check_lt(cfg, seed):
-    schema = {
-        "n": ("int", 8), "box": ("float", 2.0),
-        "h_list": ("floats", [1.0, 0.5]),
-        "draws": ("int", 10),
-        "flavor": ("str", PAULI),
-    }
-    cfg = load_config(None, schema, cfg)
     grid = GridSpec(d=3, N=cfg["n"], L=cfg["box"])
     rng = np.random.default_rng(seed)
     header = ["draw", "h", "ratio", "lhs", "rhs"]
@@ -383,28 +390,29 @@ def run_check_lt(cfg, seed):
             if rep.lhs > 0:
                 ratios.append(rep.ratio)
     envelope = max(ratios) if ratios else 0.0
-    passed = all(r.passed for r in reports) and math.isfinite(envelope)
     reports.append(CheckReport(
         name="lt_envelope",
-        params={k: v for k, v in cfg.items()},
+        params=dict(cfg),
         lhs=envelope, rhs_terms={"draws": float(len(ratios))},
-        passed=passed, notes="corpus-wide empirical envelope",
+        passed=math.isfinite(envelope), notes="corpus-wide empirical envelope",
     ))
     plots = {"lt_ratio_vs_h.dat": [(h, r) for _, h, r, _, _ in rows]}
-    return rows, header, reports, plots, passed
+    return header, rows, reports, plots
 
 
-@experiment("check-smoothing")
+_SMOOTHING_CONSTANTS = ("c_diff", "c_d1", "c_d2", "c_d3")
+
+
+@experiment("check-smoothing", {
+    "d": ("int", 3), "n": ("int", 128), "box": ("float", 2.0),
+    "draws": ("int", 5), "r0": ("float", 0.2), "octaves": ("int", 3),
+})
 def run_check_smoothing(cfg, seed):
-    schema = {
-        "d": ("int", 3), "n": ("int", 128), "box": ("float", 2.0),
-        "draws": ("int", 5), "r0": ("float", 0.2), "octaves": ("int", 3),
-    }
-    cfg = load_config(None, schema, cfg)
     grid = GridSpec(d=cfg["d"], N=cfg["n"], L=cfg["box"])
-    header = ["draw", "r", "c_diff", "c_d1", "c_d2", "c_d3"]
-    rows, ok = [], True
-    per_const = {name: [] for name in ("c_diff", "c_d1", "c_d2", "c_d3")}
+    header = ["draw", "r"] + list(_SMOOTHING_CONSTANTS)
+    rows = []
+    # per constant, per draw: its values from the coarsest radius down
+    per_const = {name: [[] for _ in range(cfg["draws"])] for name in _SMOOTHING_CONSTANTS}
     k2 = np.real(grid.k2)
     radii = [cfg["r0"] * 0.5 ** i for i in range(cfg["octaves"] + 1)]
     khats = {
@@ -418,42 +426,37 @@ def run_check_smoothing(cfg, seed):
             np.abs(np.fft.fftn(A.data[j]) / grid.size) ** 2 for j in range(grid.d)
         ) * grid.volume
         grad_sq = float(np.sum(k2 * power))
-        for i, r in enumerate(radii):
+        for r in radii:
             khat = khats[r]
             diff = float(np.sum((1.0 - khat) ** 2 * power))
             consts = {"c_diff": diff / (r ** 2 * grad_sq)}
             for order in (1, 2, 3):
                 deriv = float(np.sum(k2 ** order * khat ** 2 * power))
                 consts[f"c_d{order}"] = deriv / (r ** (2 - 2 * order) * grad_sq)
-            rows.append((draw, r) + tuple(consts[k] for k in ("c_diff", "c_d1", "c_d2", "c_d3")))
+            rows.append((draw, r) + tuple(consts[k] for k in _SMOOTHING_CONSTANTS))
             for k, v in consts.items():
-                per_const[k].append((draw, i, v))
+                per_const[k][draw].append(v)
     reports = []
-    for name, entries in per_const.items():
-        for draw in range(cfg["draws"]):
-            vals = [v for dd, _, v in entries if dd == draw]
-            pairs_ok = all(
-                v2 <= 2.0 * v1 + 1e-30 and v1 <= 2.0 * v2 + 1e-30
-                for v1, v2 in zip(vals, vals[1:])
-            )
-            ok &= pairs_ok
-        vv = [v for _, _, v in entries]
+    for name, per_draw in per_const.items():
+        vv = [v for vals in per_draw for v in vals]
+        stable = all(
+            v2 <= 2.0 * v1 + 1e-30 and v1 <= 2.0 * v2 + 1e-30
+            for vals in per_draw for v1, v2 in zip(vals, vals[1:])
+        )
         reports.append(CheckReport(
             name=f"smoothing_{name}",
-            params={k: v for k, v in cfg.items()},
+            params=dict(cfg),
             lhs=max(vv), rhs_terms={"min": min(vv)},
-            passed=ok, notes="x2 stability per halving",
+            passed=stable, notes="x2 stability per halving",
         ))
-    return rows, header, reports, {}, ok
+    return header, rows, reports, {}
 
 
-@experiment("check-comm2")
+@experiment("check-comm2", {"draws": ("int", 20), "n": ("int", 32), "box": ("float", 2.0)})
 def run_check_comm2(cfg, seed):
-    schema = {"draws": ("int", 20), "n": ("int", 32), "box": ("float", 2.0)}
-    cfg = load_config(None, schema, cfg)
     rng = np.random.default_rng(seed)
     header = ["draw", "d", "h", "lhs", "rhs", "ratio"]
-    rows, reports, ok = [], [], True
+    rows, reports = [], []
     for draw in range(cfg["draws"]):
         d = int(rng.integers(1, 3))
         grid = GridSpec(d=d, N=cfg["n"] if d == 1 else 16, L=cfg["box"])
@@ -470,47 +473,38 @@ def run_check_comm2(cfg, seed):
             a_data = a_data + float(rng.normal()) * np.cos(phase + float(rng.uniform(0, 2 * math.pi)))
         a = ScalarField(grid, a_data)
         rep = check_comm2(f, g, a, h, digest={"draw": draw, "seed": seed})
-        ok &= rep.passed
         rows.append((draw, d, h, rep.lhs, rep.rhs, rep.ratio))
         reports.append(rep)
-    return rows, header, reports, {}, ok
+    return header, rows, reports, {}
 
 
-@experiment("check-separation")
+@experiment("check-separation", {
+    "n": ("int", 256), "box_l": ("float", 1.0), "d_sep": ("float", 1.0),
+    "halvings": ("int", 3),
+})
 def run_check_separation(cfg, seed):
-    schema = {
-        "n": ("int", 256), "box_l": ("float", 1.0), "d_sep": ("float", 1.0),
-        "halvings": ("int", 3),
-    }
-    cfg = load_config(None, schema, cfg)
-    from .profiles import bump
-
     f = lambda u: plateau_bump(np.asarray(u) / 0.5)
     g = lambda u, ds=cfg["d_sep"]: smooth_step((np.asarray(u) - (0.5 + ds)) / 0.5)
     eta0 = lambda s: bump(np.asarray(s) / 2.0)
     rep = separation_sweep(f, g, eta0, cfg["box_l"], cfg["d_sep"], cfg["n"],
                            halvings=cfg["halvings"],
                            ell0=cfg["box_l"] * cfg["d_sep"] / 8.0)
-    header = ["ell", "hs_norm"]
-    ells = rep.params["ells"]
-    # recompute per-ell values for the CSV from the sweep notes
-    from .inequalities import check_momentum_separation
-
-    rows = []
-    for ell in ells:
-        r1 = check_momentum_separation(f, g, eta0, ell, cfg["box_l"],
-                                       cfg["d_sep"], cfg["n"])
-        rows.append((ell, r1.lhs))
-    plots = {"hs_vs_ell.dat": rows}
-    return rows, header, [rep], plots, rep.passed
+    rows = list(zip(rep.params["ells"], rep.params["values"]))
+    return ["ell", "hs_norm"], rows, [rep], {"hs_vs_ell.dat": rows}
 
 
-@experiment("harmonic-compare")
+@experiment("harmonic-compare", {"l_max": ("int", 50)})
 def run_harmonic_compare(cfg, seed):
-    schema = {"l_max": ("int", 50)}
-    cfg = load_config(None, schema, cfg)
     rep = check_harmonic_ratio(l_max=cfg["l_max"])
-    ratio_12, bound_2 = harmonic_energy_ratio(1, 2.0)
+    ratio_12, _ = harmonic_energy_ratio(1, 2.0)
+    exact = CheckReport(
+        name="harmonic_exact_ratio",
+        params={"l": 1, "R": 2.0},
+        lhs=ratio_12,
+        rhs_terms={"exact": 10.0 / 7.0},
+        passed=abs(ratio_12 - 10.0 / 7.0) <= 1e-12,
+        notes="closed form 10/7 at l = 1, R = 2",
+    )
     header = ["l", "R", "ratio", "bound"]
     rows, plots_rows = [], []
     for R in (1.5, 2.0, 4.0, 10.0):
@@ -519,19 +513,14 @@ def run_harmonic_compare(cfg, seed):
             rows.append((l, R, ratio, bound))
             if R == 2.0:
                 plots_rows.append((l, ratio))
-    exact_ok = abs(ratio_12 - 10.0 / 7.0) <= 1e-12
-    passed = rep.passed and exact_ok
-    plots = {"ratio_vs_l_R2.dat": plots_rows}
-    return rows, header, [rep], plots, passed
+    return header, rows, [rep, exact], {"ratio_vs_l_R2.dat": plots_rows}
 
 
-@experiment("check-sandwich")
+@experiment("check-sandwich", {"draws": ("int", 10), "n": ("int", 64), "box": ("float", 2.0)})
 def run_check_sandwich(cfg, seed):
-    schema = {"draws": ("int", 10), "n": ("int", 64), "box": ("float", 2.0)}
-    cfg = load_config(None, schema, cfg)
     rng = np.random.default_rng(seed)
     header = ["draw", "d", "h", "inside", "outside", "kink", "passed"]
-    rows, reports, ok = [], [], True
+    rows, reports = [], []
     for draw in range(cfg["draws"]):
         use3d = draw % 5 == 4
         if use3d:
@@ -546,11 +535,10 @@ def run_check_sandwich(cfg, seed):
         psi = cutoff_ball(grid, 0.4 * cfg["box"])
         spec = HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, A=A, V=V)
         rep = check_variational_sandwich(spec, psi)
-        ok &= rep.passed
         rows.append((draw, grid.d, h, rep.lhs, rep.rhs_terms["outside"],
                      rep.rhs_terms["kink"], int(rep.passed)))
         reports.append(rep)
-    return rows, header, reports, {}, ok
+    return header, rows, reports, {}
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +555,14 @@ def list_builders() -> dict:
     }
 
 
-def _write_outputs(outdir: Path, args, cfg_echo, rows, header, reports, plots,
+def _write_outputs(outdir: Path, args, cfg, header, rows, reports, plots,
                    status: str, error: str | None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "experiment": args.experiment,
         "seed": args.seed,
         "threads": args.threads,
-        "config": cfg_echo,
+        "config": cfg,
         "versions": {
             "fermifield": __version__,
             "numpy": np.__version__,
@@ -597,6 +585,16 @@ def _write_outputs(outdir: Path, args, cfg_echo, rows, header, reports, plots,
                 fh.write(f"{x!r} {y!r}\n")
 
 
+def _overrides(items: list) -> dict:
+    out = {}
+    for item in items:
+        if "=" not in item:
+            raise ConfigError(item, "overrides take the form key=value")
+        key, val = item.split("=", 1)
+        out[key] = val
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fermifield",
@@ -604,14 +602,18 @@ def main(argv=None) -> int:
                     "with self-generated magnetic fields.",
     )
     sub = parser.add_subparsers(dest="experiment")
-    for name in sorted(EXPERIMENTS) + ["list-builders"]:
+    for name in sorted(EXPERIMENTS):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default="out")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="recorded in manifest.json only; BLAS and FFT thread "
+                             "counts come from the environment (OMP_NUM_THREADS, "
+                             "OPENBLAS_NUM_THREADS)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
+    sub.add_parser("list-builders")
     args = parser.parse_args(argv)
     if args.experiment is None:
         parser.print_usage(sys.stderr)
@@ -620,39 +622,27 @@ def main(argv=None) -> int:
         print(json.dumps(list_builders(), indent=2))
         return 0
 
+    schema, run = EXPERIMENTS[args.experiment]
     try:
-        overrides = {}
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(item, "overrides take the form key=value")
-            key, val = item.split("=", 1)
-            overrides[key] = val
-        cfg = {}
-        if args.config:
-            # experiments re-validate; here we only read the file into a dict
-            cp = configparser.ConfigParser()
-            if not cp.read(args.config):
-                raise ConfigError("config", f"cannot read {args.config}")
-            for section in cp.sections():
-                cfg.update(dict(cp.items(section)))
-        cfg.update(overrides)
+        cfg = load_config(args.config, schema, _overrides(args.set))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     outdir = Path(args.out)
     try:
-        rows, header, reports, plots, passed = EXPERIMENTS[args.experiment](cfg, args.seed)
+        header, rows, reports, plots = run(cfg, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failure: manifest records it
-        _write_outputs(outdir, args, cfg, [], ["error"], [], {},
+        _write_outputs(outdir, args, cfg, ["error"], [], [], {},
                        status="failed", error=f"{type(exc).__name__}: {exc}")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
-    _write_outputs(outdir, args, cfg, rows, header, reports, plots,
+    passed = all(r.passed for r in reports)
+    _write_outputs(outdir, args, cfg, header, rows, reports, plots,
                    status="passed" if passed else "assertion-failed", error=None)
     print(f"{args.experiment}: {'PASS' if passed else 'FAIL'} "
           f"({len(rows)} result rows -> {outdir})")

@@ -30,6 +30,7 @@ __all__ = [
     "leray_project",
     "mean_zero_normalize",
     "ball_mask",
+    "periodic_dist2",
 ]
 
 
@@ -213,13 +214,6 @@ class VectorField(_Field):
     def zero(cls, grid: GridSpec) -> "VectorField":
         return cls(grid, np.zeros((grid.d,) + grid.shape))
 
-    @classmethod
-    def from_components(cls, *comps: ScalarField) -> "VectorField":
-        g = comps[0].grid
-        if len(comps) != g.d:
-            raise ValueError(f"need {g.d} components, got {len(comps)}")
-        return cls(g, np.stack([c.data for c in comps]))
-
     def component(self, j: int) -> ScalarField:
         return ScalarField(self.grid, self.data[j])
 
@@ -355,12 +349,17 @@ def mean_zero_normalize(A: VectorField, region: np.ndarray | None = None) -> Vec
     return VectorField(g, out)
 
 
-def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:
-    """Sampled indicator of the periodic ball B_center(radius), no antialiasing."""
+def periodic_dist2(grid: GridSpec, center) -> np.ndarray:
+    """Squared periodic distance from every grid point to center."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     r2 = np.zeros(grid.shape)
     for j in range(grid.d):
         dx = grid.coords[j] - center[j]
-        dx = (dx + grid.L / 2) % grid.L - grid.L / 2  # periodic distance
+        dx = (dx + grid.L / 2) % grid.L - grid.L / 2
         r2 = r2 + dx**2
-    return r2 <= radius**2
+    return r2
+
+
+def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:
+    """Sampled indicator of the periodic ball B_center(radius), no antialiasing."""
+    return periodic_dist2(grid, center) <= radius**2

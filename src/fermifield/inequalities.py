@@ -301,7 +301,8 @@ def separation_sweep(f, g, eta0, L, d_sep, N, dims=1, halvings=3, ell0=None) -> 
     passed = bool(ratios) and all(r <= 0.5 ** 3 for r in ratios)
     return CheckReport(
         name="separation_sweep",
-        params={"L": L, "d_sep": d_sep, "N": N, "dims": dims, "ells": ells},
+        params={"L": L, "d_sep": d_sep, "N": N, "dims": dims, "ells": ells,
+                "values": values},
         lhs=values[-1],
         rhs_terms={"first_value": values[0]},
         passed=passed,

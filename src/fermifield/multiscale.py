@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _fft, _ifft
+from .grid import GridSpec, _fft, _ifft, periodic_dist2
 from .profiles import bump, pou_pair, smooth_step
 
 __all__ = [
@@ -287,12 +287,7 @@ def mollifier_kernel(grid: GridSpec, r: float) -> np.ndarray:
     """Sampled chi_r centered at the origin, discretely normalized to mass 1."""
     if not (0 < r <= grid.L / 2):
         raise ValueError("mollification radius must satisfy 0 < r <= L/2")
-    r2 = np.zeros(grid.shape)
-    for j in range(grid.d):
-        dx = grid.coords[j]
-        dx = (dx + grid.L / 2) % grid.L - grid.L / 2
-        r2 = r2 + dx**2
-    kern = bump(np.sqrt(r2) / r)
+    kern = bump(np.sqrt(periodic_dist2(grid, (0.0,) * grid.d)) / r)
     mass = kern.sum() * grid.weight
     if mass <= 0:
         raise ValueError("mollifier unresolved: r below the grid mesh")

@@ -1,6 +1,7 @@
 """Tests for the batch experiment runner: config plumbing, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 import scipy
@@ -56,6 +57,10 @@ def test_load_config_file_and_override_precedence(tmp_path):
     assert cfg["name"] == "filecase"
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.cfg"), SCHEMA, {})
+    bad = tmp_path / "nosection.cfg"
+    bad.write_text("n = 4\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(str(bad), SCHEMA, {})
 
 
 # ---------------------------------------------------------------------------
@@ -164,4 +169,79 @@ def test_main_config_file_roundtrip(tmp_path):
     assert main(["check-dyadic", "--config", str(cfgfile),
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["n_grid"] == "2000"
+    assert manifest["config"]["n_grid"] == 2000  # validated, so typed
+    assert manifest["config"]["w_fermi"] == 1.0  # defaults are echoed too
+
+
+def test_every_experiment_registers_its_schema():
+    for name, (schema, run) in EXPERIMENTS.items():
+        assert callable(run), name
+        for key, (kind, _default) in schema.items():
+            assert kind in ("int", "float", "str", "floats"), (name, key)
+
+
+# bundled config -> the experiment it is run with
+BUNDLED_CONFIGS = {
+    "check_lt.cfg": "check-lt",
+    "check_smoothing.cfg": "check-smoothing",
+    "minimize_field_pauli.cfg": "minimize-field",
+    "minimize_field_schrodinger.cfg": "minimize-field",
+    "variant_order.cfg": "variant-order",
+    "weyl_converge_1d_bump.cfg": "weyl-converge",
+    "weyl_converge_3d_sweep.cfg": "weyl-converge",
+}
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_bundled_configs_cover_the_table():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) == sorted(BUNDLED_CONFIGS)
+
+
+@pytest.mark.parametrize("fname", sorted(BUNDLED_CONFIGS))
+def test_bundled_config_matches_its_schema(fname):
+    # validates every key without running the experiment
+    schema = EXPERIMENTS[BUNDLED_CONFIGS[fname]].schema
+    cfg = load_config(str(CONFIG_DIR / fname), schema, {})
+    assert set(cfg) == set(schema)
+
+
+def test_main_verdict_is_every_report(tmp_path):
+    # c_diff drops to 0 below the grid scale and fails its x2 stability test;
+    # c_d1 stays in [0.937, 1.0] and must keep its own passing verdict
+    out = tmp_path / "run"
+    code = main(["check-smoothing", "--out", str(out), "--set", "d=1", "--set", "n=32",
+                 "--set", "r0=0.1", "--set", "octaves=3", "--set", "draws=2"])
+    assert code == 1
+    reports = {r["name"]: r for r in map(json.loads,
+               (out / "reports.jsonl").read_text().strip().splitlines())}
+    assert reports["smoothing_c_diff"]["passed"] is False
+    assert reports["smoothing_c_d1"]["passed"] is True
+    assert 0.937 <= reports["smoothing_c_d1"]["rhs_terms"]["min"]
+    assert reports["smoothing_c_d1"]["lhs"] <= 1.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "assertion-failed"
+
+
+def test_main_harmonic_compare_reports_the_exact_ratio(tmp_path):
+    out = tmp_path / "run"
+    assert main(["harmonic-compare", "--out", str(out), "--set", "l_max=3"]) == 0
+    reports = [json.loads(l) for l in
+               (out / "reports.jsonl").read_text().strip().splitlines()]
+    exact = [r for r in reports if r["name"] == "harmonic_exact_ratio"]
+    assert len(exact) == 1 and exact[0]["passed"] is True
+    assert exact[0]["lhs"] == pytest.approx(10.0 / 7.0, abs=1e-12)
+
+
+def test_main_check_separation_rows_are_the_sweep_values(tmp_path):
+    out = tmp_path / "run"
+    assert main(["check-separation", "--out", str(out), "--set", "n=64",
+                 "--set", "halvings=2"]) == 0
+    report = json.loads((out / "reports.jsonl").read_text())
+    rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+    assert [tuple(map(float, r.split(","))) for r in rows] == list(
+        zip(report["params"]["ells"], report["params"]["values"]))
+
+
+def test_list_builders_takes_no_flags():
+    with pytest.raises(SystemExit):
+        main(["list-builders", "--seed", "1"])

@@ -1,5 +1,7 @@
 """Energy functionals, current-coupled gradients, and field minimization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,6 @@ def test_gradient_matches_finite_differences(flavor, d, N):
 
 
 def test_psi_outside_gradient_matches_finite_differences(spec3d):
-    from dataclasses import replace
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.3))
     cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.3, R=0.8)
@@ -83,8 +84,6 @@ def test_psi_outside_gradient_matches_finite_differences(spec3d):
 
 def _psi_outside_gradient_loop(spec):
     """Reference: the pair-density double loop over (j <= 0, every k)."""
-    from dataclasses import replace
-
     from fermifield.operators import dense_matrix
     from fermifield.spectral import dense_eigh
 
@@ -178,6 +177,42 @@ def test_variant_ordering_small():
     assert res["ordering_ok"]
     assert res["E_prime"] <= res["E_ball"] + res["tol_opt"]
     assert res["E_ball"] <= res["E_global"] + res["tol_opt"]
+
+
+def test_variant_ordering_reuses_the_runs_it_certifies(monkeypatch):
+    import fermifield.field_opt as field_opt
+
+    g = GridSpec(d=3, N=4, L=4.0)
+    spec = HamiltonianSpec(grid=g, h=0.6,
+                           V=bump_potential(g, amplitude=8.0, radius=1.2))
+    A0 = random_divfree_potential(g, seed=0, kmax=1, amplitude=0.2)
+    r, R, beta, sched = 0.5, 1.0, 2.0, Schedule(max_iters=2)
+    calls = []
+    solve = field_opt.negative_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", counted)
+    res = variant_ordering_check(spec, r, R, beta, A0=A0, schedule=sched)
+    reused = len(calls)
+
+    # reference: certify E_ball and E_prime with fresh solves at both points
+    calls.clear()
+    spec = replace(spec, psi=cutoff_ball(g, r))
+    cfgs = [EnergyConfig(beta=beta, variant=v, r=r, R=R)
+            for v in (GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE)]
+    rep_global = minimize(A0, spec, cfgs[0], sched)
+    rep_ball = minimize(A0, spec, cfgs[1], sched)
+    e_ball_at_global, _ = total_energy(rep_global.final_A, spec, cfgs[1])
+    e_prime_at_ball, _ = total_energy(rep_ball.final_A, spec, cfgs[2])
+    rep_prime = minimize(rep_ball.final_A, spec, cfgs[2], sched)
+    assert reused == len(calls) - 2
+    assert res["E_ball"] == min(rep_ball.energy, e_ball_at_global)
+    e_prime = min(rep_prime.energy, e_prime_at_ball)
+    assert res["E_prime"] == pytest.approx(e_prime, rel=1e-14, abs=0.0)
+    assert res["E_global"] == rep_global.energy
 
 
 @pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD])

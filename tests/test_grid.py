@@ -17,6 +17,7 @@ from fermifield.grid import (
     laplacian,
     leray_project,
     mean_zero_normalize,
+    periodic_dist2,
 )
 
 
@@ -108,6 +109,19 @@ def test_ball_mask_periodic_wrap():
     # the ball at the origin must wrap around to the far end of the axis
     assert m[0] and m[1] and m[-1]
     assert not m[8]
+
+
+def test_periodic_dist2_is_the_nearest_image_distance():
+    g = GridSpec(d=2, N=8, L=2.0)
+    center = (1.9, 0.3)
+    # oracle: the smallest distance over the image shifts -L, 0, +L per axis
+    images = [
+        np.minimum.reduce([(g.coords[j] - center[j] + s * g.L) ** 2 for s in (-1, 0, 1)])
+        for j in range(2)
+    ]
+    np.testing.assert_allclose(periodic_dist2(g, center), images[0] + images[1],
+                               rtol=0, atol=1e-13)
+    assert np.array_equal(ball_mask(g, center, 0.5), periodic_dist2(g, center) <= 0.25)
 
 
 def test_mean_zero_normalize(rng):
