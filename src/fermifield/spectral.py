@@ -1,17 +1,24 @@
 """
 Negative-spectrum computation, density matrices, densities and currents.
 
-The eigensolver finds every eigenvalue <= tol_zero.  Up to DENSE_LIMIT it
-assembles the closed-form matrix and asks LAPACK's MRRR driver (?heevr) for
-the eigenpairs in (-inf, tol_zero] only: one tridiagonal reduction plus the
-kept vectors.  Above it, preconditioned LOBPCG (scipy) grows its block until
-the spectrum is bracketed at zero, and a probe solve with an independent
-start block guards against missed eigenvalues.  Every kept eigenpair is
-checked against the matrix-free operator, whichever path found it.
+The eigensolver finds every eigenvalue <= tol_zero.  An operator H_1 (x)
+I_spin (Schrodinger, or Pauli at A = 0) is solved once as its scalar H_1 and
+each eigenpair repeated per spin component; the path is chosen from the
+asked dimension.  Up to DENSE_LIMIT it assembles the closed-form matrix and
+asks LAPACK's MRRR driver (?heevr) for the eigenpairs in (-inf, tol_zero]
+only.  Above it, preconditioned LOBPCG (scipy), with its residual target
+scaled to the operator, starts from a block sized by the Weyl count and
+doubles it, from the vectors found, until the spectrum is bracketed at
+zero; a probe solve with an independent start block guards
+against missed eigenvalues.  Every kept eigenpair is checked against the
+matrix-free operator of the asked spec, and lobpcg calls that end above
+their residual target are counted in SolveStats, not hidden.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,7 @@ from .grid import ScalarField, SpinorField, VectorField, _fft, _ifft
 from .operators import (
     BLOCK,
     DENSE_LIMIT,
+    PAULI,
     HamiltonianSpec,
     _block,
     _columns,
@@ -31,6 +39,7 @@ from .operators import (
 
 __all__ = [
     "NegativeSpectrum",
+    "SolveStats",
     "DensityMatrix",
     "EigenFailure",
     "negative_spectrum",
@@ -45,6 +54,19 @@ class EigenFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """How a negative spectrum was found."""
+
+    path: str = ""  # "dense" or "lobpcg"
+    dim: int = 0  # dimension solved, after the spin reduction
+    copies: int = 1  # spin copies of each solved eigenpair
+    blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
+    iterations: tuple = ()  # per lobpcg call, probe last
+    unconverged: int = 0  # lobpcg calls that ended above their residual target
+    worst_residual: float = 0.0  # largest ||H u - lam u|| over the kept pairs
+
+
+@dataclass(frozen=True)
 class NegativeSpectrum:
     """All eigenvalues lambda_j <= tol_zero with orthonormal eigenvectors."""
 
@@ -53,6 +75,7 @@ class NegativeSpectrum:
     eigenvectors: list  # SpinorFields, quadrature-normalized
     tol_zero: float
     zero_band: bool  # some |lambda| <= tol_zero present
+    stats: SolveStats = field(default_factory=SolveStats)
 
     @property
     def sum(self) -> float:
@@ -86,11 +109,15 @@ class DensityMatrix:
             raise ValueError("occupations must lie in [0, 1]")
 
 
-def default_tol_zero(spec: HamiltonianSpec) -> float:
+def _operator_scale(spec: HamiltonianSpec) -> float:
+    """max|V| + (h pi N / L)^2: potential plus the largest kinetic symbol."""
     g = spec.grid
     vmax = 0.0 if spec.V is None else float(np.abs(spec.V.data).max())
-    kin_scale = (spec.h * np.pi * g.N / g.L) ** 2
-    return 1e-8 * (vmax + kin_scale)
+    return vmax + (spec.h * np.pi * g.N / g.L) ** 2
+
+
+def default_tol_zero(spec: HamiltonianSpec) -> float:
+    return 1e-8 * _operator_scale(spec)
 
 
 def dense_eigh(H: np.ndarray, vectors: bool = True, upper: float | None = None):
@@ -127,7 +154,7 @@ def _wrap_vectors(spec: HamiltonianSpec, vecs: np.ndarray) -> list:
 
 def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray, tol_eig: float):
     """Largest ||H u - lam u|| over the columns of vecs, one apply per block."""
-    scale = max(abs(float(vals.min(initial=0.0))), default_tol_zero(spec) / 1e-8, 1e-300)
+    scale = max(abs(float(vals.min(initial=0.0))), _operator_scale(spec), 1e-300)
     worst = 0.0
     for lo in range(0, len(vals), BLOCK):
         U = _block(spec, vecs[:, lo:lo + BLOCK])
@@ -149,30 +176,92 @@ def negative_spectrum(
     seed: int = 0,
     max_vectors: int | None = None,
 ) -> NegativeSpectrum:
-    """Compute every eigenvalue <= tol_zero of the represented operator."""
+    """Compute every eigenvalue <= tol_zero of the represented operator.
+
+    A spec whose kinetic part acts componentwise in spin is solved as its
+    spin-1 scalar problem (see _spin_reduced) and each eigenpair repeated
+    spin times; dense or LOBPCG is still chosen from spec.dim, and the
+    residual check runs on spec itself.  max_vectors caps the LOBPCG block
+    of the problem actually solved.
+    """
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
+    solved = _spin_reduced(spec)
     if spec.dim <= DENSE_LIMIT:
-        vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
+        vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
+        info = {"path": "dense"}
     else:
-        vals, vecs = _lobpcg_negative(spec, tol_eig, tol_zero, seed, max_vectors)
+        vals, vecs, info = _lobpcg_negative(solved, tol_eig, tol_zero, seed, max_vectors)
+    copies = spec.spin // solved.spin
+    if copies > 1:
+        vals, vecs = _spin_copies(vals, vecs, copies)
     vecs = _normalize_columns(vecs, spec.grid.weight) if vals.size else vecs
-    _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
+    worst = _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
     zero_band = bool(np.any(np.abs(vals) <= tol_zero))
-    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band)
+    stats = SolveStats(dim=solved.dim, copies=copies, worst_residual=worst, **info)
+    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band, stats)
+
+
+def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:
+    """The spin-1 spec H_1 with spec's operator equal to H_1 (x) I_spin, else spec.
+
+    Schrodinger kinetic energy acts on each spin component alone, and so
+    does the Pauli square [sigma.(D+A)]^2 = D^2 when A vanishes; V and psi
+    are scalar multiplications either way.
+    """
+    pauli = spec.flavor == PAULI
+    if spec.spin == 1 or (pauli and spec.A is not None and np.any(spec.A.data)):
+        return spec
+    return HamiltonianSpec(grid=spec.grid, h=spec.h, A=None if pauli else spec.A,
+                           V=spec.V, psi=spec.psi)
+
+
+def _spin_copies(vals: np.ndarray, vecs: np.ndarray, spin: int):
+    """Eigenpairs of H (x) I_spin from those of H: each lam spin times, vectors e_s (x) u."""
+    n, m = vecs.shape
+    out = np.zeros((spin, n, m, spin), dtype=vecs.dtype)
+    for s in range(spin):
+        out[s, :, :, s] = vecs
+    return np.repeat(vals, spin), out.reshape(spin * n, m * spin)
+
+
+def _weyl_count(spec: HamiltonianSpec) -> float:
+    """Weyl's count of eigenvalues below 0: spin |B_d| (2 pi h)^-d sum V_+^{d/2} w.
+
+    The sum runs over supp psi when psi is set.
+    """
+    g = spec.grid
+    if spec.V is None:
+        return 0.0
+    vplus = np.maximum(np.real(spec.V.data), 0.0) ** (g.d / 2)
+    if spec.psi is not None:
+        vplus = np.where(spec.psi.data != 0, vplus, 0.0)
+    ball = np.pi ** (g.d / 2) / math.gamma(g.d / 2 + 1)
+    return float(spec.spin * ball * (2 * np.pi * spec.h) ** (-g.d) * vplus.sum() * g.weight)
 
 
 def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float,
                      seed: int, max_vectors: int | None):
-    """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed."""
+    """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
+
+    The first block holds a quarter more vectors than the Weyl count plus
+    four; each larger block starts from the vectors the last one found.
+    lobpcg's tol is absolute, so its target is 1e-2 * tol_eig times the
+    operator scale: 1000 times inside _residual_check's bound, and
+    reachable.  Returns the kept pairs and the SolveStats fields.
+    """
     dim = spec.dim
     op, minv = _iterative_operators(spec)
     rng = np.random.default_rng(seed)
+    scale = _operator_scale(spec)
+    blocks, log = [], []  # log: (iterations, warned) per lobpcg call
 
     cap = max_vectors if max_vectors is not None else min(dim - 4, 600)
-    k = 16
+    k = min(max(4, math.ceil(1.25 * _weyl_count(spec)) + 4), cap)
+    vecs = None
     while True:
-        vals, vecs = _lobpcg_lowest(op, minv, dim, k, rng, tol_eig)
+        blocks.append(k)
+        vals, vecs = _lobpcg_lowest(op, minv, dim, k, rng, 1e-2 * tol_eig * scale, log, vecs)
         if vals[-1] > tol_zero:
             break
         if k >= cap:
@@ -186,13 +275,16 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float,
     vals, vecs = vals[keep], vecs[:, keep]
 
     # probe solve: an independent start block must not find anything lower
-    pvals, _ = _lobpcg_lowest(op, minv, dim, 4, rng, 1e-6)
+    pvals, _ = _lobpcg_lowest(op, minv, dim, 4, rng, 1e-8 * scale, log)
     floor = vals[0] if vals.size else tol_zero
     if pvals[0] < floor - max(1e-8, 1e-6 * abs(floor)):
         raise EigenFailure(
             f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
         )
-    return vals, vecs
+    info = {"path": "lobpcg", "blocks": tuple(blocks),
+            "iterations": tuple(its for its, _ in log),
+            "unconverged": sum(warned for _, warned in log)}
+    return vals, vecs, info
 
 
 def _iterative_operators(spec: HamiltonianSpec):
@@ -224,15 +316,28 @@ def _iterative_operators(spec: HamiltonianSpec):
     return op, M
 
 
-def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float):
-    """Lowest-k block solve, sorted ascending."""
-    X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    import warnings
+def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start=None):
+    """Lowest-k block solve from start's columns plus random ones, sorted ascending.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = spla.lobpcg(op, X, M=minv, largest=False,
-                                 tol=max(tol * 1e-2, 1e-12), maxiter=400)
+    tol is lobpcg's absolute residual target.  Appends (iterations, warned)
+    to log, warned being True when lobpcg ended above its target: its
+    UserWarnings are recorded rather than shown; other warnings pass on.
+    """
+    X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    if start is not None:
+        X[:, :start.shape[1]] = start
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        out = spla.lobpcg(op, X, M=minv, largest=False, tol=max(tol, 1e-12),
+                          maxiter=400, retLambdaHistory=True)
+    for w in caught:
+        if not issubclass(w.category, UserWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    # a block too large for the problem is solved densely: no history, no warning kept
+    iterative = len(out) == 3
+    vals, vecs = out[0], out[1]
+    warned = iterative and any(issubclass(w.category, UserWarning) for w in caught)
+    log.append((len(out[2]) - 1 if iterative else 0, warned))
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

@@ -1,5 +1,8 @@
 """Negative-spectrum solver, density matrices, densities and currents."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,3 +222,135 @@ def test_dense_eigh_subset_matches_full(rng):
                                    atol=1e-12 * np.max(np.abs(vals)))
     none, empty = dense_eigh(M.copy(), upper=full_vals[0] - 1.0)
     assert none.shape == (0,) and empty.shape == (40, 0)
+
+
+# ---------------------------------------------------------------------------
+# spin reduction, Weyl-sized start block, grown blocks, lobpcg bookkeeping
+
+
+def _spin_cases():
+    from fermifield.builders import random_divfree_potential
+    from fermifield.grid import ScalarField, VectorField
+
+    g3, g2, g1 = (GridSpec(d=3, N=8, L=2.0), GridSpec(d=2, N=16, L=2.0),
+                  GridSpec(d=1, N=64, L=2.0))
+    V3 = bump_potential(g3, amplitude=10.0, radius=0.7)
+    psi = ScalarField(g3, 0.5 + 0.5 * bump_potential(g3, amplitude=1.0, radius=0.8).data)
+    return {
+        "pauli-A-none": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3),
+        "pauli-A-zero": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3,
+                                        A=VectorField.zero(g3)),
+        "schrodinger-two-component": HamiltonianSpec(grid=g1, h=0.3, spin=2,
+                                                     V=bump_potential(g1, amplitude=5.0)),
+        "pauli-psi": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3, psi=psi),
+        # Schrodinger kinetic energy is componentwise in spin with A as well
+        "schrodinger-two-component-A": HamiltonianSpec(
+            grid=g2, h=0.3, spin=2, V=bump_potential(g2, amplitude=5.0),
+            A=random_divfree_potential(g2, seed=5, kmax=2, amplitude=0.4)),
+    }
+
+
+@pytest.mark.parametrize("iterative", [False, True])
+@pytest.mark.parametrize("case", ["pauli-A-none", "pauli-A-zero", "schrodinger-two-component",
+                                  "pauli-psi", "schrodinger-two-component-A"])
+def test_spin_reduction_matches_full_dense(case, iterative, monkeypatch):
+    spec = _spin_cases()[case]
+    if iterative:
+        # the full problem is above the limit, the reduced one below it
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", spec.dim - 1)
+    ns = negative_spectrum(spec, seed=1)
+    ref = _full_eigh_kept(spec, ns.tol_zero)
+    scale = spectral._operator_scale(spec)
+    assert len(ref) > 0 and len(ns.eigenvalues) == len(ref)
+    np.testing.assert_allclose(ns.eigenvalues, ref, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_array_equal(ns.eigenvalues[0::2], ns.eigenvalues[1::2])
+    assert ns.stats.copies == 2 and ns.stats.dim == spec.dim // 2
+    assert ns.stats.path == ("lobpcg" if iterative else "dense")
+    assert ns.spec is spec
+
+
+def test_spin_reduction_skipped_with_field(spec3d):
+    from fermifield.builders import random_divfree_potential
+
+    g = spec3d.grid
+    spec = HamiltonianSpec(grid=g, h=0.6, flavor="pauli", V=spec3d.V,
+                           A=random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3))
+    ns = negative_spectrum(spec)
+    assert ns.stats.copies == 1 and ns.stats.dim == spec.dim
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 8)])
+def test_weyl_count_constant_potential(d, N):
+    g = GridSpec(d=d, N=N, L=2.0)
+    h, v0, L = 0.3, 4.0, 2.0
+    closed = {  # |B_d| v0^{d/2} L^d / (2 pi h)^d
+        1: L * np.sqrt(v0) / (np.pi * h),
+        2: v0 * L**2 / (4 * np.pi * h**2),
+        3: v0**1.5 * L**3 / (6 * np.pi**2 * h**3),
+    }[d]
+    spec = HamiltonianSpec(grid=g, h=h, V=constant_potential(g, v0))
+    assert spectral._weyl_count(spec) == pytest.approx(closed, rel=1e-12)
+    assert spectral._weyl_count(replace(spec, spin=2)) == pytest.approx(2 * closed, rel=1e-12)
+
+
+def _recording_lobpcg(monkeypatch, calls, warn=False):
+    """Wrap lobpcg where spectral looks it up; record (X, tol, vals, vecs) per call."""
+    original = spectral.spla.lobpcg
+
+    def wrapped(A, X, *args, **kwargs):
+        if warn:
+            warnings.warn("not reaching the requested tolerance", UserWarning)
+        start = X.copy()  # lobpcg orthonormalizes X in place
+        out = original(A, X, *args, **kwargs)
+        calls.append((start, kwargs["tol"], out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(spectral.spla, "lobpcg", wrapped)
+
+
+def test_grown_block_starts_from_previous_vectors(monkeypatch):
+    g = GridSpec(d=1, N=128, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.15, V=bump_potential(g, amplitude=20.0))
+    dense = negative_spectrum(spec)
+    assert len(dense.eigenvalues) >= 6
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls)
+    ns = negative_spectrum(spec, seed=2)
+    assert ns.sum == pytest.approx(dense.sum, rel=1e-8)
+    blocks = ns.stats.blocks
+    assert len(blocks) >= 2 and blocks[0] == 4
+    assert len(calls) == len(blocks) + 1  # the probe comes last
+    for (_, _, vals, vecs), (X_next, _, _, _) in zip(calls, calls[1:len(blocks)]):
+        prev = vecs[:, np.argsort(vals)]
+        np.testing.assert_array_equal(X_next[:, :prev.shape[1]], prev)
+
+
+def test_lobpcg_tolerance_is_scaled(spec3d, monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls)
+    ns = negative_spectrum(spec3d, tol_eig=1e-8)
+    scale = spectral._operator_scale(spec3d)
+    assert default_tol_zero(spec3d) == pytest.approx(1e-8 * scale, rel=1e-15)
+    assert [tol for _, tol, _, _ in calls[:-1]] == [pytest.approx(1e-10 * scale)] * len(
+        ns.stats.blocks)
+    assert calls[-1][1] == pytest.approx(1e-8 * scale)
+    assert ns.stats.worst_residual <= 1e-7 * scale
+    assert len(ns.stats.iterations) == len(calls)
+    assert max(ns.stats.iterations) < 400
+
+
+def test_lobpcg_warning_is_counted_not_shown(spec1d, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    quiet = negative_spectrum(spec1d)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls, warn=True)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        ns = negative_spectrum(spec1d)
+    assert shown == []
+    assert capsys.readouterr() == ("", "")
+    assert ns.stats.unconverged == len(calls) > quiet.stats.unconverged
+    assert ns.sum == quiet.sum
