@@ -244,8 +244,10 @@ def run_minimize_field(cfg, seed):
     sched = Schedule(max_iters=cfg["max_iters"], grad_tol=cfg["grad_tol"])
     rep = minimize(A0, spec, ecfg, sched, seed=seed)
     div_norm = divergence(rep.final_A).norm(2)
-    header = ["iteration", "energy"]
-    rows = [(i, e) for i, e in enumerate(rep.energies)]
+    # row 0 is the start point: no step, one energy evaluation
+    header = ["iteration", "energy", "step", "trials"]
+    rows = [(i, e, s, t) for i, (e, s, t) in
+            enumerate(zip(rep.energies, [0.0] + rep.steps, [1] + rep.trials))]
     monotone = all(b <= a + 1e-12 for a, b in zip(rep.energies, rep.energies[1:]))
     if np.any(A0.data):
         base, _ = total_energy(None, spec, ecfg, seed=seed)
@@ -257,7 +259,8 @@ def run_minimize_field(cfg, seed):
         lhs=rep.energies[-1],
         rhs_terms={"zero_field_energy": base},
         passed=monotone and div_norm <= 1e-8 and rep.energies[-1] <= base + 1e-10,
-        notes=f"terminated: {rep.termination}; div={div_norm:.3e}",
+        notes=(f"terminated: {rep.termination}; div={div_norm:.3e}; "
+               f"el_residual={rep.el_residual:.3e}"),
     )
     plots = {"energy_vs_iter.dat": list(enumerate(rep.energies))}
     return header, rows, [crep], plots

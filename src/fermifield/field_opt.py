@@ -10,6 +10,13 @@ field term).  The descent direction is the constrained gradient
 projection after every step; the factor 2 between the stationarity
 condition beta curl B = J and the first variation was pinned by the
 finite-difference identity (see tests).
+
+The line search spends one eigensolve per trial, so its first trial is a
+model step that is usually accepted: the minimizer of the field energy's
+exact quadratic along -G on the first step (the projection is linear and
+both field energies are quadratic forms), the Barzilai-Borwein step from
+the last move's gradient change after that.  A rejected trial is replaced
+by the quadratic interpolant's minimizer, within [0.1, 0.5] of it.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from .operators import (
     dense_matrix,
 )
 from .spectral import (
-    DensityMatrix,
     NegativeSpectrum,
+    _spin_traced,
     current,
     negative_spectrum,
 )
@@ -113,13 +120,9 @@ def _trace_part(spec: HamiltonianSpec, cfg: EnergyConfig, seed: int):
         )
         ns = negative_spectrum(bare, seed=seed)
         psi2 = np.real(spec.psi.data) ** 2
-        val = 0.0
-        for lam, u in zip(ns.eigenvalues, ns.eigenvectors):
-            if lam > 0.0:
-                continue
-            val += lam * float(
-                np.sum(psi2 * np.sum(np.abs(u.data) ** 2, axis=0)) * spec.grid.weight
-            )
+        rho = _spin_traced(ns.eigenvectors, spec.grid).reshape(len(ns.eigenvalues), -1)
+        weights = rho @ psi2.ravel() * spec.grid.weight  # <u_j, psi^2 u_j>
+        val = float(np.minimum(ns.eigenvalues, 0.0) @ weights)
         return val, ns, ns.zero_band
     ns = negative_spectrum(spec, seed=seed)
     return ns.sum, ns, ns.zero_band
@@ -282,9 +285,7 @@ def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
 class Schedule:
     max_iters: int = 50
     grad_tol: float = 1e-6  # on the constrained gradient norm, relative
-    step0: float = 1.0
     armijo_c: float = 1e-4
-    backtrack: float = 0.5
     max_backtracks: int = 25
 
 
@@ -292,6 +293,7 @@ class Schedule:
 class MinimizeReport:
     energies: list = field(default_factory=list)
     steps: list = field(default_factory=list)
+    trials: list = field(default_factory=list)  # energy evaluations per accepted step
     final_A: VectorField | None = None
     final_field_energy: float = 0.0
     el_residual: float = np.nan
@@ -309,12 +311,53 @@ def _project(A: VectorField) -> VectorField:
     return mean_zero_normalize(A).real
 
 
+def _first_trial(G: VectorField, gnorm2: float, cfg: EnergyConfig, last) -> float:
+    """First trial step along -G, G the projected gradient, gnorm2 = ||G||^2.
+
+    last is (step, G_old) of the previous accepted step, whose move was
+    s = -step G_old.  With y = G - G_old and <s, y> > 0 this is the
+    Barzilai-Borwein step <s, y> / <y, y>, the inverse curvature that move
+    measured, the trace part's included.  Otherwise it minimizes the field
+    model E - alpha g + kappa g alpha^2 with kappa = beta fe(G) / g: exact
+    for the field part, since the field energies are quadratic forms and
+    the projection is linear, and taking the trace part's curvature as 0.
+    1 when fe(G) = 0.
+    """
+    if last is not None:
+        step, G_old = last
+        y = G - G_old
+        sy = -step * float(np.real(G_old.inner(y)))
+        if sy > 0.0:
+            return sy / float(np.real(y.inner(y)))
+    kappa = cfg.beta * _field_energy(G, cfg) / gnorm2
+    return 0.5 / kappa if kappa > 0.0 else 1.0
+
+
+def _backtrack(step: float, E: float, Et: float, gnorm2: float) -> float:
+    """Next trial after step failed Armijo with energy Et.
+
+    The minimizer of the quadratic through E, its slope -gnorm2 and Et,
+    kept within [0.1, 0.5] step; half the step when that quadratic has no
+    positive curvature.
+    """
+    denom = 2.0 * (Et - E + step * gnorm2)
+    if denom <= 0.0:
+        return 0.5 * step
+    return float(np.clip(gnorm2 * step**2 / denom, 0.1 * step, 0.5 * step))
+
+
 def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
              schedule: Schedule | None = None, seed: int = 0) -> MinimizeReport:
-    """Projected gradient descent with Armijo backtracking.
+    """Projected gradient descent with a model-step Armijo line search.
+
+    Each step's first trial is _first_trial's model step, and a trial that
+    fails Armijo is replaced by _backtrack's.  Every iterate is
+    Leray-projected and mean-zero, and the accepted trial's spectrum
+    serves the next gradient.
 
     The energy trace is non-increasing by construction; termination is by
-    gradient tolerance, iteration budget, or a zero-band non-smooth point.
+    gradient tolerance, iteration budget, a zero-band non-smooth point, or
+    max_backtracks failed trials.
     """
     if schedule is None:
         schedule = Schedule()
@@ -324,7 +367,7 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
     E, parts = total_energy(A, spec, cfg, seed=seed)
     rep.energies.append(E)
     scale = max(abs(E), 1e-12)
-    step = schedule.step0
+    last = None  # (step, projected gradient) of the last accepted step
     termination = "max_iters"
 
     for _ in range(schedule.max_iters):
@@ -338,18 +381,19 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
         if np.sqrt(gnorm2) <= schedule.grad_tol * scale:
             termination = "gradient tolerance"
             break
+        step = _first_trial(G, gnorm2, cfg, last)
         accepted = False
-        for _bt in range(schedule.max_backtracks):
+        for trial_no in range(1, schedule.max_backtracks + 1):
             trial = _project(A - step * G)
             Et, parts_t = total_energy(trial, spec, cfg, seed=seed)
             if Et <= E - schedule.armijo_c * step * gnorm2:
-                A, E, parts = trial, Et, parts_t
+                A, E, parts, last = trial, Et, parts_t, (step, G)
                 rep.energies.append(E)
                 rep.steps.append(step)
-                step = min(step * 2.0, schedule.step0 * 1e3)
+                rep.trials.append(trial_no)
                 accepted = True
                 break
-            step *= schedule.backtrack
+            step = _backtrack(step, E, Et, gnorm2)
         if not accepted:
             termination = (
                 "non-smooth point" if parts.get("zero_band") else "line-search failure"

@@ -21,7 +21,7 @@ from fermifield.field_opt import (
     total_energy,
     variant_ordering_check,
 )
-from fermifield.grid import GridSpec, divergence
+from fermifield.grid import GridSpec, VectorField, divergence
 from fermifield.operators import HamiltonianSpec
 
 
@@ -80,6 +80,24 @@ def test_psi_outside_gradient_matches_finite_differences(spec3d):
     Em, _ = total_energy(A - eps * a, spec, cfg)
     fd = (Ep - Em) / (2 * eps)
     assert dd == pytest.approx(fd, rel=1e-6)
+
+
+def test_psi_outside_trace_matches_eigenvector_loop(spec3d):
+    from fermifield.spectral import negative_spectrum
+
+    spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
+    _, parts = total_energy(A, spec, cfg)
+    ns = negative_spectrum(replace(spec.with_A(A), psi=None))
+    psi2 = np.real(spec.psi.data) ** 2
+    ref = 0.0
+    for lam, u in zip(ns.eigenvalues, ns.eigenvectors):
+        if lam <= 0.0:
+            ref += lam * float(np.sum(psi2 * np.sum(np.abs(u.data) ** 2, axis=0))
+                               * spec.grid.weight)
+    assert ref < 0.0
+    assert parts["trace"] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _psi_outside_gradient_loop(spec):
@@ -256,3 +274,81 @@ def test_el_residual_is_finite_in_two_dimensions():
     rep = minimize(A0, spec, EnergyConfig(beta=2.0, variant=GLOBAL_CURL), Schedule(max_iters=2))
     assert np.isfinite(rep.el_residual)
     assert 0.0 <= rep.el_residual
+
+
+# ---------------------------------------------------------------------------
+# the line search's quadratic model
+
+
+@pytest.mark.parametrize("variant,d", [(GLOBAL_CURL, 2), (GLOBAL_CURL, 3), (BALL_GRAD, 3)])
+def test_field_energy_is_exact_quadratic_along_a_line(variant, d):
+    from fermifield.field_opt import _field_energy, _field_gradient
+
+    g = GridSpec(d=d, N=8, L=2.0)
+    cfg = EnergyConfig(beta=1.0, variant=variant, r=0.4, R=0.8)
+    A = random_divfree_potential(g, seed=4, kmax=2, amplitude=0.5)
+    G = random_divfree_potential(g, seed=5, kmax=2, amplitude=0.5)
+    slope = float(np.real(_field_gradient(A, cfg).inner(G)))
+    for alpha in (0.3, 1.7):
+        lhs = _field_energy(A - alpha * G, cfg)
+        rhs = _field_energy(A, cfg) - alpha * slope + alpha**2 * _field_energy(G, cfg)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def _counting_total_energy(monkeypatch, reject_with=None):
+    """Wrap field_opt.total_energy; log every evaluated field and energy.
+
+    With reject_with = f, the first trial (second call) returns
+    E_start + f alpha g in place of its energy, alpha and g read off the
+    trial -alpha G of a descent started at A = 0.
+    """
+    import fermifield.field_opt as field_opt
+
+    energy, log = field_opt.total_energy, []
+
+    def wrapped(A, spec, cfg, seed=0):
+        E, parts = energy(A, spec, cfg, seed=seed)
+        if reject_with is not None and len(log) == 1:
+            norm2 = A.norm(2) ** 2  # alpha^2 g
+            alpha = norm2 / (2.0 * cfg.beta * field_opt._field_energy(A, cfg))
+            E = log[0][1] + reject_with * norm2 / alpha
+        log.append((A, E))
+        return E, parts
+
+    monkeypatch.setattr(field_opt, "total_energy", wrapped)
+    return log
+
+
+def test_minimize_accepts_the_model_step_from_zero(spec3d, monkeypatch):
+    log = _counting_total_energy(monkeypatch)
+    rep = minimize(None, spec3d, EnergyConfig(beta=2.0, variant=GLOBAL_CURL),
+                   Schedule(max_iters=4))
+    assert len(rep.steps) == 4
+    assert len(log) == len(rep.steps) + 1
+    assert rep.trials == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("f,ratio", [(0.0, 0.5), (1.0, 0.25), (1e3, 0.1)])
+def test_rejected_trial_backtracks_to_the_interpolated_step(spec3d, monkeypatch, f, ratio):
+    log = _counting_total_energy(monkeypatch, reject_with=f)
+    rep = minimize(None, spec3d, EnergyConfig(beta=2.0, variant=GLOBAL_CURL),
+                   Schedule(max_iters=1))
+    first, second = log[1][0].norm(2), log[2][0].norm(2)  # trial norms scale with alpha
+    assert 0.1 * first <= second * (1 + 1e-12) and second <= 0.5 * first * (1 + 1e-12)
+    assert second / first == pytest.approx(ratio, rel=1e-9)
+    assert rep.trials == [2]
+
+
+def test_second_step_is_the_barzilai_borwein_step(spec3d):
+    from fermifield.field_opt import _project, energy_gradient
+
+    cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
+    rep = minimize(None, spec3d, cfg, Schedule(max_iters=2))
+    assert rep.trials == [1, 1]
+    A0 = VectorField.zero(spec3d.grid).real
+    G0 = _project(energy_gradient(A0, spec3d, cfg))
+    A1 = _project(A0 - rep.steps[0] * G0)
+    G1 = _project(energy_gradient(A1, spec3d, cfg))
+    s, y = A1 - A0, G1 - G0
+    bb = float(np.real(s.inner(y))) / float(np.real(y.inner(y)))
+    assert rep.steps[1] == pytest.approx(bb, rel=1e-9)
