@@ -47,7 +47,6 @@ from .operators import (
 )
 from .spectral import (
     NegativeSpectrum,
-    _spin_traced,
     current,
     negative_spectrum,
 )
@@ -119,8 +118,11 @@ def _trace_part(spec: HamiltonianSpec, cfg: EnergyConfig, seed: int):
             psi=None, spin=spec.spin,
         )
         ns = negative_spectrum(bare, seed=seed)
+        if not ns.eigenvectors:
+            return 0.0, ns, ns.zero_band
         psi2 = np.real(spec.psi.data) ** 2
-        rho = _spin_traced(ns.eigenvectors, spec.grid).reshape(len(ns.eigenvalues), -1)
+        U = np.stack([u.data for u in ns.eigenvectors])  # (m, spin, *grid)
+        rho = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1)
         weights = rho @ psi2.ravel() * spec.grid.weight  # <u_j, psi^2 u_j>
         val = float(np.minimum(ns.eigenvalues, 0.0) @ weights)
         return val, ns, ns.zero_band

@@ -349,15 +349,10 @@ def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start
 def density(gamma: DensityMatrix) -> ScalarField:
     """Spin-traced position density rho(x) = sum_j occ_j |u_j(x)|^2."""
     g = gamma.spec.grid
-    occ = np.asarray(gamma.occupations, dtype=float)
-    return ScalarField(g, np.tensordot(occ, _spin_traced(gamma.eigenvectors, g), axes=1))
-
-
-def _spin_traced(vectors: list, grid) -> np.ndarray:
-    """Per-vector densities sum_s |u(s, x)|^2, stacked to (len(vectors), *grid)."""
-    if not vectors:
-        return np.zeros((0,) + grid.shape)
-    return np.sum(np.abs(np.stack([u.data for u in vectors])) ** 2, axis=1)
+    rho = np.zeros(g.shape)
+    for occ, u in zip(gamma.occupations, gamma.eigenvectors):
+        rho += occ * np.sum(np.abs(u.data) ** 2, axis=0)
+    return ScalarField(g, rho)
 
 
 def current(gamma: DensityMatrix, spec: HamiltonianSpec) -> VectorField:

@@ -21,7 +21,7 @@ from fermifield.field_opt import (
     total_energy,
     variant_ordering_check,
 )
-from fermifield.grid import GridSpec, VectorField, divergence
+from fermifield.grid import GridSpec, ScalarField, VectorField, divergence
 from fermifield.operators import HamiltonianSpec
 
 
@@ -98,6 +98,18 @@ def test_psi_outside_trace_matches_eigenvector_loop(spec3d):
                                * spec.grid.weight)
     assert ref < 0.0
     assert parts["trace"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_psi_outside_trace_is_zero_without_negative_spectrum(spec3d):
+    # T - V with V = -1 is positive, so no eigenvalue lies at or below tol_zero
+    g = spec3d.grid
+    spec = replace(spec3d, V=ScalarField(g, -np.ones(g.shape)), psi=cutoff_ball(g, 0.6))
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    A = random_divfree_potential(g, seed=3, kmax=2, amplitude=0.15)
+    for a in (None, A):
+        E, parts = total_energy(a, spec, cfg)
+        assert parts["trace"] == 0.0
+        assert E == parts["beta_field"]
 
 
 def _psi_outside_gradient_loop(spec):

@@ -103,21 +103,6 @@ def test_density_integrates_to_particle_number(spec1d):
     assert rho.integrate().real == pytest.approx(len(ns.eigenvalues), rel=1e-10)
 
 
-def test_density_matches_eigenvector_loop():
-    g = GridSpec(d=2, N=8, L=2.0)
-    spec = HamiltonianSpec(grid=g, h=0.4, spin=2,
-                           V=bump_potential(g, amplitude=12.0, radius=0.7))
-    ns = negative_spectrum(spec)
-    occ = np.linspace(0.2, 1.0, len(ns.eigenvalues))
-    gamma = DensityMatrix(spec=spec, eigenvalues=ns.eigenvalues,
-                          eigenvectors=ns.eigenvectors, occupations=occ)
-    ref = np.zeros(g.shape)
-    for o, u in zip(occ, ns.eigenvectors):
-        ref += o * np.sum(np.abs(u.data) ** 2, axis=0)
-    assert len(ns.eigenvalues) > 4
-    np.testing.assert_allclose(density(gamma).data, ref, rtol=1e-13, atol=0.0)
-
-
 def test_occupation_validation(spec1d):
     ns = negative_spectrum(spec1d)
     with pytest.raises(ValueError):
