@@ -34,11 +34,9 @@ from .operators import (
     nearest_admissible_shift,
 )
 from .spectral import (
-    DensityMatrix,
     EigenFailure,
     NegativeSpectrum,
     current,
-    density,
     negative_spectrum,
 )
 from .weyl import WeylReport, convergence_study, fit_error_exponent, momentum_constant, weyl_term

@@ -113,11 +113,7 @@ def _trace_part(spec: HamiltonianSpec, cfg: EnergyConfig, seed: int):
     if cfg.variant == PSI_OUTSIDE:
         if spec.psi is None:
             raise ValueError("psi-outside variant needs the localization cutoff")
-        bare = spec.__class__(
-            grid=spec.grid, h=spec.h, flavor=spec.flavor, A=spec.A, V=spec.V,
-            psi=None, spin=spec.spin,
-        )
-        ns = negative_spectrum(bare, seed=seed)
+        ns = negative_spectrum(replace(spec, psi=None), seed=seed)
         if not ns.eigenvectors:
             return 0.0, ns, ns.zero_band
         psi2 = np.real(spec.psi.data) ** 2
@@ -244,15 +240,13 @@ def energy_gradient(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
     spectrum: the NegativeSpectrum of spec.with_A(A) if already solved
     (total_energy's parts["spectrum"]); unused by psi-outside.
     """
-    sA = spec.with_A(A)
     if cfg.variant == PSI_OUTSIDE:
-        tg = _trace_gradient_psi_outside(sA, cfg)
+        tg = _trace_gradient_psi_outside(spec.with_A(A), cfg)
     else:
         ns = _spectrum_at(A, spec, seed, spectrum)
         if reject_zero_band and ns.zero_band:
             raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
-        J = current(ns.to_density_matrix(), sA)
-        tg = (-KAPPA_J) * J
+        tg = (-KAPPA_J) * current(ns)
     return tg + cfg.beta * _field_gradient(A, cfg)
 
 
@@ -265,18 +259,19 @@ def energy_directional_derivative(A: VectorField, a: VectorField,
 
 def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
                 seed: int = 0, spectrum: NegativeSpectrum | None = None) -> float:
-    """Normalized Maxwell residual ||beta (field part)'/2 - J_A|| / scale.
+    """Normalized Maxwell residual: half the energy gradient over its scale.
 
-    The left side is half the field energy's first variation, beta curl B
-    for global-curl; spectrum as in energy_gradient.
+    Half the first variation of the energy is lhs - J, with lhs half the
+    field part's (beta curl B for global-curl) and J the variant's current
+    (minus half the trace gradient), so this is ||lhs - J|| / max(||lhs||,
+    ||J||) for each variant's own equation.  A zero band is not rejected;
+    spectrum as in energy_gradient.
     """
-    sA = spec.with_A(A)
-    ns = _spectrum_at(A, spec, seed, spectrum)
-    J = current(ns.to_density_matrix(), sA)
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
-    resid = (lhs - J).norm(2)
-    scale = max(lhs.norm(2), J.norm(2), 1e-300)
-    return float(resid / scale)
+    half = 0.5 * energy_gradient(A, spec, cfg, seed, reject_zero_band=False,
+                                 spectrum=spectrum)
+    scale = max(lhs.norm(2), (lhs - half).norm(2), 1e-300)
+    return float(half.norm(2) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +292,6 @@ class MinimizeReport:
     steps: list = field(default_factory=list)
     trials: list = field(default_factory=list)  # energy evaluations per accepted step
     final_A: VectorField | None = None
-    final_field_energy: float = 0.0
     el_residual: float = np.nan
     termination: str = ""
     parts: dict = field(default_factory=dict)
@@ -403,10 +397,12 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
             break
 
     rep.final_A = A
-    rep.final_field_energy = _field_energy(A, cfg)
     rep.termination = termination
     # the report keeps no spectrum: its eigenvectors would outlive the descent
-    rep.el_residual = el_residual(A, spec, cfg, seed=seed, spectrum=parts.pop("spectrum"))
+    try:
+        rep.el_residual = el_residual(A, spec, cfg, seed=seed, spectrum=parts.pop("spectrum"))
+    except NonSmoothPoint:
+        pass  # no first variation here, so the residual stays NaN
     rep.parts = parts
     return rep
 

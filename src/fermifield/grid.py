@@ -11,7 +11,7 @@ weight (L/N)^d, which is exact for band-limited integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -135,7 +135,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class _Field:
     grid: GridSpec
     data: np.ndarray
-    units: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _freeze(self.data))

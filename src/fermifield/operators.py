@@ -21,9 +21,7 @@ counted in units of one grid-sized transform (at d = 3):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -93,23 +91,6 @@ class HamiltonianSpec:
 
     def with_A(self, A: VectorField | None) -> "HamiltonianSpec":
         return replace(self, A=A)
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self, path, field_writer) -> None:
-        """Write a JSON header; field_writer(name, field) -> file reference."""
-        doc = {
-            "d": self.grid.d,
-            "N": self.grid.N,
-            "L": self.grid.L,
-            "h": self.h,
-            "flavor": self.flavor,
-            "spin": self.spin,
-            "fields": {
-                name: (field_writer(name, f) if f is not None else None)
-                for name, f in (("A", self.A), ("V", self.V), ("psi", self.psi))
-            },
-        }
-        Path(path).write_text(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------

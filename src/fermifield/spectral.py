@@ -1,5 +1,5 @@
 """
-Negative-spectrum computation, density matrices, densities and currents.
+Negative-spectrum computation and the gauge current of its eigenvectors.
 
 The eigensolver finds every eigenvalue <= tol_zero.  An operator H_1 (x)
 I_spin (Schrodinger, or Pauli at A = 0) is solved once as its scalar H_1 and
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import ScalarField, SpinorField, VectorField, _fft, _ifft
+from .grid import SpinorField, VectorField, _fft, _ifft
 from .operators import (
     BLOCK,
     DENSE_LIMIT,
@@ -40,10 +40,8 @@ from .operators import (
 __all__ = [
     "NegativeSpectrum",
     "SolveStats",
-    "DensityMatrix",
     "EigenFailure",
     "negative_spectrum",
-    "density",
     "current",
     "default_tol_zero",
 ]
@@ -81,32 +79,6 @@ class NegativeSpectrum:
     def sum(self) -> float:
         """Sum of the negative parts min(lambda, 0)."""
         return float(np.minimum(self.eigenvalues, 0.0).sum())
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        occ = np.ones(len(self.eigenvalues))
-        return DensityMatrix(
-            spec=self.spec,
-            eigenvalues=self.eigenvalues,
-            eigenvectors=self.eigenvectors,
-            occupations=occ,
-        )
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """gamma = sum_j occ_j |u_j><u_j| with occupations in [0, 1]."""
-
-    spec: HamiltonianSpec
-    eigenvalues: np.ndarray
-    eigenvectors: list
-    occupations: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.occupations is None:
-            object.__setattr__(self, "occupations", np.ones(len(self.eigenvectors)))
-        occ = np.asarray(self.occupations, dtype=float)
-        if np.any(occ < -1e-12) or np.any(occ > 1 + 1e-12):
-            raise ValueError("occupations must lie in [0, 1]")
 
 
 def _operator_scale(spec: HamiltonianSpec) -> float:
@@ -174,15 +146,13 @@ def negative_spectrum(
     tol_eig: float = 1e-8,
     tol_zero: float | None = None,
     seed: int = 0,
-    max_vectors: int | None = None,
 ) -> NegativeSpectrum:
     """Compute every eigenvalue <= tol_zero of the represented operator.
 
     A spec whose kinetic part acts componentwise in spin is solved as its
     spin-1 scalar problem (see _spin_reduced) and each eigenpair repeated
     spin times; dense or LOBPCG is still chosen from spec.dim, and the
-    residual check runs on spec itself.  max_vectors caps the LOBPCG block
-    of the problem actually solved.
+    residual check runs on spec itself.
     """
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
@@ -191,7 +161,7 @@ def negative_spectrum(
         vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
         info = {"path": "dense"}
     else:
-        vals, vecs, info = _lobpcg_negative(solved, tol_eig, tol_zero, seed, max_vectors)
+        vals, vecs, info = _lobpcg_negative(solved, tol_eig, tol_zero, seed)
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
@@ -240,8 +210,7 @@ def _weyl_count(spec: HamiltonianSpec) -> float:
     return float(spec.spin * ball * (2 * np.pi * spec.h) ** (-g.d) * vplus.sum() * g.weight)
 
 
-def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float,
-                     seed: int, max_vectors: int | None):
+def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
     The first block holds a quarter more vectors than the Weyl count plus
@@ -256,7 +225,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float,
     scale = _operator_scale(spec)
     blocks, log = [], []  # log: (iterations, warned) per lobpcg call
 
-    cap = max_vectors if max_vectors is not None else min(dim - 4, 600)
+    cap = min(dim - 4, 600)
     k = min(max(4, math.ceil(1.25 * _weyl_count(spec)) + 4), cap)
     vecs = None
     while True:
@@ -343,31 +312,23 @@ def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start
 
 
 # ---------------------------------------------------------------------------
-# densities and currents
+# currents
 
 
-def density(gamma: DensityMatrix) -> ScalarField:
-    """Spin-traced position density rho(x) = sum_j occ_j |u_j(x)|^2."""
-    g = gamma.spec.grid
-    rho = np.zeros(g.shape)
-    for occ, u in zip(gamma.occupations, gamma.eigenvectors):
-        rho += occ * np.sum(np.abs(u.data) ** 2, axis=0)
-    return ScalarField(g, rho)
+def current(ns: NegativeSpectrum) -> VectorField:
+    """Fermi-gas current density of ns's eigenvectors, driving the Maxwell equation.
 
-
-def current(gamma: DensityMatrix, spec: HamiltonianSpec) -> VectorField:
-    """Fermi-gas current density driving the Maxwell equation.
-
-    Schrodinger: J = -Re[(D+A) gamma](x, x); Pauli additionally routes the
-    momentum through sigma(sigma.(D+A)), which adds the spin current.
+    Schrodinger: J = -Re sum_j conj(w_j) (D+A) w_j; Pauli routes the momentum
+    through sigma(sigma.(D+A)), which adds the spin current.  w_j = psi u_j:
+    the first variation of tr[psi T(A) psi]_- is <psi u_j, dT psi u_j>, and
+    w_j = u_j without a cutoff.
     """
-    if spec.flavor != gamma.spec.flavor:
-        raise ValueError("density matrix flavor does not match spec")
+    spec = ns.spec
     g = spec.grid
-    occ = np.asarray(gamma.occupations, dtype=float)
     J = np.zeros((g.d,) + g.shape)
-    for lo in range(0, len(gamma.eigenvectors), BLOCK):
-        U = np.stack([u.data for u in gamma.eigenvectors[lo:lo + BLOCK]], axis=1)
-        w = occ[lo:lo + BLOCK].reshape((1, -1) + (1,) * g.d)
-        J -= np.real(_current_form(spec, w * U, U))
+    for lo in range(0, len(ns.eigenvectors), BLOCK):
+        U = np.stack([u.data for u in ns.eigenvectors[lo:lo + BLOCK]], axis=1)
+        if spec.psi is not None:
+            U = spec.psi.data * U
+        J -= np.real(_current_form(spec, U, U))
     return VectorField(g, J)

@@ -52,12 +52,23 @@ def test_zero_field_energy_has_no_field_part(spec3d):
     assert E == pytest.approx(parts["trace"])
 
 
-@pytest.mark.parametrize("flavor,d,N", [("schrodinger", 2, 8), ("pauli", 3, 4)])
-def test_gradient_matches_finite_differences(flavor, d, N):
+# the psi cases use a cutoff that vanishes nowhere, whose current is that of psi u
+@pytest.mark.parametrize("flavor,d,N,variant,cutoff", [
+    pytest.param("schrodinger", 2, 8, GLOBAL_CURL, False, id="schrodinger-2-8"),
+    pytest.param("pauli", 3, 4, GLOBAL_CURL, False, id="pauli-3-4"),
+    pytest.param("schrodinger", 3, 4, GLOBAL_CURL, True, id="schrodinger-3-4-psi"),
+    pytest.param("pauli", 3, 4, GLOBAL_CURL, True, id="pauli-3-4-psi"),
+    pytest.param("pauli", 3, 4, BALL_GRAD, True, id="pauli-3-4-psi-ball"),
+])
+def test_gradient_matches_finite_differences(flavor, d, N, variant, cutoff):
     g = GridSpec(d=d, N=N, L=2.0)
-    spec = HamiltonianSpec(grid=g, h=0.6, flavor=flavor,
+    psi = None
+    if cutoff:
+        psi = ScalarField(g, np.broadcast_to(0.6 + 0.3 * np.cos(2 * np.pi * g.coords[0] / g.L),
+                                             g.shape))
+    spec = HamiltonianSpec(grid=g, h=0.6, flavor=flavor, psi=psi,
                            V=bump_potential(g, amplitude=8.0, radius=0.7))
-    cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
+    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.4, R=0.8)
     A = random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3)
     a = random_divfree_potential(g, seed=9, kmax=1, amplitude=1.0)
     dd = energy_directional_derivative(A, a, spec, cfg)
@@ -277,6 +288,64 @@ def test_minimize_reuses_the_accepted_spectrum(spec3d, variant, monkeypatch):
     assert len(rep.steps) == 2
     assert reused == len(calls) - 3  # two gradients and the residual
     assert "spectrum" not in rep.parts  # the report does not pin eigenvectors
+
+
+def test_el_residual_of_psi_outside_is_its_own_equation(spec3d):
+    from fermifield.field_opt import _field_gradient, _trace_gradient_psi_outside, el_residual
+
+    spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
+    lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
+    J = -0.5 * _trace_gradient_psi_outside(spec.with_A(A), cfg)  # d tr psi^2 [H]_- = -2 J
+    ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
+    assert el_residual(A, spec, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD])
+def test_el_residual_is_the_maxwell_residual(spec3d, variant):
+    from fermifield.field_opt import _field_gradient, el_residual
+    from fermifield.spectral import current, negative_spectrum
+
+    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    A = random_divfree_potential(spec3d.grid, seed=3, kmax=2, amplitude=0.15)
+    J = current(negative_spectrum(spec3d.with_A(A)))
+    lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)  # beta curl B for global-curl
+    ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
+    assert el_residual(A, spec3d, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_el_residual_at_a_non_smooth_final_point_is_nan(spec3d, monkeypatch):
+    import fermifield.field_opt as field_opt
+
+    gradient = field_opt.energy_gradient
+
+    def non_smooth_residual(*args, reject_zero_band=True, **kwargs):
+        if not reject_zero_band:  # only el_residual asks past a zero band
+            raise field_opt.NonSmoothPoint("patched")
+        return gradient(*args, reject_zero_band=reject_zero_band, **kwargs)
+
+    monkeypatch.setattr(field_opt, "energy_gradient", non_smooth_residual)
+    rep = minimize(None, spec3d, EnergyConfig(beta=2.0, variant=GLOBAL_CURL),
+                   Schedule(max_iters=1))
+    assert len(rep.steps) == 1
+    assert np.isnan(rep.el_residual)
+
+
+@pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE])
+def test_minimize_report_field_part_is_the_final_field_energy(spec3d, variant):
+    from fermifield.field_opt import _field_energy
+
+    spec = spec3d
+    if variant == PSI_OUTSIDE:  # the only variant that traces psi^2 [H]_-
+        spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
+    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    A0 = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
+    rep = minimize(A0, spec, cfg, Schedule(max_iters=2))
+    assert rep.steps  # the descent moved, so final_A is not A0
+    assert rep.parts["field"] == pytest.approx(_field_energy(rep.final_A, cfg),
+                                               rel=1e-12, abs=0.0)
+    assert rep.parts["beta_field"] == pytest.approx(cfg.beta * rep.parts["field"])
 
 
 def test_el_residual_is_finite_in_two_dimensions():

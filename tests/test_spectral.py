@@ -1,4 +1,4 @@
-"""Negative-spectrum solver, density matrices, densities and currents."""
+"""Negative-spectrum solver and the gauge current of its eigenvectors."""
 
 import warnings
 from dataclasses import replace
@@ -11,11 +11,9 @@ from fermifield.builders import bump_potential, constant_potential
 from fermifield.grid import GridSpec, SpinorField
 from fermifield.operators import HamiltonianSpec, apply
 from fermifield.spectral import (
-    DensityMatrix,
     current,
     default_tol_zero,
     dense_eigh,
-    density,
     negative_spectrum,
 )
 
@@ -95,25 +93,6 @@ def test_dense_eigh_agrees_with_numpy(rng):
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(vals))
 
 
-def test_density_integrates_to_particle_number(spec1d):
-    ns = negative_spectrum(spec1d)
-    gamma = ns.to_density_matrix()
-    rho = density(gamma)
-    assert np.all(rho.data >= -1e-14)
-    assert rho.integrate().real == pytest.approx(len(ns.eigenvalues), rel=1e-10)
-
-
-def test_occupation_validation(spec1d):
-    ns = negative_spectrum(spec1d)
-    with pytest.raises(ValueError):
-        DensityMatrix(
-            spec=spec1d,
-            eigenvalues=ns.eigenvalues,
-            eigenvectors=ns.eigenvectors,
-            occupations=2.0 * np.ones(len(ns.eigenvalues)),
-        )
-
-
 def test_current_vanishes_without_field():
     # real eigenfunctions at A = 0 carry no paramagnetic current; the
     # residual is the eigenfunction's Nyquist content, so it dies out fast
@@ -123,7 +102,7 @@ def test_current_vanishes_without_field():
         g = GridSpec(d=1, N=N, L=2.0)
         spec = HamiltonianSpec(grid=g, h=0.5, V=bump_potential(g, amplitude=3.0))
         ns = negative_spectrum(spec)
-        J = current(ns.to_density_matrix(), spec)
+        J = current(ns)
         norms.append(J.norm(2))
     assert norms[0] < 1e-3
     assert norms[1] < norms[0] / 10
@@ -139,8 +118,29 @@ def test_current_reacts_to_field():
                            V=bump_potential(g, amplitude=10.0, radius=0.7))
     ns = negative_spectrum(spec)
     assert len(ns.eigenvalues) > 0
-    J = current(ns.to_density_matrix(), spec)
+    J = current(ns)
     assert J.norm(2) > 1e-6
+
+
+@pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
+def test_current_of_a_constant_cutoff_scales_by_its_square(flavor):
+    # psi = c: c (T - V) c has the eigenvectors of T - V, so the current of
+    # psi u is c^2 times the bare current; a current that dropped psi would
+    # not see c at all
+    from fermifield.builders import random_divfree_potential
+    from fermifield.grid import ScalarField
+
+    g = GridSpec(d=3, N=8, L=2.0)
+    A = random_divfree_potential(g, seed=4, kmax=2, amplitude=0.2)
+    bare = HamiltonianSpec(grid=g, h=0.6, A=A, flavor=flavor,
+                           V=bump_potential(g, amplitude=10.0, radius=0.7))
+    c = 0.8
+    local = replace(bare, psi=ScalarField(g, np.full(g.shape, c)))
+    ns_bare, ns_local = negative_spectrum(bare), negative_spectrum(local)
+    assert len(ns_local.eigenvalues) == len(ns_bare.eigenvalues) > 0
+    J_bare, J_local = current(ns_bare), current(ns_local)
+    assert J_bare.norm(2) > 1e-6
+    assert (J_local - c**2 * J_bare).norm(2) <= 1e-9 * J_bare.norm(2)
 
 
 def test_iterative_block_operators_match_columns(spec3d, rng):
