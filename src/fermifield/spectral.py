@@ -6,13 +6,15 @@ I_spin (Schrodinger, or Pauli at A = 0) is solved once as its scalar H_1 and
 each eigenpair repeated per spin component; the path is chosen from the
 asked dimension.  Up to DENSE_LIMIT it assembles the closed-form matrix and
 asks LAPACK's MRRR driver (?heevr) for the eigenpairs in (-inf, tol_zero]
-only.  Above it, preconditioned LOBPCG (scipy), with its residual target
-scaled to the operator, starts from a block sized by the Weyl count and
-doubles it, from the vectors found, until the spectrum is bracketed at
-zero; a probe solve with an independent start block guards
-against missed eigenvalues.  Every kept eigenpair is checked against the
-matrix-free operator of the asked spec, and lobpcg calls that end above
-their residual target are counted in SolveStats, not hidden.
+only.  Above it, LOBPCG (scipy), preconditioned by the inverse kinetic
+energy and with its residual target scaled to the operator, starts from a
+block of 1.25 times the Weyl count plus two guard vectors and doubles it,
+from the vectors found, until the spectrum is bracketed at zero; a
+one-vector probe solve from an independent start guards against a missed
+lowest eigenvalue.  Every kept eigenpair is checked against the
+matrix-free operator of the asked spec; lobpcg calls that end above their
+residual target, operator columns applied and the probe's value are
+recorded in SolveStats, not hidden.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class SolveStats:
     iterations: tuple = ()  # per lobpcg call, probe last
     unconverged: int = 0  # lobpcg calls that ended above their residual target
     worst_residual: float = 0.0  # largest ||H u - lam u|| over the kept pairs
+    matvecs: int = 0  # operator columns applied by lobpcg, probe included
+    # lobpcg probe's lowest value; less the lowest kept eigenvalue (tol_zero if
+    # none is kept) it is the certificate gap.  None on the dense path.
+    probe_lowest: float | None = None
 
 
 @dataclass(frozen=True)
@@ -214,10 +220,12 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
     The first block holds a quarter more vectors than the Weyl count plus
-    four; each larger block starts from the vectors the last one found.
-    lobpcg's tol is absolute, so its target is 1e-2 * tol_eig times the
-    operator scale: 1000 times inside _residual_check's bound, and
-    reachable.  Returns the kept pairs and the SolveStats fields.
+    two guard columns; each larger block starts from the vectors the last
+    one found.  lobpcg's tol is absolute, so its target is 1e-2 * tol_eig
+    times the operator scale: 1000 times inside _residual_check's bound,
+    and reachable.  The probe is one column from an independent start, as
+    only its lowest value is read.  Returns the kept pairs and the
+    SolveStats fields.
     """
     dim = spec.dim
     op, minv = _iterative_operators(spec)
@@ -226,7 +234,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     blocks, log = [], []  # log: (iterations, warned) per lobpcg call
 
     cap = min(dim - 4, 600)
-    k = min(max(4, math.ceil(1.25 * _weyl_count(spec)) + 4), cap)
+    k = min(max(4, math.ceil(1.25 * _weyl_count(spec)) + 2), cap)
     vecs = None
     while True:
         blocks.append(k)
@@ -243,8 +251,8 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     keep = vals <= tol_zero
     vals, vecs = vals[keep], vecs[:, keep]
 
-    # probe solve: an independent start block must not find anything lower
-    pvals, _ = _lobpcg_lowest(op, minv, dim, 4, rng, 1e-8 * scale, log)
+    # probe solve: an independent start must not find anything lower
+    pvals, _ = _lobpcg_lowest(op, minv, dim, 1, rng, 1e-8 * scale, log)
     floor = vals[0] if vals.size else tol_zero
     if pvals[0] < floor - max(1e-8, 1e-6 * abs(floor)):
         raise EigenFailure(
@@ -252,21 +260,24 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
         )
     info = {"path": "lobpcg", "blocks": tuple(blocks),
             "iterations": tuple(its for its, _ in log),
-            "unconverged": sum(warned for _, warned in log)}
+            "unconverged": sum(warned for _, warned in log),
+            "matvecs": op.matvecs, "probe_lowest": float(pvals[0])}
     return vals, vecs, info
 
 
 def _iterative_operators(spec: HamiltonianSpec):
     """Matrix-free operator and its Fourier-diagonal preconditioner.
 
-    The preconditioner inverts h^2 k^2 + (max|V| + 1), which compresses the
-    kinetic spread that otherwise stalls edge-eigenvalue iterations.  Both
-    act on whole column blocks, BLOCK columns per core call.
+    The preconditioner inverts h^2 (|k|^2 + k_1^2), k_1 = 2 pi / L the
+    smallest nonzero lattice wavenumber: the kinetic energy within a factor
+    of 2 on every nonconstant mode, regularized at k = 0, so no mode the
+    bound states are made of is left unpreconditioned.  Both act on whole
+    column blocks, BLOCK columns per core call; op.matvecs counts the
+    columns op has applied.
     """
     g = spec.grid
     dim = spec.dim
-    vmax = 0.0 if spec.V is None else float(np.abs(spec.V.data).max())
-    pre = 1.0 / (spec.h**2 * g.k2 + vmax + 1.0)
+    pre = 1.0 / (spec.h**2 * (g.k2 + (2 * np.pi / g.L) ** 2))
 
     def blockwise(fn):
         def matmat(X):
@@ -278,9 +289,14 @@ def _iterative_operators(spec: HamiltonianSpec):
 
         return matmat
 
-    op_mat = blockwise(lambda U: apply(spec, U))
+    def op_block(U):
+        op.matvecs += U.shape[1]
+        return apply(spec, U)
+
+    op_mat = blockwise(op_block)
     pre_mat = blockwise(lambda U: _ifft(pre * _fft(U, g.d), g.d))
     op = spla.LinearOperator((dim, dim), matvec=op_mat, matmat=op_mat, dtype=np.complex128)
+    op.matvecs = 0
     M = spla.LinearOperator((dim, dim), matvec=pre_mat, matmat=pre_mat, dtype=np.complex128)
     return op, M
 

@@ -354,3 +354,66 @@ def test_lobpcg_warning_is_counted_not_shown(spec1d, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
     assert ns.stats.unconverged == len(calls) > quiet.stats.unconverged
     assert ns.sum == quiet.sum
+
+
+def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(monkeypatch):
+    g = GridSpec(d=3, N=8, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.4, V=bump_potential(g, amplitude=10.0, radius=0.7))
+    weyl = spectral._weyl_count(spec)
+    first = max(4, int(np.ceil(1.25 * weyl)) + 2)
+    assert first == 6  # Weyl count 2.52: the formula, not the floor of 4
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls)
+    ns = negative_spectrum(spec, seed=3)
+    assert ns.stats.blocks == (first,) and calls[0][0].shape == (spec.dim, first)
+    X_probe, tol, _, _ = calls[-1]
+    assert X_probe.shape == (spec.dim, 1)
+    assert tol == pytest.approx(1e-8 * spectral._operator_scale(spec))
+    # drawn independently: not one of the main block's columns, nor near their span
+    X_main, _, _, vecs = calls[0]  # lobpcg returns orthonormal vectors
+    assert not np.any(np.all(X_main == X_probe, axis=0))
+    p = X_probe[:, 0]
+    assert np.linalg.norm(vecs.conj().T @ p) < 0.5 * np.linalg.norm(p)
+
+
+def test_preconditioner_inverts_kinetic_energy_on_plane_waves():
+    g = GridSpec(d=3, N=8, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.6, flavor="pauli",
+                           V=bump_potential(g, amplitude=6.0, radius=0.7))
+    _, minv = spectral._iterative_operators(spec)
+    k1 = 2 * np.pi / g.L
+    x = np.meshgrid(*([g.axis] * 3), indexing="ij")
+    for m, s in [((0, 0, 0), 0), ((1, 0, 0), 1), ((2, -1, 3), 0), ((-4, 1, 0), 1)]:
+        k = [k1 * mj for mj in m]
+        e = np.zeros((2,) + g.shape, dtype=complex)
+        e[s] = np.exp(1j * sum(kj * xj for kj, xj in zip(k, x)))
+        want = e / (spec.h**2 * (sum(kj**2 for kj in k) + k1**2))
+        np.testing.assert_allclose(minv.matvec(e.ravel()), want.ravel(), rtol=0, atol=1e-12)
+
+
+def test_matvecs_count_every_operator_column_lobpcg_applies(spec3d, monkeypatch):
+    assert negative_spectrum(spec3d).stats.matvecs == 0  # dense path
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    columns = []
+    original = spectral.apply
+
+    def counted(spec, U):
+        columns.append(U.shape[1])
+        return original(spec, U)
+
+    monkeypatch.setattr(spectral, "apply", counted)
+    ns = negative_spectrum(spec3d)
+    # the residual check applies each kept vector once; lobpcg applied the rest
+    assert ns.stats.matvecs == sum(columns) - len(ns.eigenvalues) > 0
+
+
+def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
+    assert negative_spectrum(spec3d).stats.probe_lowest is None  # dense path
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls)
+    ns = negative_spectrum(spec3d)
+    gap = ns.stats.probe_lowest - ns.eigenvalues[0]
+    assert ns.stats.probe_lowest == calls[-1][2].min()
+    assert -1e-8 <= gap <= 1e-6 * spectral._operator_scale(spec3d)
