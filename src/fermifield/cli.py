@@ -282,10 +282,10 @@ def run_variant_order(cfg, seed):
     A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
     header = ["ratio", "E_prime", "E_ball", "E_global", "inflation", "ordering_ok"]
     rows, reports, inflations = [], [], []
-    for ratio in cfg["ratios"]:
-        R = cfg["r"] * ratio
-        res = variant_ordering_check(spec, cfg["r"], R, cfg["beta"], A0=A0, seed=seed,
+    results = variant_ordering_check(spec, cfg["r"], [cfg["r"] * x for x in cfg["ratios"]],
+                                     cfg["beta"], A0=A0, seed=seed,
                                      schedule=Schedule(max_iters=cfg["max_iters"]))
+    for ratio, res in zip(cfg["ratios"], results):
         ok = res["ordering_ok"]
         inflations.append(res["inflation"])
         rows.append((ratio, res["E_prime"], res["E_ball"], res["E_global"],

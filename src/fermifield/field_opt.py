@@ -17,6 +17,15 @@ exact quadratic along -G on the first step (the projection is linear and
 both field energies are quadratic forms), the Barzilai-Borwein step from
 the last move's gradient change after that.  A rejected trial is replaced
 by the quadratic interpolant's minimizer, within [0.1, 0.5] of it.
+
+Each evaluated point keeps the spectrum its trace part read in
+parts["spectrum"], for the gradient and the residual there.  For
+psi-outside that is the negative spectrum of the operator without psi,
+found on the dense path by one full decomposition that it keeps in .full:
+the gradient needs the eigenpairs above 0 as well, so one decomposition
+serves the trace and the gradient.  The variant-ordering check runs the
+R-independent global-curl descent once and solves the start shared by it
+and every ball-grad descent once.
 """
 
 from __future__ import annotations
@@ -108,42 +117,80 @@ def _field_energy(A: VectorField, cfg: EnergyConfig) -> float:
     return field_energy_grad(A, cfg.region(A.grid))
 
 
-def _trace_part(spec: HamiltonianSpec, cfg: EnergyConfig, seed: int):
-    """(value, NegativeSpectrum used, zero_band flag) for the chosen variant."""
-    if cfg.variant == PSI_OUTSIDE:
-        if spec.psi is None:
-            raise ValueError("psi-outside variant needs the localization cutoff")
-        ns = negative_spectrum(replace(spec, psi=None), seed=seed)
-        if not ns.eigenvectors:
-            return 0.0, ns, ns.zero_band
-        psi2 = np.real(spec.psi.data) ** 2
-        U = np.stack([u.data for u in ns.eigenvectors])  # (m, spin, *grid)
-        rho = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1)
-        weights = rho @ psi2.ravel() * spec.grid.weight  # <u_j, psi^2 u_j>
-        val = float(np.minimum(ns.eigenvalues, 0.0) @ weights)
-        return val, ns, ns.zero_band
-    ns = negative_spectrum(spec, seed=seed)
-    return ns.sum, ns, ns.zero_band
+def _spectrum_at(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
+                 spectrum: NegativeSpectrum | None) -> NegativeSpectrum:
+    """The spectrum the variant's trace part reads at sA: the one given, else solved.
+
+    The negative spectrum of sA; for psi-outside, that of the operator
+    without psi, solved on the dense path by one full decomposition, which
+    it keeps in .full for the gradient (_full_spectrum).
+    """
+    if spectrum is not None:
+        if spectrum.spec.A is not sA.A:
+            raise ValueError("spectrum was solved at a different vector potential")
+        return spectrum
+    if cfg.variant != PSI_OUTSIDE:
+        return negative_spectrum(sA, seed=seed)
+    if sA.psi is None:
+        raise ValueError("psi-outside variant needs the localization cutoff")
+    bare = replace(sA, psi=None)
+    if bare.dim > DENSE_LIMIT:
+        return negative_spectrum(bare, seed=seed)
+    return _full_spectrum(bare)
+
+
+def _full_spectrum(bare: HamiltonianSpec) -> NegativeSpectrum:
+    """Negative spectrum of bare from one full dense decomposition, kept in .full.
+
+    The pairs <= tol_zero are certified as negative_spectrum's are; the
+    psi-outside gradient needs the pairs above 0 as well.
+    """
+    from .spectral import _certified, _normalize_columns, default_tol_zero, dense_eigh
+
+    if bare.dim > DENSE_LIMIT:
+        raise ValueError("psi-outside gradient needs the dense path")
+    vals, vecs = dense_eigh(dense_matrix(bare))
+    tol_zero = default_tol_zero(bare)
+    k = int(np.count_nonzero(vals <= tol_zero))  # eigh sorts ascending
+    negative = _normalize_columns(vecs[:, :k], bare.grid.weight)
+    return _certified(bare, vals[:k], negative, 1e-8, tol_zero, full=(vals, vecs),
+                      path="dense", dim=bare.dim)
+
+
+def _trace_part(sA: HamiltonianSpec, cfg: EnergyConfig, ns: NegativeSpectrum) -> float:
+    """The variant's trace part at sA, read off ns = _spectrum_at(sA, ...)."""
+    if cfg.variant != PSI_OUTSIDE:
+        return ns.sum
+    if not ns.eigenvectors:
+        return 0.0
+    psi2 = np.real(sA.psi.data) ** 2
+    U = np.stack([u.data for u in ns.eigenvectors])  # (m, spin, *grid)
+    rho = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1)
+    weights = rho @ psi2.ravel() * sA.grid.weight  # <u_j, psi^2 u_j>
+    return float(np.minimum(ns.eigenvalues, 0.0) @ weights)
 
 
 def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
-                 seed: int = 0):
+                 seed: int = 0, spectrum: NegativeSpectrum | None = None):
     """(energy, parts dict) with trace and field contributions itemized.
 
-    parts["spectrum"] is the NegativeSpectrum of spec.with_A(A), which the
-    gradient and the residual at this A can reuse; None for psi-outside,
-    whose trace part solves the operator without psi.
+    parts["spectrum"] is the NegativeSpectrum the trace part read, which the
+    gradient and the residual at this A can reuse: that of spec.with_A(A),
+    or for psi-outside that of the operator without psi, whose .full holds
+    its whole dense decomposition (None above DENSE_LIMIT).  spectrum: that
+    NegativeSpectrum if already solved, as in energy_gradient.
     """
     sA = spec.with_A(A)
-    tr, ns, zero_band = _trace_part(sA, cfg, seed)
+    ns = _spectrum_at(sA, cfg, seed, spectrum)
+    tr = _trace_part(sA, cfg, ns)
     fe = _field_energy(A, cfg) if A is not None else 0.0
     total = tr + cfg.beta * fe
     parts = {
         "trace": tr,
         "field": fe,
         "beta_field": cfg.beta * fe,
-        "zero_band": zero_band,
-        "spectrum": None if cfg.variant == PSI_OUTSIDE else ns,
+        "zero_band": ns.zero_band,
+        "spectrum": ns,
     }
     return total, parts
 
@@ -173,7 +220,8 @@ def _field_gradient(A: VectorField, cfg: EnergyConfig) -> VectorField:
     return VectorField(g, out)
 
 
-def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig) -> VectorField:
+def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig,
+                                spectrum: NegativeSpectrum | None = None) -> VectorField:
     """Dense full-spectrum gradient of tr psi^2 [H]_-.
 
     First-order perturbation of sum_j min(lam_j, 0) <u_j, psi^2 u_j>,
@@ -187,14 +235,18 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig) -> Vec
     W_kj the weight of Re[conj(c_kj)] and Y_j = sum_k W_kj u_k, the pair
     densities sum to Re[Pi(Y_j, u_j) + Pi(u_j, Y_j)] over j <= 0, Pi the
     current form, so only the negative block needs its momenta.
-    """
-    from .spectral import dense_eigh
 
+    spectrum: the trace part's spectrum at this A (total_energy's
+    parts["spectrum"]), whose full decomposition is read instead of
+    decomposing again.
+    """
     bare = replace(spec, psi=None)
-    if bare.dim > DENSE_LIMIT:
-        raise ValueError("psi-outside gradient needs the dense path")
+    if spectrum is None or spectrum.full is None:
+        spectrum = _full_spectrum(bare)
+    elif spectrum.spec.A is not spec.A:
+        raise ValueError("spectrum was solved at a different vector potential")
     g = spec.grid
-    vals, vecs = dense_eigh(dense_matrix(bare))
+    vals, vecs = spectrum.full
     vecs = vecs / np.sqrt(g.weight)  # quadrature-normalized columns
     m = int(np.count_nonzero(vals <= 0.0))  # eigh sorts ascending
     grad = np.zeros((g.d,) + g.shape)
@@ -222,28 +274,18 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig) -> Vec
     return VectorField(g, grad)
 
 
-def _spectrum_at(A: VectorField, spec: HamiltonianSpec, seed: int,
-                 spectrum: NegativeSpectrum | None) -> NegativeSpectrum:
-    """The negative spectrum of spec.with_A(A): the one given, else a new solve."""
-    if spectrum is None:
-        return negative_spectrum(spec.with_A(A), seed=seed)
-    if spectrum.spec.A is not A:
-        raise ValueError("spectrum was solved at a different vector potential")
-    return spectrum
-
-
 def energy_gradient(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
                     seed: int = 0, reject_zero_band: bool = True,
                     spectrum: NegativeSpectrum | None = None) -> VectorField:
     """Unconstrained gradient field: <grad, a> = d/dt E(A + t a) at t = 0.
 
-    spectrum: the NegativeSpectrum of spec.with_A(A) if already solved
-    (total_energy's parts["spectrum"]); unused by psi-outside.
+    spectrum: total_energy's parts["spectrum"] at this A if already solved.
     """
+    sA = spec.with_A(A)
     if cfg.variant == PSI_OUTSIDE:
-        tg = _trace_gradient_psi_outside(spec.with_A(A), cfg)
+        tg = _trace_gradient_psi_outside(sA, cfg, spectrum)
     else:
-        ns = _spectrum_at(A, spec, seed, spectrum)
+        ns = _spectrum_at(sA, cfg, seed, spectrum)
         if reject_zero_band and ns.zero_band:
             raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
         tg = (-KAPPA_J) * current(ns)
@@ -342,8 +384,14 @@ def _backtrack(step: float, E: float, Et: float, gnorm2: float) -> float:
     return float(np.clip(gnorm2 * step**2 / denom, 0.1 * step, 0.5 * step))
 
 
+def _start(A0: VectorField | None, grid) -> VectorField:
+    """The descent's start point: A0 projected, or the zero field."""
+    return _project(A0) if A0 is not None else VectorField.zero(grid).real
+
+
 def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
-             schedule: Schedule | None = None, seed: int = 0) -> MinimizeReport:
+             schedule: Schedule | None = None, seed: int = 0,
+             spectrum: NegativeSpectrum | None = None) -> MinimizeReport:
     """Projected gradient descent with a model-step Armijo line search.
 
     Each step's first trial is _first_trial's model step, and a trial that
@@ -351,16 +399,20 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
     Leray-projected and mean-zero, and the accepted trial's spectrum
     serves the next gradient.
 
+    spectrum: the start point's spectrum if already solved, as in
+    energy_gradient.  It was solved at A0, so the descent then starts at A0
+    itself, which must already be a start point (_start), not at A0
+    projected once more.
+
     The energy trace is non-increasing by construction; termination is by
     gradient tolerance, iteration budget, a zero-band non-smooth point, or
     max_backtracks failed trials.
     """
     if schedule is None:
         schedule = Schedule()
-    g = spec.grid
-    A = _project(A0) if A0 is not None else VectorField.zero(g).real
+    A = A0 if spectrum is not None else _start(A0, spec.grid)
     rep = MinimizeReport()
-    E, parts = total_energy(A, spec, cfg, seed=seed)
+    E, parts = total_energy(A, spec, cfg, seed=seed, spectrum=spectrum)
     rep.energies.append(E)
     scale = max(abs(E), 1e-12)
     last = None  # (step, projected gradient) of the last accepted step
@@ -411,59 +463,71 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
 # variant ordering (Lemma-style comparison of localized energies)
 
 
-def variant_ordering_check(spec: HamiltonianSpec, r: float, R: float, beta: float,
+def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
                            A0: VectorField | None = None,
-                           schedule: Schedule | None = None, seed: int = 0) -> dict:
-    """Minimize under each variant and report the energy orderings.
+                           schedule: Schedule | None = None, seed: int = 0) -> list:
+    """Minimize under each variant and report the energy orderings, one row per R.
 
-    Returns achieved energies E_prime (psi outside), E_ball (ball-grad) and
-    E_global (full-space curl), the measured beta-inflation factor, and an
+    For each field-energy ball radius R in radii a row holds the achieved
+    energies E_prime (psi outside), E_ball (ball-grad) and E_global
+    (full-space curl), the measured beta-inflation factor, and an
     'ordering_ok' flag up to optimizer tolerance.  E_prime is certified by
     starting the psi-outside descent at the E_ball minimizer (the pointwise
     inequality tr psi^2 [H]_- <= tr [psi H psi]_- holds for every A).
+
+    Each distinct operator is solved once: the global-curl descent does not
+    depend on R and runs once, and it and every ball-grad descent start at
+    the same field, where both trace psi (T_h(A) - V) psi, so that start is
+    solved once for all of them.  Every radius is checked before any solve.
     """
-    if not (0 < r <= R / 2):
-        raise ValueError("hypothesis requires 0 < r <= R/2")
-    cfg_global = EnergyConfig(beta=beta, variant=GLOBAL_CURL, r=r, R=R)
-    cfg_ball = EnergyConfig(beta=beta, variant=BALL_GRAD, r=r, R=R)
-    cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, r=r, R=R)
+    radii = [float(R) for R in radii]
+    if not radii or not all(0 < r <= R / 2 for R in radii):
+        raise ValueError(f"hypothesis requires 0 < r <= R/2 for every R; r={r}, radii={radii}")
 
     if spec.psi is None:
         from .builders import cutoff_ball
 
         spec = replace(spec, psi=cutoff_ball(spec.grid, r))
 
-    rep_global = minimize(A0, spec, cfg_global, schedule, seed=seed)
-    rep_ball = minimize(A0, spec, cfg_ball, schedule, seed=seed)
-    # pointwise certification: at any divergence-free A the ball energy is <=
-    # the global one; both variants trace the same operator, so the global
-    # run's final trace is the ball energy's trace part there
-    e_ball_at_global = (rep_global.parts["trace"]
-                        + beta * _field_energy(rep_global.final_A, cfg_ball))
-    e_ball = min(rep_ball.energy, e_ball_at_global)
-    # the psi-outside descent starts at the ball minimizer, so its energy is
-    # already certified against the psi-squared trace there
-    rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed)
-    e_prime = rep_prime.energy
-
+    A = _start(A0, spec.grid)
+    start = negative_spectrum(spec.with_A(A), seed=seed)
+    cfg_global = EnergyConfig(beta=beta, variant=GLOBAL_CURL, r=r)
+    rep_global = minimize(A, spec, cfg_global, schedule, seed=seed, spectrum=start)
     tol_opt = 1e-6 * max(abs(rep_global.energies[0]), 1.0)
-
-    # measured inflation: how much of the minimizer's gradient energy the
-    # ball misses; 1 + this plays the role of the (1 + C0 (r/R)^3) factor
+    # measured inflation: how much of the global minimizer's gradient energy
+    # the ball misses; 1 + this plays the role of the (1 + C0 (r/R)^3) factor
     probe = rep_global.final_A
     full = field_energy_grad(probe)
-    inside = field_energy_grad(probe, cfg_ball.region(spec.grid))
-    inflation = full / inside if inside > 1e-14 else 1.0
 
-    return {
-        "E_prime": e_prime,
-        "E_ball": e_ball,
-        "E_global": rep_global.energy,
-        "tol_opt": tol_opt,
-        "inflation": inflation,
-        "ordering_ok": (
-            e_prime <= e_ball + tol_opt
-            and e_ball <= rep_global.energy + tol_opt
-        ),
-        "reports": {"global": rep_global, "ball": rep_ball, "prime": rep_prime},
-    }
+    rows = []
+    for R in radii:
+        cfg_ball = EnergyConfig(beta=beta, variant=BALL_GRAD, r=r, R=R)
+        rep_ball = minimize(A, spec, cfg_ball, schedule, seed=seed, spectrum=start)
+        # pointwise certification: at any divergence-free A the ball energy is
+        # <= the global one; both variants trace the same operator, so the
+        # global run's final trace is the ball energy's trace part there
+        e_ball_at_global = (rep_global.parts["trace"]
+                            + beta * _field_energy(probe, cfg_ball))
+        e_ball = min(rep_ball.energy, e_ball_at_global)
+        # the psi-outside descent starts at the ball minimizer, so its energy
+        # is already certified against the psi-squared trace there
+        cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, r=r, R=R)
+        rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed)
+        e_prime = rep_prime.energy
+
+        inside = field_energy_grad(probe, cfg_ball.region(spec.grid))
+        inflation = full / inside if inside > 1e-14 else 1.0
+
+        rows.append({
+            "E_prime": e_prime,
+            "E_ball": e_ball,
+            "E_global": rep_global.energy,
+            "tol_opt": tol_opt,
+            "inflation": inflation,
+            "ordering_ok": (
+                e_prime <= e_ball + tol_opt
+                and e_ball <= rep_global.energy + tol_opt
+            ),
+            "reports": {"global": rep_global, "ball": rep_ball, "prime": rep_prime},
+        })
+    return rows

@@ -80,6 +80,9 @@ class NegativeSpectrum:
     tol_zero: float
     zero_band: bool  # some |lambda| <= tol_zero present
     stats: SolveStats = field(default_factory=SolveStats)
+    # every eigenpair, (eigenvalues, unit columns) as dense_eigh returns them,
+    # when the solve was one full dense decomposition; None otherwise
+    full: tuple | None = None
 
     @property
     def sum(self) -> float:
@@ -171,11 +174,24 @@ def negative_spectrum(
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
+    # rebinding vecs frees the solver's columns before they are wrapped
     vecs = _normalize_columns(vecs, spec.grid.weight) if vals.size else vecs
+    return _certified(spec, vals, vecs, tol_eig, tol_zero, dim=solved.dim, copies=copies,
+                      **info)
+
+
+def _certified(spec: HamiltonianSpec, vals: np.ndarray, vecs: np.ndarray, tol_eig: float,
+               tol_zero: float, full: tuple | None = None, **stats) -> NegativeSpectrum:
+    """NegativeSpectrum of spec from its eigenpairs <= tol_zero.
+
+    vecs holds their quadrature-normalized columns; every pair must pass
+    _residual_check against the matrix-free operator of spec.  stats are
+    SolveStats fields.
+    """
     worst = _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
     zero_band = bool(np.any(np.abs(vals) <= tol_zero))
-    stats = SolveStats(dim=solved.dim, copies=copies, worst_residual=worst, **info)
-    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band, stats)
+    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band,
+                            SolveStats(worst_residual=worst, **stats), full)
 
 
 def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:

@@ -1,11 +1,20 @@
 """Shared fixtures for the fermifield test suite."""
 
-import numpy as np
-import pytest
+import os
 
-from fermifield.builders import bump_potential
-from fermifield.grid import GridSpec
-from fermifield.operators import HamiltonianSpec
+# One BLAS thread unless the environment sets another count.  On a 2-core
+# machine OpenBLAS's default of one thread per core makes the N=32 LOBPCG
+# sweep slower, not faster.  It reads these variables when NumPy loads it,
+# so they are set before the first NumPy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fermifield.builders import bump_potential  # noqa: E402
+from fermifield.grid import GridSpec  # noqa: E402
+from fermifield.operators import HamiltonianSpec  # noqa: E402
 
 
 @pytest.fixture

@@ -236,9 +236,10 @@ def test_localized_energy_ordering_and_inflation_trend():
     A0 = random_divfree_potential(grid, seed=0, amplitude=0.2)
     r = 0.5
     inflations = []
-    for ratio in (2, 4, 8):
-        res = variant_ordering_check(spec, r, r * ratio, beta=2.0, A0=A0,
-                                     schedule=Schedule(max_iters=4))
+    ratios = (2, 4, 8)
+    rows = variant_ordering_check(spec, r, [r * ratio for ratio in ratios], beta=2.0, A0=A0,
+                                  schedule=Schedule(max_iters=4))
+    for ratio, res in zip(ratios, rows):
         assert res["ordering_ok"], (ratio, res)
         assert res["E_prime"] <= res["E_ball"] + res["tol_opt"]
         assert res["E_ball"] <= res["E_global"] + res["tol_opt"]

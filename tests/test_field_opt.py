@@ -21,7 +21,13 @@ from fermifield.field_opt import (
     total_energy,
     variant_ordering_check,
 )
-from fermifield.grid import GridSpec, ScalarField, VectorField, divergence
+from fermifield.grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    divergence,
+    field_energy_grad,
+)
 from fermifield.operators import HamiltonianSpec
 
 
@@ -182,6 +188,54 @@ def test_psi_outside_gradient_matches_pair_density_loop(flavor, d, N, amp):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
+def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
+    import fermifield.spectral as spectral
+    from fermifield.field_opt import _trace_gradient_psi_outside
+
+    g = GridSpec(d=d, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
+                           V=bump_potential(g, amplitude=amp, radius=0.7))
+    cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    A = random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3)
+    checked = []
+    check = spectral._residual_check
+
+    def counted(sp, vals, vecs, tol_eig):
+        checked.append((sp, np.array(vals), vecs))
+        return check(sp, vals, vecs, tol_eig)
+
+    monkeypatch.setattr(spectral, "_residual_check", counted)
+    _, parts = total_energy(A, spec, cfg)
+    monkeypatch.setattr(spectral, "_residual_check", check)
+    ns = parts["spectrum"]
+
+    # oracle: the trace through the subset solve of the operator without psi
+    old = spectral.negative_spectrum(replace(spec.with_A(A), psi=None))
+    U = np.stack([u.data for u in old.eigenvectors])
+    weights = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1) @ (
+        np.real(spec.psi.data) ** 2).ravel() * g.weight
+    ref = float(np.minimum(old.eigenvalues, 0.0) @ weights)
+    assert ref < 0.0
+    assert parts["trace"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert parts["zero_band"] == old.zero_band
+
+    # every pair <= tol_zero of the full decomposition is normalized and checked
+    vals, _ = ns.full
+    kept = vals[vals <= ns.tol_zero]
+    assert len(checked) == 1 and checked[0][0].psi is None and checked[0][0].A is A
+    np.testing.assert_array_equal(checked[0][1], kept)
+    np.testing.assert_allclose(
+        np.sum(np.abs(checked[0][2]) ** 2, axis=0) * g.weight, 1.0, rtol=1e-12)
+    np.testing.assert_array_equal(ns.eigenvalues, kept)
+    assert ns.eigenvalues.size == old.eigenvalues.size
+
+    # the gradient reads that decomposition: bit-identical to decomposing again
+    sA = spec.with_A(A)
+    np.testing.assert_array_equal(_trace_gradient_psi_outside(sA, cfg, ns).data,
+                                  _trace_gradient_psi_outside(sA, cfg).data)
+
+
 def test_minimize_contracts(spec3d):
     cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
     rep = minimize(None, spec3d, cfg, Schedule(max_iters=3))
@@ -205,7 +259,7 @@ def test_variant_ordering_check_hypothesis():
     g = GridSpec(d=3, N=4, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=8.0))
     with pytest.raises(ValueError):
-        variant_ordering_check(spec, 0.5, 0.6, beta=1.0)
+        variant_ordering_check(spec, 0.5, (0.6,), beta=1.0)
 
 
 def test_variant_ordering_small():
@@ -213,35 +267,44 @@ def test_variant_ordering_small():
     spec = HamiltonianSpec(grid=g, h=0.6,
                            V=bump_potential(g, amplitude=8.0, radius=1.2))
     A0 = random_divfree_potential(g, seed=0, kmax=1, amplitude=0.2)
-    res = variant_ordering_check(spec, 0.5, 1.0, beta=2.0, A0=A0,
-                                 schedule=Schedule(max_iters=2))
+    [res] = variant_ordering_check(spec, 0.5, (1.0,), beta=2.0, A0=A0,
+                                   schedule=Schedule(max_iters=2))
     assert res["ordering_ok"]
     assert res["E_prime"] <= res["E_ball"] + res["tol_opt"]
     assert res["E_ball"] <= res["E_global"] + res["tol_opt"]
 
 
-def test_variant_ordering_reuses_the_runs_it_certifies(monkeypatch):
+def _counting_solves(monkeypatch):
+    """Log every eigensolve field_opt makes: negative_spectrum, or psi-less dense assembly."""
     import fermifield.field_opt as field_opt
 
+    calls = []
+    solve, assemble = field_opt.negative_spectrum, field_opt.dense_matrix
+
+    def counted_solve(spec, *args, **kwargs):
+        calls.append(("negative_spectrum", spec))
+        return solve(spec, *args, **kwargs)
+
+    def counted_assemble(spec, *args, **kwargs):
+        if spec.psi is None:
+            calls.append(("bare", spec))
+        return assemble(spec, *args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", counted_solve)
+    monkeypatch.setattr(field_opt, "dense_matrix", counted_assemble)
+    return calls
+
+
+def _ordering_spec():
     g = GridSpec(d=3, N=4, L=4.0)
     spec = HamiltonianSpec(grid=g, h=0.6,
                            V=bump_potential(g, amplitude=8.0, radius=1.2))
-    A0 = random_divfree_potential(g, seed=0, kmax=1, amplitude=0.2)
-    r, R, beta, sched = 0.5, 1.0, 2.0, Schedule(max_iters=2)
-    calls = []
-    solve = field_opt.negative_spectrum
+    return spec, random_divfree_potential(g, seed=0, kmax=1, amplitude=0.2)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(field_opt, "negative_spectrum", counted)
-    res = variant_ordering_check(spec, r, R, beta, A0=A0, schedule=sched)
-    reused = len(calls)
-
-    # reference: certify E_ball and E_prime with fresh solves at both points
-    calls.clear()
-    spec = replace(spec, psi=cutoff_ball(g, r))
+def _ordering_reference(spec, A0, r, R, beta, sched):
+    """One radius as each was checked before: three descents, each solving its own start."""
+    spec = replace(spec, psi=cutoff_ball(spec.grid, r))
     cfgs = [EnergyConfig(beta=beta, variant=v, r=r, R=R)
             for v in (GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE)]
     rep_global = minimize(A0, spec, cfgs[0], sched)
@@ -249,11 +312,88 @@ def test_variant_ordering_reuses_the_runs_it_certifies(monkeypatch):
     e_ball_at_global, _ = total_energy(rep_global.final_A, spec, cfgs[1])
     e_prime_at_ball, _ = total_energy(rep_ball.final_A, spec, cfgs[2])
     rep_prime = minimize(rep_ball.final_A, spec, cfgs[2], sched)
-    assert reused == len(calls) - 2
-    assert res["E_ball"] == min(rep_ball.energy, e_ball_at_global)
-    e_prime = min(rep_prime.energy, e_prime_at_ball)
-    assert res["E_prime"] == pytest.approx(e_prime, rel=1e-14, abs=0.0)
-    assert res["E_global"] == rep_global.energy
+    full = field_energy_grad(rep_global.final_A)
+    inside = field_energy_grad(rep_global.final_A, cfgs[1].region(spec.grid))
+    return {"E_global": rep_global.energy,
+            "E_ball": min(rep_ball.energy, e_ball_at_global),
+            "E_prime": min(rep_prime.energy, e_prime_at_ball),
+            "inflation": full / inside if inside > 1e-14 else 1.0}
+
+
+def test_variant_ordering_reuses_the_runs_it_certifies(monkeypatch):
+    spec, A0 = _ordering_spec()
+    r, R, beta, sched = 0.5, 1.0, 2.0, Schedule(max_iters=2)
+    calls = _counting_solves(monkeypatch)
+    [res] = variant_ordering_check(spec, r, (R,), beta, A0=A0, schedule=sched)
+    reused = len(calls)
+
+    # reference: certify E_ball and E_prime with fresh solves at both points
+    calls.clear()
+    ref = _ordering_reference(spec, A0, r, R, beta, sched)
+    # the shared start, e_ball_at_global and e_prime_at_ball
+    assert reused == len(calls) - 3
+    assert res["E_ball"] == ref["E_ball"]
+    assert res["E_prime"] == pytest.approx(ref["E_prime"], rel=1e-14, abs=0.0)
+    assert res["E_global"] == ref["E_global"]
+
+
+def test_variant_ordering_solves_each_operator_once(monkeypatch):
+    import fermifield.field_opt as field_opt
+
+    spec, A0 = _ordering_spec()
+    r, radii, beta, sched = 0.5, (1.0, 2.0), 2.0, Schedule(max_iters=2)
+    calls = _counting_solves(monkeypatch)
+    descents, points = [], []
+    descend, energy = field_opt.minimize, field_opt.total_energy
+
+    def counted_minimize(A0, spec, cfg, *args, **kwargs):
+        descents.append(cfg.variant)
+        return descend(A0, spec, cfg, *args, **kwargs)
+
+    def counted_energy(A, spec, cfg, *args, **kwargs):
+        points.append(cfg.variant)
+        return energy(A, spec, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "minimize", counted_minimize)
+    monkeypatch.setattr(field_opt, "total_energy", counted_energy)
+    rows = variant_ordering_check(spec, r, radii, beta, A0=A0, schedule=sched)
+    monkeypatch.undo()
+
+    assert len(rows) == 2
+    assert descents == [GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE, BALL_GRAD, PSI_OUTSIDE]
+    # one negative_spectrum at the shared start, then one per accepted or
+    # rejected trial of the global-curl and ball-grad descents
+    solves = [sp for kind, sp in calls if kind == "negative_spectrum"]
+    start = solves[0].A
+    assert sum(sp.A is start for sp in solves) == 1
+    reports = [row["reports"] for row in rows]
+    trials = sum(reports[0]["global"].trials) + sum(sum(rep["ball"].trials) for rep in reports)
+    assert len(solves) == 1 + trials
+    # the operator without psi is assembled once per psi-outside point
+    bare = [sp for kind, sp in calls if kind == "bare"]
+    assert len(bare) == points.count(PSI_OUTSIDE) > 0
+    assert len({id(sp.A) for sp in bare}) == len(bare)
+
+    for R, res in zip(radii, rows):
+        ref = _ordering_reference(spec, A0, r, R, beta, sched)
+        assert res["E_global"] == ref["E_global"]
+        assert res["E_ball"] == ref["E_ball"]
+        assert res["inflation"] == ref["inflation"]
+        assert res["E_prime"] == pytest.approx(ref["E_prime"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("radii", [(0.6,), (0.6, 1.0), (1.0, 0.6), (1.0, 2.0, -2.0), ()])
+def test_variant_ordering_checks_every_radius_before_solving(radii, monkeypatch):
+    import fermifield.field_opt as field_opt
+
+    spec, A0 = _ordering_spec()
+    ran = []
+    monkeypatch.setattr(field_opt, "minimize", lambda *a, **k: ran.append("minimize"))
+    monkeypatch.setattr(field_opt, "negative_spectrum",
+                        lambda *a, **k: ran.append("negative_spectrum"))
+    with pytest.raises(ValueError):
+        variant_ordering_check(spec, 0.5, radii, beta=2.0, A0=A0)
+    assert ran == []
 
 
 @pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD])
@@ -387,8 +527,8 @@ def _counting_total_energy(monkeypatch, reject_with=None):
 
     energy, log = field_opt.total_energy, []
 
-    def wrapped(A, spec, cfg, seed=0):
-        E, parts = energy(A, spec, cfg, seed=seed)
+    def wrapped(A, spec, cfg, seed=0, spectrum=None):
+        E, parts = energy(A, spec, cfg, seed=seed, spectrum=spectrum)
         if reject_with is not None and len(log) == 1:
             norm2 = A.norm(2) ** 2  # alpha^2 g
             alpha = norm2 / (2.0 * cfg.beta * field_opt._field_energy(A, cfg))
