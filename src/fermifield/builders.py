@@ -14,7 +14,6 @@ from .grid import (
     ScalarField,
     VectorField,
     ball_mask,
-    gradient,
     leray_project,
     mean_zero_normalize,
     periodic_dist2,

@@ -56,11 +56,12 @@ from .inequalities import (
 )
 from .multiscale import (
     DEFAULT_ALPHA,
+    SMOOTHING_CONSTANTS,
     PartitionSpec,
     dyadic_build,
-    mollifier_kernel,
     partition_defect,
     partition_from_potential,
+    smoothing_constants,
 )
 from .operators import PAULI, SCHRODINGER, HamiltonianSpec
 from .profiles import bump, plateau_bump, smooth_step
@@ -403,44 +404,21 @@ def run_check_lt(cfg, seed):
     return header, rows, reports, plots
 
 
-_SMOOTHING_CONSTANTS = ("c_diff", "c_d1", "c_d2", "c_d3")
-
-
 @experiment("check-smoothing", {
     "d": ("int", 3), "n": ("int", 128), "box": ("float", 2.0),
     "draws": ("int", 5), "r0": ("float", 0.2), "octaves": ("int", 3),
 })
 def run_check_smoothing(cfg, seed):
     grid = GridSpec(d=cfg["d"], N=cfg["n"], L=cfg["box"])
-    header = ["draw", "r"] + list(_SMOOTHING_CONSTANTS)
-    rows = []
-    # per constant, per draw: its values from the coarsest radius down
-    per_const = {name: [[] for _ in range(cfg["draws"])] for name in _SMOOTHING_CONSTANTS}
-    k2 = np.real(grid.k2)
     radii = [cfg["r0"] * 0.5 ** i for i in range(cfg["octaves"] + 1)]
-    khats = {
-        r: np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight)
-        for r in radii
-    }
-    for draw in range(cfg["draws"]):
-        A = rough_divfree_potential(grid, seed=seed + draw)
-        # all norms evaluated as Fourier sums (Parseval on the torus)
-        power = sum(
-            np.abs(np.fft.fftn(A.data[j]) / grid.size) ** 2 for j in range(grid.d)
-        ) * grid.volume
-        grad_sq = float(np.sum(k2 * power))
-        for r in radii:
-            khat = khats[r]
-            diff = float(np.sum((1.0 - khat) ** 2 * power))
-            consts = {"c_diff": diff / (r ** 2 * grad_sq)}
-            for order in (1, 2, 3):
-                deriv = float(np.sum(k2 ** order * khat ** 2 * power))
-                consts[f"c_d{order}"] = deriv / (r ** (2 - 2 * order) * grad_sq)
-            rows.append((draw, r) + tuple(consts[k] for k in _SMOOTHING_CONSTANTS))
-            for k, v in consts.items():
-                per_const[k][draw].append(v)
+    potentials = (rough_divfree_potential(grid, seed=seed + draw)
+                  for draw in range(cfg["draws"]))
+    series = list(smoothing_constants(grid, potentials, radii))  # one dict per draw
+    rows = [(draw, r) + tuple(s[k][i] for k in SMOOTHING_CONSTANTS)
+            for draw, s in enumerate(series) for i, r in enumerate(radii)]
     reports = []
-    for name, per_draw in per_const.items():
+    for name in SMOOTHING_CONSTANTS:
+        per_draw = [s[name] for s in series]  # from the coarsest radius down
         vv = [v for vals in per_draw for v in vals]
         stable = all(
             v2 <= 2.0 * v1 + 1e-30 and v1 <= 2.0 * v2 + 1e-30
@@ -452,7 +430,7 @@ def run_check_smoothing(cfg, seed):
             lhs=max(vv), rhs_terms={"min": min(vv)},
             passed=stable, notes="x2 stability per halving",
         ))
-    return header, rows, reports, {}
+    return ["draw", "r"] + list(SMOOTHING_CONSTANTS), rows, reports, {}
 
 
 @experiment("check-comm2", {"draws": ("int", 20), "n": ("int", 32), "box": ("float", 2.0)})

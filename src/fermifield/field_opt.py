@@ -22,10 +22,10 @@ Each evaluated point keeps the spectrum its trace part read in
 parts["spectrum"], for the gradient and the residual there.  For
 psi-outside that is the negative spectrum of the operator without psi,
 found on the dense path by one full decomposition that it keeps in .full:
-the gradient needs the eigenpairs above 0 as well, so one decomposition
-serves the trace and the gradient.  The variant-ordering check runs the
-R-independent global-curl descent once and solves the start shared by it
-and every ball-grad descent once.
+the gradient needs the eigenpairs above 0 as well, so one normalized
+decomposition serves the trace and the gradient.  The variant-ordering
+check runs the R-independent global-curl descent once and solves the
+start shared by it and every ball-grad descent once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (
-    ScalarField,
     VectorField,
     _fft,
     _ifft,
@@ -142,18 +141,20 @@ def _spectrum_at(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
 def _full_spectrum(bare: HamiltonianSpec) -> NegativeSpectrum:
     """Negative spectrum of bare from one full dense decomposition, kept in .full.
 
-    The pairs <= tol_zero are certified as negative_spectrum's are; the
-    psi-outside gradient needs the pairs above 0 as well.
+    Every column is normalized once, in place, and the pairs <= tol_zero,
+    a view of the first columns, are certified as negative_spectrum's are;
+    the psi-outside gradient needs the pairs above 0 as well.
     """
     from .spectral import _certified, _normalize_columns, default_tol_zero, dense_eigh
 
     if bare.dim > DENSE_LIMIT:
         raise ValueError("psi-outside gradient needs the dense path")
     vals, vecs = dense_eigh(dense_matrix(bare))
+    _normalize_columns(vecs, bare.grid.weight)
+    vecs.flags.writeable = False
     tol_zero = default_tol_zero(bare)
     k = int(np.count_nonzero(vals <= tol_zero))  # eigh sorts ascending
-    negative = _normalize_columns(vecs[:, :k], bare.grid.weight)
-    return _certified(bare, vals[:k], negative, 1e-8, tol_zero, full=(vals, vecs),
+    return _certified(bare, vals[:k], vecs[:, :k], 1e-8, tol_zero, full=(vals, vecs),
                       path="dense", dim=bare.dim)
 
 
@@ -161,12 +162,7 @@ def _trace_part(sA: HamiltonianSpec, cfg: EnergyConfig, ns: NegativeSpectrum) ->
     """The variant's trace part at sA, read off ns = _spectrum_at(sA, ...)."""
     if cfg.variant != PSI_OUTSIDE:
         return ns.sum
-    if not ns.eigenvectors:
-        return 0.0
-    psi2 = np.real(sA.psi.data) ** 2
-    U = np.stack([u.data for u in ns.eigenvectors])  # (m, spin, *grid)
-    rho = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1)
-    weights = rho @ psi2.ravel() * sA.grid.weight  # <u_j, psi^2 u_j>
+    weights = ns.expectations(np.real(sA.psi.data) ** 2)  # <u_j, psi^2 u_j>
     return float(np.minimum(ns.eigenvalues, 0.0) @ weights)
 
 
@@ -246,8 +242,7 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig,
     elif spectrum.spec.A is not spec.A:
         raise ValueError("spectrum was solved at a different vector potential")
     g = spec.grid
-    vals, vecs = spectrum.full
-    vecs = vecs / np.sqrt(g.weight)  # quadrature-normalized columns
+    vals, vecs = spectrum.full  # quadrature-normalized columns
     m = int(np.count_nonzero(vals <= 0.0))  # eigh sorts ascending
     grad = np.zeros((g.d,) + g.shape)
     if m == 0:

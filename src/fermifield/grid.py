@@ -186,9 +186,6 @@ class _Field:
         self._check_mate(other)
         return complex(np.vdot(self.data, other.data) * self.grid.weight)
 
-    def integrate(self) -> complex:
-        return complex(self.data.sum() * self.grid.weight)
-
 
 @dataclass(frozen=True)
 class ScalarField(_Field):

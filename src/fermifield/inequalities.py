@@ -408,7 +408,8 @@ def check_variational_sandwich(
     """tr[psi H psi]_- between tr psi^2 [H]_- and that plus h^2 tr (grad psi)^2 gamma.
 
     Both sides are computed on the dense path so the comparison is exact up
-    to roundoff.  The lower inequality is the variational principle; the
+    to roundoff; the eigenpairs of H are residual-checked as every negative
+    spectrum's are.  The lower inequality is the variational principle; the
     upper one uses the IMS-style commutator remainder.
     """
     if spec.dim > DENSE_LIMIT:
@@ -418,21 +419,10 @@ def check_variational_sandwich(
     vals_in, _ = dense_eigh(dense_matrix(inside), vectors=False, upper=0.0)
     tr_inside = float(np.sum(vals_in))
 
-    bare = replace(spec, psi=None)
-    vals, vecs = dense_eigh(dense_matrix(bare), upper=0.0)
-    vecs = vecs / math.sqrt(g.weight)
-    psi2 = np.real(psi.data) ** 2
-    gpsi = gradient(psi)
-    gpsi2 = np.sum(np.abs(gpsi.data) ** 2, axis=0)
-    shape = (spec.spin,) + g.shape
-    tr_outside = 0.0
-    tr_kink = 0.0
-    for j in range(len(vals)):
-        u = vecs[:, j].reshape(shape)
-        dens = np.sum(np.abs(u) ** 2, axis=0)
-        tr_outside += vals[j] * float(np.sum(psi2 * dens) * g.weight)
-        tr_kink += float(np.sum(gpsi2 * dens) * g.weight)
-    correction = spec.h ** 2 * tr_kink
+    outside = negative_spectrum(replace(spec, psi=None), tol_zero=0.0)
+    gpsi2 = np.sum(np.abs(gradient(psi).data) ** 2, axis=0)
+    tr_outside = float(outside.eigenvalues @ outside.expectations(np.real(psi.data) ** 2))
+    correction = spec.h ** 2 * float(np.sum(outside.expectations(gpsi2)))
 
     scale = max(abs(tr_inside), abs(tr_outside), 1.0)
     lower_ok = tr_inside >= tr_outside - slack * scale

@@ -1,6 +1,6 @@
 """
 Localization machinery: Jacobian-weighted partitions of unity, scale
-functions, dyadic Fermi-shell momentum cutoffs and mollified potentials.
+functions, dyadic Fermi-shell cutoffs, mollifiers and smoothing constants.
 
 The partition weights follow psi_u(x) = psi((x-u)/l(u)) sqrt(J(x,u)) l(u)^{d/2}
 with the closed-form Jacobian J(x,u) = l(u)^{-d} |1 + (x-u).grad l(u) / l(u)|
@@ -27,6 +27,8 @@ __all__ = [
     "dyadic_apply",
     "mollify",
     "mollifier_kernel",
+    "smoothing_constants",
+    "SMOOTHING_CONSTANTS",
 ]
 
 DEFAULT_ALPHA = 4.0 / 9.0  # error-optimizing exponent for the scale function
@@ -300,3 +302,28 @@ def mollify(A, r: float):
     kern_hat = _fft(mollifier_kernel(g, r), g.d) * g.weight
     data = _ifft(_fft(A.data, g.d) * kern_hat, g.d)
     return type(A)(g, data)
+
+
+SMOOTHING_CONSTANTS = ("c_diff", "c_d1", "c_d2", "c_d3")
+
+
+def smoothing_constants(grid: GridSpec, potentials, radii):
+    """Yield, per A in potentials, a dict from SMOOTHING_CONSTANTS to lists over radii of
+
+        c_diff = |A - A_r|^2 / (r^2 |grad A|^2),  c_dn = |grad^n A_r|^2 r^(2n-2) / |grad A|^2
+
+    for n = 1, 2, 3, A_r = mollify(A, r), each norm a Fourier sum (Parseval).
+    """
+    k2 = np.real(grid.k2)
+    khats = [np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight) for r in radii]
+    for A in potentials:
+        power = grid.volume * sum(np.abs(np.fft.fftn(a) / grid.size) ** 2 for a in A.data)
+        grad_sq = float(np.sum(k2 * power))
+        series = {name: [] for name in SMOOTHING_CONSTANTS}
+        for r, khat in zip(radii, khats):
+            diff = float(np.sum((1.0 - khat) ** 2 * power))
+            series["c_diff"].append(diff / (r ** 2 * grad_sq))
+            for order in (1, 2, 3):
+                deriv = float(np.sum(k2 ** order * khat ** 2 * power))
+                series[f"c_d{order}"].append(deriv / (r ** (2 - 2 * order) * grad_sq))
+        yield series

@@ -15,6 +15,9 @@ lowest eigenvalue.  Every kept eigenpair is checked against the
 matrix-free operator of the asked spec; lobpcg calls that end above their
 residual target, operator columns applied and the probe's value are
 recorded in SolveStats, not hidden.
+
+The kept eigenvectors are one read-only (dim, m) block of columns, normalized
+in place where the solver made them; SpinorFields are wrapped only on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import SpinorField, VectorField, _fft, _ifft
 from .operators import (
@@ -76,18 +78,30 @@ class NegativeSpectrum:
 
     spec: HamiltonianSpec
     eigenvalues: np.ndarray  # sorted ascending
-    eigenvectors: list  # SpinorFields, quadrature-normalized
+    vectors: np.ndarray  # (dim, m) read-only columns, quadrature-normalized
     tol_zero: float
     zero_band: bool  # some |lambda| <= tol_zero present
     stats: SolveStats = field(default_factory=SolveStats)
-    # every eigenpair, (eigenvalues, unit columns) as dense_eigh returns them,
-    # when the solve was one full dense decomposition; None otherwise
+    # (eigenvalues, quadrature-normalized columns) of one full dense
+    # decomposition, vectors a view of its first columns; None otherwise
     full: tuple | None = None
 
     @property
     def sum(self) -> float:
         """Sum of the negative parts min(lambda, 0)."""
         return float(np.minimum(self.eigenvalues, 0.0).sum())
+
+    @property
+    def eigenvectors(self) -> list:
+        """The columns of vectors as SpinorFields, copied on each call."""
+        shape = (self.spec.spin,) + self.spec.grid.shape
+        return [SpinorField(self.spec.grid, u.reshape(shape)) for u in self.vectors.T]
+
+    def expectations(self, f: np.ndarray) -> np.ndarray:
+        """<u_j, f u_j> for every column u_j, f a real function on the grid."""
+        g, m = self.spec.grid, self.vectors.shape[1]
+        dens = np.abs(self.vectors.reshape(self.spec.spin, g.size, m)) ** 2
+        return np.real(f).ravel() @ dens.sum(axis=0) * g.weight
 
 
 def _operator_scale(spec: HamiltonianSpec) -> float:
@@ -124,13 +138,9 @@ def dense_eigh(H: np.ndarray, vectors: bool = True, upper: float | None = None):
 
 
 def _normalize_columns(vecs: np.ndarray, weight: float) -> np.ndarray:
-    norms = np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * weight)
-    return vecs / norms
-
-
-def _wrap_vectors(spec: HamiltonianSpec, vecs: np.ndarray) -> list:
-    shape = (spec.spin,) + spec.grid.shape
-    return [SpinorField(spec.grid, vecs[:, j].reshape(shape)) for j in range(vecs.shape[1])]
+    """Scale vecs's columns in place to unit quadrature norm; returns vecs."""
+    vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * weight)
+    return vecs
 
 
 def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray, tol_eig: float):
@@ -174,23 +184,22 @@ def negative_spectrum(
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
-    # rebinding vecs frees the solver's columns before they are wrapped
-    vecs = _normalize_columns(vecs, spec.grid.weight) if vals.size else vecs
-    return _certified(spec, vals, vecs, tol_eig, tol_zero, dim=solved.dim, copies=copies,
-                      **info)
+    return _certified(spec, vals, _normalize_columns(vecs, spec.grid.weight), tol_eig,
+                      tol_zero, dim=solved.dim, copies=copies, **info)
 
 
 def _certified(spec: HamiltonianSpec, vals: np.ndarray, vecs: np.ndarray, tol_eig: float,
                tol_zero: float, full: tuple | None = None, **stats) -> NegativeSpectrum:
     """NegativeSpectrum of spec from its eigenpairs <= tol_zero.
 
-    vecs holds their quadrature-normalized columns; every pair must pass
-    _residual_check against the matrix-free operator of spec.  stats are
-    SolveStats fields.
+    vecs holds their quadrature-normalized columns, which the result keeps
+    read-only; every pair must pass _residual_check against the matrix-free
+    operator of spec.  stats are SolveStats fields.
     """
     worst = _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
     zero_band = bool(np.any(np.abs(vals) <= tol_zero))
-    return NegativeSpectrum(spec, vals, _wrap_vectors(spec, vecs), tol_zero, zero_band,
+    vecs.flags.writeable = False
+    return NegativeSpectrum(spec, vals, vecs, tol_zero, zero_band,
                             SolveStats(worst_residual=worst, **stats), full)
 
 
@@ -291,6 +300,8 @@ def _iterative_operators(spec: HamiltonianSpec):
     column blocks, BLOCK columns per core call; op.matvecs counts the
     columns op has applied.
     """
+    import scipy.sparse.linalg as spla
+
     g = spec.grid
     dim = spec.dim
     pre = 1.0 / (spec.h**2 * (g.k2 + (2 * np.pi / g.L) ** 2))
@@ -324,6 +335,8 @@ def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start
     to log, warned being True when lobpcg ended above its target: its
     UserWarnings are recorded rather than shown; other warnings pass on.
     """
+    import scipy.sparse.linalg as spla
+
     X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     if start is not None:
         X[:, :start.shape[1]] = start
@@ -358,8 +371,8 @@ def current(ns: NegativeSpectrum) -> VectorField:
     spec = ns.spec
     g = spec.grid
     J = np.zeros((g.d,) + g.shape)
-    for lo in range(0, len(ns.eigenvectors), BLOCK):
-        U = np.stack([u.data for u in ns.eigenvectors[lo:lo + BLOCK]], axis=1)
+    for lo in range(0, ns.vectors.shape[1], BLOCK):
+        U = _block(spec, ns.vectors[:, lo:lo + BLOCK])
         if spec.psi is not None:
             U = spec.psi.data * U
         J -= np.real(_current_form(spec, U, U))

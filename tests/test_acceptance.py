@@ -42,9 +42,9 @@ from fermifield.multiscale import (
     DEFAULT_ALPHA,
     PartitionSpec,
     dyadic_build,
-    mollifier_kernel,
     partition_defect,
     partition_from_potential,
+    smoothing_constants,
 )
 from fermifield.operators import PAULI, SCHRODINGER, HamiltonianSpec, apply
 from fermifield.profiles import bump, plateau_bump, smooth_step
@@ -299,30 +299,9 @@ def test_dyadic_partition_support_and_floor_index():
 
 def test_mollification_constants_stable_over_octaves():
     grid = GridSpec(d=3, N=128, L=2.0)
-    k2 = np.real(grid.k2)
     radii = [0.2 * 0.5**i for i in range(4)]
-    khats = {
-        r: np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight)
-        for r in radii
-    }
-    for draw in range(20):
-        A = rough_divfree_potential(grid, seed=draw)
-        power = sum(
-            np.abs(np.fft.fftn(A.data[j]) / grid.size) ** 2 for j in range(3)
-        ) * grid.volume
-        grad_sq = float(np.sum(k2 * power))
-        series = {
-            "c_diff": [
-                float(np.sum((1.0 - khats[r]) ** 2 * power)) / (r**2 * grad_sq)
-                for r in radii
-            ],
-        }
-        for order in (1, 2, 3):
-            series[f"c_d{order}"] = [
-                float(np.sum(k2**order * khats[r] ** 2 * power))
-                / (r ** (2 - 2 * order) * grad_sq)
-                for r in radii
-            ]
+    potentials = (rough_divfree_potential(grid, seed=draw) for draw in range(20))
+    for draw, series in enumerate(smoothing_constants(grid, potentials, radii)):
         for name, vals in series.items():
             for v1, v2 in zip(vals, vals[1:]):
                 assert v2 <= 2.0 * v1 and v1 <= 2.0 * v2, (draw, name, vals)

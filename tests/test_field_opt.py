@@ -129,6 +129,22 @@ def test_psi_outside_trace_is_zero_without_negative_spectrum(spec3d):
         assert E == parts["beta_field"]
 
 
+def test_psi_outside_vectors_are_a_view_of_the_full_decomposition(spec3d):
+    spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    _, parts = total_energy(None, spec, cfg)
+    ns = parts["spectrum"]
+    vals, vecs = ns.full
+    k = len(ns.eigenvalues)
+    assert 0 < k < len(vals)
+    assert np.shares_memory(ns.vectors, vecs)
+    np.testing.assert_array_equal(ns.vectors, vecs[:, :k])
+    assert not vecs.flags.writeable and not ns.vectors.flags.writeable
+    # the whole decomposition is quadrature-normalized, not only the kept block
+    np.testing.assert_allclose(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight, 1.0,
+                               rtol=1e-12)
+
+
 def _psi_outside_gradient_loop(spec):
     """Reference: the pair-density double loop over (j <= 0, every k)."""
     from fermifield.operators import dense_matrix

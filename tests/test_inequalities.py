@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fermifield.builders import bump_potential, cutoff_ball, random_divfree_potential
-from fermifield.grid import GridSpec, ScalarField
+from fermifield.grid import GridSpec, ScalarField, gradient
 from fermifield.inequalities import (
     CheckReport,
     check_comm2,
@@ -271,6 +272,50 @@ def test_sandwich_1d_dense():
     outside = rep.rhs_terms["outside"]
     kink = rep.rhs_terms["kink"]
     assert outside - 1e-8 <= rep.lhs <= outside + kink + 1e-8
+
+
+def _sandwich_outside_loop(spec, psi):
+    """Reference: a raw dense solve of H without psi, then one loop step per column."""
+    from fermifield.operators import dense_matrix
+    from fermifield.spectral import dense_eigh
+
+    g = spec.grid
+    vals, vecs = dense_eigh(dense_matrix(replace(spec, psi=None)), upper=0.0)
+    vecs = vecs / math.sqrt(g.weight)
+    psi2 = np.real(psi.data) ** 2
+    gpsi2 = np.sum(np.abs(gradient(psi).data) ** 2, axis=0)
+    outside = kink = 0.0
+    for j in range(len(vals)):
+        dens = np.sum(np.abs(vecs[:, j].reshape((spec.spin,) + g.shape)) ** 2, axis=0)
+        outside += vals[j] * float(np.sum(psi2 * dens) * g.weight)
+        kink += float(np.sum(gpsi2 * dens) * g.weight)
+    return outside, spec.h ** 2 * kink
+
+
+@pytest.mark.parametrize("d, h, amp", [(1, 0.2, 3.0), (3, 0.3, 10.0)])
+def test_sandwich_reuses_one_certified_solve(d, h, amp, monkeypatch):
+    import fermifield.spectral as spectral
+
+    grid = GridSpec(d=d, N=64 if d == 1 else 8, L=2.0)
+    A = random_divfree_potential(grid, seed=4, amplitude=0.3) if d == 3 else None
+    spec = HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, A=A,
+                           V=bump_potential(grid, amplitude=amp, radius=0.7))
+    psi = cutoff_ball(grid, 0.8)
+    checked = []
+    check = spectral._residual_check
+
+    def counted(sp, *args):
+        checked.append(sp)
+        return check(sp, *args)
+
+    monkeypatch.setattr(spectral, "_residual_check", counted)
+    rep = check_variational_sandwich(spec, psi)
+    assert len(checked) == 1 and checked[0].psi is None and checked[0].A is A
+    outside, kink = _sandwich_outside_loop(spec, psi)
+    assert outside < 0.0 and kink > 0.0
+    assert rep.rhs_terms["outside"] == pytest.approx(outside, rel=1e-13, abs=0.0)
+    assert rep.rhs_terms["kink"] == pytest.approx(kink, rel=1e-13, abs=0.0)
+    assert rep.passed
 
 
 def test_sandwich_rejects_large_problems():

@@ -60,6 +60,39 @@ def test_eigenvectors_are_quadrature_normalized(spec1d):
         assert u.norm(2) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("path", ["dense", "lobpcg", "spin-copies"])
+def test_vectors_are_one_read_only_normalized_block(spec1d, path, monkeypatch):
+    spec = replace(spec1d, spin=2) if path == "spin-copies" else spec1d
+    if path == "lobpcg":
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    ns = negative_spectrum(spec, seed=1)
+    m = len(ns.eigenvalues)
+    assert m > 0 and ns.stats.path == ("lobpcg" if path == "lobpcg" else "dense")
+    assert ns.vectors.shape == (spec.dim, m)
+    assert not ns.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        ns.vectors[0, 0] = 0.0
+    np.testing.assert_allclose(
+        np.sum(np.abs(ns.vectors) ** 2, axis=0) * spec.grid.weight, 1.0, rtol=1e-12)
+    fields = ns.eigenvectors
+    assert len(fields) == m
+    for j, u in enumerate(fields):
+        np.testing.assert_array_equal(
+            u.data, ns.vectors[:, j].reshape((spec.spin,) + spec.grid.shape))
+
+
+def test_expectations_match_field_inner_products(spec1d, rng):
+    spec = replace(spec1d, spin=2)
+    g = spec.grid
+    ns = negative_spectrum(spec)
+    f = rng.uniform(0.5, 2.0, g.shape)
+    ref = [np.real(u.inner(SpinorField(g, f * u.data))) for u in ns.eigenvectors]
+    np.testing.assert_allclose(ns.expectations(f), ref, rtol=1e-13, atol=0.0)
+    empty = negative_spectrum(HamiltonianSpec(grid=g, h=1.0, V=constant_potential(g, -1.0)))
+    assert empty.vectors.shape == (g.size, 0)
+    assert empty.expectations(f).shape == (0,)
+
+
 def test_no_negative_spectrum_for_positive_operator():
     g = GridSpec(d=1, N=32, L=2.0)
     spec = HamiltonianSpec(grid=g, h=1.0, V=constant_potential(g, -1.0))
@@ -295,7 +328,9 @@ def test_weyl_count_constant_potential(d, N):
 
 def _recording_lobpcg(monkeypatch, calls, warn=False):
     """Wrap lobpcg where spectral looks it up; record (X, tol, vals, vecs) per call."""
-    original = spectral.spla.lobpcg
+    import scipy.sparse.linalg as spla
+
+    original = spla.lobpcg
 
     def wrapped(A, X, *args, **kwargs):
         if warn:
@@ -305,7 +340,7 @@ def _recording_lobpcg(monkeypatch, calls, warn=False):
         calls.append((start, kwargs["tol"], out[0], out[1]))
         return out
 
-    monkeypatch.setattr(spectral.spla, "lobpcg", wrapped)
+    monkeypatch.setattr(spla, "lobpcg", wrapped)
 
 
 def test_grown_block_starts_from_previous_vectors(monkeypatch):
