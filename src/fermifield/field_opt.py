@@ -36,12 +36,11 @@ import numpy as np
 
 from .grid import (
     VectorField,
-    _fft,
-    _ifft,
     ball_mask,
-    curl,
+    div_rows,
     field_energy_curl,
     field_energy_grad,
+    jacobian,
     leray_project,
     mean_zero_normalize,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Schedule",
     "MinimizeReport",
     "total_energy",
-    "energy_directional_derivative",
     "energy_gradient",
     "minimize",
     "el_residual",
@@ -132,10 +130,7 @@ def _spectrum_at(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
         return negative_spectrum(sA, seed=seed)
     if sA.psi is None:
         raise ValueError("psi-outside variant needs the localization cutoff")
-    bare = replace(sA, psi=None)
-    if bare.dim > DENSE_LIMIT:
-        return negative_spectrum(bare, seed=seed)
-    return _full_spectrum(bare)
+    return _full_spectrum(replace(sA, psi=None))
 
 
 def _full_spectrum(bare: HamiltonianSpec) -> NegativeSpectrum:
@@ -148,7 +143,7 @@ def _full_spectrum(bare: HamiltonianSpec) -> NegativeSpectrum:
     from .spectral import _certified, _normalize_columns, default_tol_zero, dense_eigh
 
     if bare.dim > DENSE_LIMIT:
-        raise ValueError("psi-outside gradient needs the dense path")
+        raise ValueError("psi-outside variant needs the dense path")
     vals, vecs = dense_eigh(dense_matrix(bare))
     _normalize_columns(vecs, bare.grid.weight)
     vecs.flags.writeable = False
@@ -173,8 +168,8 @@ def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig
     parts["spectrum"] is the NegativeSpectrum the trace part read, which the
     gradient and the residual at this A can reuse: that of spec.with_A(A),
     or for psi-outside that of the operator without psi, whose .full holds
-    its whole dense decomposition (None above DENSE_LIMIT).  spectrum: that
-    NegativeSpectrum if already solved, as in energy_gradient.
+    its whole dense decomposition.  spectrum: that NegativeSpectrum if
+    already solved, as in energy_gradient.
     """
     sA = spec.with_A(A)
     ns = _spectrum_at(sA, cfg, seed, spectrum)
@@ -196,28 +191,19 @@ def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig
 
 
 def _field_gradient(A: VectorField, cfg: EnergyConfig) -> VectorField:
-    """First variation of the field energy: d/dt at t=0 is <grad, a> * 1."""
+    """First variation of the field energy: d/dt at t=0 is <grad, a> * 1.
+
+    Both field energies are int sum_ij M_ij J_ij in the Jacobian J_ij =
+    d_i A_j, with M = J - J^T (global-curl, 1/2 |J - J^T|^2) or region J
+    (ball-grad, region |J|^2), so the gradient is -2 sum_i d_i M_ij.
+    """
     g = A.grid
-    if cfg.variant == GLOBAL_CURL:
-        if g.d == 2:
-            from .grid import deriv
-
-            w = deriv(A.data[1], g, 0) - deriv(A.data[0], g, 1)
-            out = np.stack([2.0 * deriv(w, g, 1), -2.0 * deriv(w, g, 0)])
-            return VectorField(g, out)
-        return 2.0 * curl(curl(A))
-    region = cfg.region(g).astype(float)
-    out = np.zeros_like(A.data)
-    for j in range(g.d):
-        ah = _fft(A.data[j], g.d)
-        for i in range(g.d):
-            dija = _ifft(1j * g.k_deriv[i] * ah, g.d)
-            out[j] -= 2.0 * _ifft(1j * g.k_deriv[i] * _fft(region * dija, g.d), g.d)
-    return VectorField(g, out)
+    J = jacobian(A.data, g)
+    M = J - np.swapaxes(J, 0, 1) if cfg.variant == GLOBAL_CURL else cfg.region(g) * J
+    return VectorField(g, -2.0 * div_rows(M, g))
 
 
-def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig,
-                                spectrum: NegativeSpectrum | None = None) -> VectorField:
+def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectrum) -> VectorField:
     """Dense full-spectrum gradient of tr psi^2 [H]_-.
 
     First-order perturbation of sum_j min(lam_j, 0) <u_j, psi^2 u_j>,
@@ -232,15 +218,10 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, cfg: EnergyConfig,
     densities sum to Re[Pi(Y_j, u_j) + Pi(u_j, Y_j)] over j <= 0, Pi the
     current form, so only the negative block needs its momenta.
 
-    spectrum: the trace part's spectrum at this A (total_energy's
-    parts["spectrum"]), whose full decomposition is read instead of
-    decomposing again.
+    spectrum: the trace part's spectrum at spec's A (_spectrum_at), whose
+    full decomposition is read.
     """
-    bare = replace(spec, psi=None)
-    if spectrum is None or spectrum.full is None:
-        spectrum = _full_spectrum(bare)
-    elif spectrum.spec.A is not spec.A:
-        raise ValueError("spectrum was solved at a different vector potential")
+    bare = spectrum.spec
     g = spec.grid
     vals, vecs = spectrum.full  # quadrature-normalized columns
     m = int(np.count_nonzero(vals <= 0.0))  # eigh sorts ascending
@@ -277,21 +258,14 @@ def energy_gradient(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
     spectrum: total_energy's parts["spectrum"] at this A if already solved.
     """
     sA = spec.with_A(A)
+    ns = _spectrum_at(sA, cfg, seed, spectrum)
     if cfg.variant == PSI_OUTSIDE:
-        tg = _trace_gradient_psi_outside(sA, cfg, spectrum)
+        tg = _trace_gradient_psi_outside(sA, ns)
     else:
-        ns = _spectrum_at(sA, cfg, seed, spectrum)
         if reject_zero_band and ns.zero_band:
             raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
         tg = (-KAPPA_J) * current(ns)
     return tg + cfg.beta * _field_gradient(A, cfg)
-
-
-def energy_directional_derivative(A: VectorField, a: VectorField,
-                                  spec: HamiltonianSpec, cfg: EnergyConfig,
-                                  seed: int = 0) -> float:
-    grad = energy_gradient(A, spec, cfg, seed=seed)
-    return float(np.real(grad.inner(a)))
 
 
 def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,

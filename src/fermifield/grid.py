@@ -5,6 +5,9 @@ All other modules build on the three sampled field types defined here.
 Derivatives are exact on the discrete dual lattice k = 2*pi*m/L; the Nyquist
 mode of every first derivative is set to zero (odd-derivative convention),
 so grad/div/curl are skew-adjoint and div(leray(A)) vanishes to rounding.
+Every field derivative is read off one kernel, the Jacobian d_i a stacked
+first (jacobian), or its adjoint sum_i d_i M[i] (div_rows); both field
+energies are quadratic forms in J_ij = d_i A_j.
 Integrals use the trapezoid rule on the uniform grid, i.e. a flat quadrature
 weight (L/N)^d, which is exact for band-limited integrands.
 """
@@ -21,6 +24,8 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "SpinorField",
+    "jacobian",
+    "div_rows",
     "gradient",
     "divergence",
     "curl",
@@ -80,49 +85,34 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return np.arange(self.N) * self.mesh
 
-    @cached_property
-    def coords(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable coordinate arrays, one per axis."""
+    def _per_axis(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """v laid along each axis in turn, broadcastable against the grid."""
         return tuple(
-            np.reshape(self.axis, (1,) * j + (self.N,) + (1,) * (self.d - 1 - j))
+            np.reshape(v, (1,) * j + (self.N,) + (1,) * (self.d - 1 - j))
             for j in range(self.d)
         )
 
     @cached_property
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable coordinate arrays, one per axis."""
+        return self._per_axis(self.axis)
+
+    @cached_property
     def k(self) -> tuple[np.ndarray, ...]:
         """Dual-lattice wave numbers 2*pi*m/L per axis (broadcastable)."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.mesh)
-        return tuple(
-            np.reshape(k1, (1,) * j + (self.N,) + (1,) * (self.d - 1 - j))
-            for j in range(self.d)
-        )
+        return self._per_axis(2.0 * np.pi * np.fft.fftfreq(self.N, d=self.mesh))
 
     @cached_property
     def k_deriv(self) -> tuple[np.ndarray, ...]:
         """Wave numbers used for first derivatives: Nyquist entry zeroed."""
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.mesh)
-        k1 = k1.copy()
         k1[self.N // 2] = 0.0
-        return tuple(
-            np.reshape(k1, (1,) * j + (self.N,) + (1,) * (self.d - 1 - j))
-            for j in range(self.d)
-        )
+        return self._per_axis(k1)
 
     @cached_property
     def k2(self) -> np.ndarray:
         """|k|^2 on the full dual lattice (Nyquist included)."""
-        out = np.zeros(self.shape)
-        for kj in self.k:
-            out = out + kj**2
-        return out
-
-    @cached_property
-    def k2_deriv(self) -> np.ndarray:
-        """|k|^2 built from the derivative convention (Nyquist zeroed)."""
-        out = np.zeros(self.shape)
-        for kj in self.k_deriv:
-            out = out + kj**2
-        return out
+        return sum(kj**2 for kj in self.k)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -246,46 +236,44 @@ def _ifft(a: np.ndarray, d: int) -> np.ndarray:
     return np.fft.ifftn(a, axes=tuple(range(-d, 0)))
 
 
-def deriv(f: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """Spectral first derivative along one axis (Nyquist-zeroed)."""
-    fh = _fft(f, grid.d)
-    return _ifft(1j * grid.k_deriv[axis] * fh, grid.d)
+def jacobian(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d_i a for every axis i, stacked first: shape (d, *a.shape).
+
+    a is a raw array whose last d axes are the grid; one forward transform
+    of a, one inverse transform of the stacked block.
+    """
+    ah = _fft(a, grid.d)
+    return _ifft(np.stack([1j * kj * ah for kj in grid.k_deriv]), grid.d)
+
+
+def div_rows(M: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """sum_i d_i M[i], M a raw array with the axis i first and the grid last."""
+    Mh = _fft(M, grid.d)
+    return _ifft(sum(1j * kj * Mh[i] for i, kj in enumerate(grid.k_deriv)), grid.d)
 
 
 def gradient(f: ScalarField) -> VectorField:
-    g = f.grid
-    fh = _fft(f.data, g.d)
-    comps = [_ifft(1j * g.k_deriv[j] * fh, g.d) for j in range(g.d)]
-    return VectorField(g, np.stack(comps))
+    return VectorField(f.grid, jacobian(f.data, f.grid))
 
 
 def divergence(A: VectorField) -> ScalarField:
-    g = A.grid
-    out = np.zeros(g.shape, dtype=np.complex128)
-    for j in range(g.d):
-        out = out + _ifft(1j * g.k_deriv[j] * _fft(A.data[j], g.d), g.d)
-    return ScalarField(g, out)
+    return ScalarField(A.grid, div_rows(A.data, A.grid))
 
 
 def curl(A: VectorField) -> VectorField:
-    g = A.grid
-    if g.d != 3:
+    """(d_y A_z - d_z A_y, d_z A_x - d_x A_z, d_x A_y - d_y A_x); d = 3 only."""
+    if A.grid.d != 3:
         raise ValueError("curl is defined for d = 3 only")
-    ah = _fft(A.data, 3)
-    k = g.k_deriv
-    cx = _ifft(1j * (k[1] * ah[2] - k[2] * ah[1]), 3)
-    cy = _ifft(1j * (k[2] * ah[0] - k[0] * ah[2]), 3)
-    cz = _ifft(1j * (k[0] * ah[1] - k[1] * ah[0]), 3)
-    return VectorField(g, np.stack([cx, cy, cz]))
+    J = jacobian(A.data, A.grid)
+    return VectorField(A.grid, np.stack([J[i, j] - J[j, i] for i, j in ((1, 2), (2, 0), (0, 1))]))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    g = f.grid
-    return ScalarField(g, _ifft(-g.k2_deriv * _fft(f.data, g.d), g.d))
+    return divergence(gradient(f))
 
 
 # ---------------------------------------------------------------------------
-# field energies
+# field energies: quadratic forms in the Jacobian J_ij = d_i A_j
 
 
 def _masked_quad(density: np.ndarray, grid: GridSpec, region: np.ndarray | None) -> float:
@@ -295,28 +283,20 @@ def _masked_quad(density: np.ndarray, grid: GridSpec, region: np.ndarray | None)
 
 
 def field_energy_curl(A: VectorField, region: np.ndarray | None = None) -> float:
-    """Integral of |curl A|^2, optionally restricted to a sampled region.
+    """Integral of |curl A|^2 = 1/2 sum_ij |J_ij - J_ji|^2, optionally over a region.
 
-    In d = 2 the curl is the scalar d_x A_y - d_y A_x.
+    The same integral in every dimension: in d = 2 the curl is the scalar
+    d_x A_y - d_y A_x, and in d = 1 it vanishes.
     """
-    g = A.grid
-    if g.d == 2:
-        w = deriv(A.data[1], g, 0) - deriv(A.data[0], g, 1)
-        return _masked_quad(np.abs(w) ** 2, g, region)
-    B = curl(A)
-    dens = np.sum(np.abs(B.data) ** 2, axis=0)
+    J = jacobian(A.data, A.grid)
+    dens = 0.5 * np.sum(np.abs(J - np.swapaxes(J, 0, 1)) ** 2, axis=(0, 1))
     return _masked_quad(dens, A.grid, region)
 
 
 def field_energy_grad(A: VectorField, region: np.ndarray | None = None) -> float:
-    """Integral of |grad (x) A|^2 = sum_ij |d_i A_j|^2 over the region."""
-    g = A.grid
-    dens = np.zeros(g.shape)
-    for j in range(g.d):
-        ah = _fft(A.data[j], g.d)
-        for i in range(g.d):
-            dens += np.abs(_ifft(1j * g.k_deriv[i] * ah, g.d)) ** 2
-    return _masked_quad(dens, g, region)
+    """Integral of |grad (x) A|^2 = sum_ij |J_ij|^2 over the region."""
+    dens = np.sum(np.abs(jacobian(A.data, A.grid)) ** 2, axis=(0, 1))
+    return _masked_quad(dens, A.grid, region)
 
 
 def leray_project(A: VectorField) -> VectorField:
@@ -324,7 +304,7 @@ def leray_project(A: VectorField) -> VectorField:
     g = A.grid
     ah = _fft(A.data, g.d)
     k = g.k_deriv
-    k2 = g.k2_deriv.copy()
+    k2 = sum(kj**2 for kj in k)
     k2[k2 == 0.0] = 1.0  # zero/Nyquist modes: k.a = 0 there anyway
     kdot = sum(k[j] * ah[j] for j in range(g.d))
     out = np.stack([ah[j] - k[j] * kdot / k2 for j in range(g.d)])

@@ -21,12 +21,14 @@ from .grid import (
     ScalarField,
     VectorField,
     ball_mask,
-    curl,
+    field_energy_curl,
+    field_energy_grad,
     gradient,
+    jacobian,
     mean_zero_normalize,
 )
-from .operators import DENSE_LIMIT, PAULI, HamiltonianSpec, dense_matrix
-from .spectral import dense_eigh, negative_spectrum
+from .operators import DENSE_LIMIT, PAULI, HamiltonianSpec
+from .spectral import negative_spectrum
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,7 @@ def check_lieb_thirring(
     vplus = np.maximum(np.real(V.data), 0.0)
     int_v52 = float(np.sum(vplus ** 2.5) * g.weight)
     int_v4 = float(np.sum(vplus ** 4) * g.weight)
-    if A is not None:
-        b = curl(A)
-        int_b2 = float(np.sum(np.abs(b.data) ** 2) * g.weight)
-    else:
-        int_b2 = 0.0
+    int_b2 = field_energy_curl(A) if A is not None else 0.0
 
     term_pot = h ** -3 * int_v52
     term_field = (h ** -2 * int_b2) ** 0.75 * int_v4 ** 0.25
@@ -166,36 +164,20 @@ def check_comm2(f, g, a, h: float, digest: dict | None = None) -> CheckReport:
     if float(np.max(np.abs(fv * gv))) > 1e-14:
         raise ValueError("momentum supports of f and g overlap on the dual lattice")
 
-    comps = (
-        [np.asarray(a.data)]
-        if isinstance(a, ScalarField)
-        else [np.asarray(a.data[j]) for j in range(grid.d)]
-    )
     # trace in Fourier space: sum_{m,n} f_m^2 g_n |a_hat[m-n]|^2 (cyclic),
-    # i.e. f^2 dotted with the cyclic correlation of g against |a_hat|^2.
-    lhs = 0.0
-    for comp in comps:
-        ahat = np.fft.fftn(comp) / grid.size
-        pw = np.abs(ahat) ** 2
-        conv = np.real(np.fft.ifftn(np.fft.fftn(pw) * np.fft.fftn(gv)))
-        lhs += float(np.sum(fv ** 2 * conv))
+    # i.e. f^2 dotted with the cyclic correlation of g against |a_hat|^2,
+    # summed over the components of a vector a
+    ahat = np.fft.fftn(a.data, axes=tuple(range(-grid.d, 0))) / grid.size
+    pw = np.sum(np.abs(ahat) ** 2, axis=tuple(range(a.data.ndim - grid.d)))
+    conv = np.real(np.fft.ifftn(np.fft.fftn(pw) * np.fft.fftn(gv)))
+    lhs = float(np.sum(fv ** 2 * conv))
     if lhs < -1e-12:
         raise AssertionError("comm2 trace must be nonnegative")
     lhs = max(lhs, 0.0)
 
-    if isinstance(a, ScalarField):
-        norm_a = a.norm(2)
-        ga = gradient(a)
-        grad_a = math.sqrt(float(np.sum(np.abs(ga.data) ** 2) * grid.weight))
-        which = "scalar statement"
-    else:
-        norm_a = a.norm(2)
-        total = 0.0
-        for j in range(grid.d):
-            gj = gradient(ScalarField(grid, a.data[j]))
-            total += float(np.sum(np.abs(gj.data) ** 2) * grid.weight)
-        grad_a = math.sqrt(total)
-        which = "componentwise vector use"
+    norm_a = a.norm(2)
+    grad_a = math.sqrt(float(np.sum(np.abs(jacobian(a.data, grid)) ** 2) * grid.weight))
+    which = "scalar statement" if isinstance(a, ScalarField) else "componentwise vector use"
 
     pmax = h * math.sqrt(float(np.max(np.real(grid.k2)))) * 1.25 + 1e-9
     rhs = (
@@ -376,11 +358,7 @@ def check_poincare_ball(
         raise ValueError("ball not resolved by the grid")
     A0 = mean_zero_normalize(A, mask)
     lhs = float(np.sum(mask * np.sum(np.abs(A0.data) ** 2, axis=0)) * g.weight)
-    grad_sq = 0.0
-    for j in range(g.d):
-        gj = gradient(ScalarField(g, A0.data[j]))
-        grad_sq += float(np.sum(mask * np.sum(np.abs(gj.data) ** 2, axis=0)) * g.weight)
-    rhs = rho ** 2 * grad_sq
+    rhs = rho ** 2 * field_energy_grad(A0, mask)
     if c_emp is None:
         passed = lhs == 0.0 or rhs > 0.0
     else:
@@ -408,16 +386,16 @@ def check_variational_sandwich(
     """tr[psi H psi]_- between tr psi^2 [H]_- and that plus h^2 tr (grad psi)^2 gamma.
 
     Both sides are computed on the dense path so the comparison is exact up
-    to roundoff; the eigenpairs of H are residual-checked as every negative
-    spectrum's are.  The lower inequality is the variational principle; the
-    upper one uses the IMS-style commutator remainder.
+    to roundoff; the eigenpairs of psi H psi and of H are residual-checked
+    as every negative spectrum's are.  The lower inequality is the
+    variational principle; the upper one uses the IMS-style commutator
+    remainder.
     """
     if spec.dim > DENSE_LIMIT:
         raise ValueError("sandwich checker requires the dense path")
     g = spec.grid
     inside = replace(spec, psi=psi)
-    vals_in, _ = dense_eigh(dense_matrix(inside), vectors=False, upper=0.0)
-    tr_inside = float(np.sum(vals_in))
+    tr_inside = negative_spectrum(inside, tol_zero=0.0).sum
 
     outside = negative_spectrum(replace(spec, psi=None), tol_zero=0.0)
     gpsi2 = np.sum(np.abs(gradient(psi).data) ** 2, axis=0)

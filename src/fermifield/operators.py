@@ -131,7 +131,8 @@ def _momenta(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
 
     D = -ih grad multiplies by h*k on the full dual lattice (Nyquist
     included), which keeps the kinetic operator Hermitian with a strictly
-    positive symbol away from k = 0; k_deriv is only for real fields.
+    positive symbol away from k = 0; the Nyquist-zeroed field calculus
+    (grid.jacobian) is only for real fields.
     """
     g = spec.grid
     uh = _fft(u, g.d)

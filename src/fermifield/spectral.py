@@ -115,7 +115,7 @@ def default_tol_zero(spec: HamiltonianSpec) -> float:
     return 1e-8 * _operator_scale(spec)
 
 
-def dense_eigh(H: np.ndarray, vectors: bool = True, upper: float | None = None):
+def dense_eigh(H: np.ndarray, upper: float | None = None):
     """Eigenpairs of the Hermitian H, ascending, read from one triangle.
 
     Every eigenpair by default.  With upper set, only the eigenvalues in
@@ -129,11 +129,8 @@ def dense_eigh(H: np.ndarray, vectors: bool = True, upper: float | None = None):
     conj, subset = False, {}
     if upper is not None:
         conj, subset = H.flags.c_contiguous, {"subset_by_value": (-np.inf, upper)}
-    out = _sla.eigh(H.T if conj else H, eigvals_only=not vectors, driver="evr",
-                    overwrite_a=upper is not None, **subset)
-    if not vectors:
-        return out, None
-    vals, vecs = out
+    vals, vecs = _sla.eigh(H.T if conj else H, driver="evr",
+                           overwrite_a=upper is not None, **subset)
     return vals, (vecs.conj() if conj else vecs)
 
 

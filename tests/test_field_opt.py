@@ -16,7 +16,7 @@ from fermifield.field_opt import (
     PSI_OUTSIDE,
     EnergyConfig,
     Schedule,
-    energy_directional_derivative,
+    energy_gradient,
     minimize,
     total_energy,
     variant_ordering_check,
@@ -77,7 +77,7 @@ def test_gradient_matches_finite_differences(flavor, d, N, variant, cutoff):
     cfg = EnergyConfig(beta=2.0, variant=variant, r=0.4, R=0.8)
     A = random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3)
     a = random_divfree_potential(g, seed=9, kmax=1, amplitude=1.0)
-    dd = energy_directional_derivative(A, a, spec, cfg)
+    dd = energy_gradient(A, spec, cfg).inner(a).real
     eps = 1e-5
     Ep, _ = total_energy(A + eps * a, spec, cfg)
     Em, _ = total_energy(A - eps * a, spec, cfg)
@@ -91,7 +91,7 @@ def test_psi_outside_gradient_matches_finite_differences(spec3d):
     cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.3, R=0.8)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     a = random_divfree_potential(spec.grid, seed=7, kmax=2, amplitude=1.0)
-    dd = energy_directional_derivative(A, a, spec, cfg)
+    dd = energy_gradient(A, spec, cfg).inner(a).real
     eps = 1e-5
     Ep, _ = total_energy(A + eps * a, spec, cfg)
     Em, _ = total_energy(A - eps * a, spec, cfg)
@@ -192,22 +192,21 @@ def _psi_outside_gradient_loop(spec):
 # in-band pair terms contribute
 @pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
 def test_psi_outside_gradient_matches_pair_density_loop(flavor, d, N, amp):
-    from fermifield.field_opt import _trace_gradient_psi_outside
+    from fermifield.field_opt import _full_spectrum, _trace_gradient_psi_outside
 
     g = GridSpec(d=d, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
                            V=bump_potential(g, amplitude=amp, radius=0.7),
                            A=random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3))
-    cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
     ref = _psi_outside_gradient_loop(spec)
-    got = _trace_gradient_psi_outside(spec, cfg).data
+    got = _trace_gradient_psi_outside(spec, _full_spectrum(replace(spec, psi=None))).data
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
 def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
     import fermifield.spectral as spectral
-    from fermifield.field_opt import _trace_gradient_psi_outside
+    from fermifield.field_opt import _full_spectrum, _trace_gradient_psi_outside
 
     g = GridSpec(d=d, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
@@ -248,8 +247,9 @@ def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
 
     # the gradient reads that decomposition: bit-identical to decomposing again
     sA = spec.with_A(A)
-    np.testing.assert_array_equal(_trace_gradient_psi_outside(sA, cfg, ns).data,
-                                  _trace_gradient_psi_outside(sA, cfg).data)
+    np.testing.assert_array_equal(
+        _trace_gradient_psi_outside(sA, ns).data,
+        _trace_gradient_psi_outside(sA, _full_spectrum(replace(sA, psi=None))).data)
 
 
 def test_minimize_contracts(spec3d):
@@ -447,13 +447,19 @@ def test_minimize_reuses_the_accepted_spectrum(spec3d, variant, monkeypatch):
 
 
 def test_el_residual_of_psi_outside_is_its_own_equation(spec3d):
-    from fermifield.field_opt import _field_gradient, _trace_gradient_psi_outside, el_residual
+    from fermifield.field_opt import (
+        _field_gradient,
+        _full_spectrum,
+        _trace_gradient_psi_outside,
+        el_residual,
+    )
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
     cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
-    J = -0.5 * _trace_gradient_psi_outside(spec.with_A(A), cfg)  # d tr psi^2 [H]_- = -2 J
+    sA = spec.with_A(A)
+    J = -0.5 * _trace_gradient_psi_outside(sA, _full_spectrum(replace(sA, psi=None)))
     ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
     assert el_residual(A, spec, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -589,3 +595,79 @@ def test_second_step_is_the_barzilai_borwein_step(spec3d):
     s, y = A1 - A0, G1 - G0
     bb = float(np.real(s.inner(y))) / float(np.real(y.inner(y)))
     assert rep.steps[1] == pytest.approx(bb, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian kernel against the per-case formulas it replaced
+
+
+def _d(f, g, axis):
+    """Spectral derivative along one axis, Nyquist mode zeroed, over the last d axes."""
+    k = 2 * np.pi * np.fft.fftfreq(g.N, d=g.L / g.N)
+    k[g.N // 2] = 0.0
+    k = k.reshape((1,) * axis + (g.N,) + (1,) * (g.d - 1 - axis))
+    axes = tuple(range(-g.d, 0))
+    return np.fft.ifftn(1j * k * np.fft.fftn(f, axes=axes), axes=axes)
+
+
+def _old_curl_energy_and_gradient(A, region):
+    """|curl A|^2 and 2 curl curl A in d = 3; |w|^2 and (2 d_y w, -2 d_x w) in d = 2."""
+    g, a = A.grid, A.data
+    if g.d == 2:
+        w = _d(a[1], g, 0) - _d(a[0], g, 1)
+        return np.abs(w) ** 2 * region, np.stack([2 * _d(w, g, 1), -2 * _d(w, g, 0)])
+
+    def curl(v):
+        return np.stack([_d(v[(i + 2) % 3], g, (i + 1) % 3) - _d(v[(i + 1) % 3], g, (i + 2) % 3)
+                         for i in range(3)])
+
+    B = curl(a)
+    return np.sum(np.abs(B) ** 2, axis=0) * region, 2 * curl(B)
+
+
+def _old_grad_energy_and_gradient(A, region):
+    """The d^2 loop: region |d_i A_j|^2 and -2 sum_i d_i (region d_i A_j)."""
+    g, a = A.grid, A.data
+    dens, grad = np.zeros(g.shape), np.zeros_like(a)
+    for j in range(g.d):
+        for i in range(g.d):
+            dija = _d(a[j], g, i)
+            dens += np.abs(dija) ** 2 * region
+            grad[j] -= 2 * _d(region * dija, g, i)
+    return dens, grad
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("ball", [False, True])
+def test_field_calculus_matches_the_per_case_formulas(d, N, ball):
+    from fermifield.field_opt import _field_gradient
+    from fermifield.grid import ball_mask, field_energy_curl
+
+    g = GridSpec(d=d, N=N, L=2.0)
+    A = random_divfree_potential(g, seed=5, kmax=2, amplitude=0.4)
+    A = A + VectorField(g, np.random.default_rng(6).standard_normal((d,) + g.shape))
+    region = ball_mask(g, (1.0,) * d, 0.7) if ball else None
+    weight = np.ones(g.shape) if region is None else region
+    cases = [(field_energy_curl, _old_curl_energy_and_gradient, GLOBAL_CURL),
+             (field_energy_grad, _old_grad_energy_and_gradient, BALL_GRAD)]
+    for energy, old, variant in cases:
+        dens, grad = old(A, weight)
+        assert energy(A, region) == pytest.approx(float(np.sum(dens)) * g.weight, rel=1e-12)
+        # the field gradients: global-curl over the torus, ball-grad over its ball
+        if (variant == BALL_GRAD) == ball:
+            cfg = EnergyConfig(beta=1.0, variant=variant, r=0.35, R=0.7)
+            if ball:  # EnergyConfig's ball is centered in the box, as this one
+                np.testing.assert_array_equal(cfg.region(g), region)
+            got = _field_gradient(A, cfg).data
+            np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12 * np.max(np.abs(grad)))
+
+
+def test_curl_energy_and_its_gradient_vanish_in_one_dimension():
+    from fermifield.field_opt import _field_gradient
+    from fermifield.grid import field_energy_curl
+
+    g = GridSpec(d=1, N=32, L=2.0)
+    A = VectorField(g, np.random.default_rng(7).standard_normal((1,) + g.shape))
+    assert field_energy_curl(A) == 0.0
+    grad = _field_gradient(A, EnergyConfig(beta=1.0, variant=GLOBAL_CURL))
+    assert not np.any(grad.data)

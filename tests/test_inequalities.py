@@ -310,7 +310,9 @@ def test_sandwich_reuses_one_certified_solve(d, h, amp, monkeypatch):
 
     monkeypatch.setattr(spectral, "_residual_check", counted)
     rep = check_variational_sandwich(spec, psi)
-    assert len(checked) == 1 and checked[0].psi is None and checked[0].A is A
+    # two certified solves: psi H psi for the inside trace, H once for both outside terms
+    assert len(checked) == 2 and checked[0].psi is psi and checked[0].A is A
+    assert checked[1].psi is None and checked[1].A is A
     outside, kink = _sandwich_outside_loop(spec, psi)
     assert outside < 0.0 and kink > 0.0
     assert rep.rhs_terms["outside"] == pytest.approx(outside, rel=1e-13, abs=0.0)
