@@ -297,7 +297,8 @@ def run_variant_order(cfg, seed):
             lhs=res["E_prime"],
             rhs_terms={"E_ball": res["E_ball"]},
             passed=ok,
-            notes=f"inflation={res['inflation']:.4f}",
+            notes=f"inflation={res['inflation']:.4f}; el_residual " + " ".join(
+                f"{k}={rep.el_residual:.3e}" for k, rep in res["reports"].items()),
         ))
     steps = list(zip(inflations, inflations[1:]))
     reports.append(CheckReport(

@@ -21,11 +21,11 @@ by the quadratic interpolant's minimizer, within [0.1, 0.5] of it.
 Each evaluated point keeps the spectrum its trace part read in
 parts["spectrum"], for the gradient and the residual there.  For
 psi-outside that is the negative spectrum of the operator without psi,
-found on the dense path by one full decomposition that it keeps in .full:
-the gradient needs the eigenpairs above 0 as well, so one normalized
-decomposition serves the trace and the gradient.  The variant-ordering
-check runs the R-independent global-curl descent once and solves the
-start shared by it and every ball-grad descent once.
+solved like every other; its gradient reaches the eigenpairs above the
+kept block through Sternheimer solves (spectral.sternheimer) rather than
+a full decomposition.  The variant-ordering check runs the R-independent
+global-curl descent once and solves the start shared by it and every
+ball-grad descent once.
 """
 
 from __future__ import annotations
@@ -46,16 +46,16 @@ from .grid import (
 )
 from .operators import (
     BLOCK,
-    DENSE_LIMIT,
     HamiltonianSpec,
     _block,
     _current_form,
-    dense_matrix,
+    dense_matrix,  # noqa: F401  unused here; benchmarks/spans.py traces it on this module
 )
 from .spectral import (
     NegativeSpectrum,
     current,
     negative_spectrum,
+    sternheimer,
 )
 
 __all__ = [
@@ -118,39 +118,17 @@ def _spectrum_at(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
                  spectrum: NegativeSpectrum | None) -> NegativeSpectrum:
     """The spectrum the variant's trace part reads at sA: the one given, else solved.
 
-    The negative spectrum of sA; for psi-outside, that of the operator
-    without psi, solved on the dense path by one full decomposition, which
-    it keeps in .full for the gradient (_full_spectrum).
+    For psi-outside that of the operator without psi.
     """
     if spectrum is not None:
         if spectrum.spec.A is not sA.A:
             raise ValueError("spectrum was solved at a different vector potential")
         return spectrum
-    if cfg.variant != PSI_OUTSIDE:
-        return negative_spectrum(sA, seed=seed)
-    if sA.psi is None:
-        raise ValueError("psi-outside variant needs the localization cutoff")
-    return _full_spectrum(replace(sA, psi=None))
-
-
-def _full_spectrum(bare: HamiltonianSpec) -> NegativeSpectrum:
-    """Negative spectrum of bare from one full dense decomposition, kept in .full.
-
-    Every column is normalized once, in place, and the pairs <= tol_zero,
-    a view of the first columns, are certified as negative_spectrum's are;
-    the psi-outside gradient needs the pairs above 0 as well.
-    """
-    from .spectral import _certified, _normalize_columns, default_tol_zero, dense_eigh
-
-    if bare.dim > DENSE_LIMIT:
-        raise ValueError("psi-outside variant needs the dense path")
-    vals, vecs = dense_eigh(dense_matrix(bare))
-    _normalize_columns(vecs, bare.grid.weight)
-    vecs.flags.writeable = False
-    tol_zero = default_tol_zero(bare)
-    k = int(np.count_nonzero(vals <= tol_zero))  # eigh sorts ascending
-    return _certified(bare, vals[:k], vecs[:, :k], 1e-8, tol_zero, full=(vals, vecs),
-                      path="dense", dim=bare.dim)
+    if cfg.variant == PSI_OUTSIDE:
+        if sA.psi is None:
+            raise ValueError("psi-outside variant needs the localization cutoff")
+        sA = replace(sA, psi=None)
+    return negative_spectrum(sA, seed=seed)
 
 
 def _trace_part(sA: HamiltonianSpec, cfg: EnergyConfig, ns: NegativeSpectrum) -> float:
@@ -167,9 +145,8 @@ def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig
 
     parts["spectrum"] is the NegativeSpectrum the trace part read, which the
     gradient and the residual at this A can reuse: that of spec.with_A(A),
-    or for psi-outside that of the operator without psi, whose .full holds
-    its whole dense decomposition.  spectrum: that NegativeSpectrum if
-    already solved, as in energy_gradient.
+    or for psi-outside that of the operator without psi.  spectrum: that
+    NegativeSpectrum if already solved, as in energy_gradient.
     """
     sA = spec.with_A(A)
     ns = _spectrum_at(sA, cfg, seed, spectrum)
@@ -204,7 +181,7 @@ def _field_gradient(A: VectorField, cfg: EnergyConfig) -> VectorField:
 
 
 def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectrum) -> VectorField:
-    """Dense full-spectrum gradient of tr psi^2 [H]_-.
+    """Gradient of tr psi^2 [H]_- from the kept block and Sternheimer solves.
 
     First-order perturbation of sum_j min(lam_j, 0) <u_j, psi^2 u_j>,
     including the eigenvector response across the spectral gap at 0:
@@ -216,33 +193,28 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectru
     with c_kj = <u_k, dH u_j>, S_kj = <u_k, psi^2 u_j>, w_j = S_jj.  With
     W_kj the weight of Re[conj(c_kj)] and Y_j = sum_k W_kj u_k, the pair
     densities sum to Re[Pi(Y_j, u_j) + Pi(u_j, Y_j)] over j <= 0, Pi the
-    current form, so only the negative block needs its momenta.
-
-    spectrum: the trace part's spectrum at spec's A (_spectrum_at), whose
-    full decomposition is read.
+    current form.  The k above the kept block (lam_k > tol_zero) sum to
+    -2 lam_j (H - lam_j)^-1 Q psi^2 u_j, Q the projector off the block,
+    which spectral.sternheimer solves; spectrum: _spectrum_at's at spec's A.
     """
-    bare = spectrum.spec
     g = spec.grid
-    vals, vecs = spectrum.full  # quadrature-normalized columns
-    m = int(np.count_nonzero(vals <= 0.0))  # eigh sorts ascending
-    grad = np.zeros((g.d,) + g.shape)
-    if m == 0:
-        return VectorField(g, grad)
-
-    psi2 = np.tile(np.real(spec.psi.data).ravel() ** 2, spec.spin)
-    S = vecs.conj().T @ (psi2[:, None] * vecs[:, :m]) * g.weight
+    vals, vecs = spectrum.eigenvalues, spectrum.vectors
+    m = int(np.count_nonzero(vals <= 0.0))  # sorted ascending
+    psi2_u = np.tile(np.real(spec.psi.data).ravel() ** 2, spec.spin)[:, None] * vecs[:, :m]
+    S = vecs.conj().T @ psi2_u * g.weight
     lam = vals[:m]
     above = vals[:, None] > 0.0
     denom = np.where(above, lam[None, :] - vals[:, None], 1.0)
     coupled = np.abs(S) >= 1e-14
-    tiny = 1e-12 * max(abs(vals[0]), 1.0)
+    tiny = 1e-12 * np.abs(vals).max(initial=1.0)  # |lowest| or 1: the rest are below tol_zero
     if np.any(coupled & above & (np.abs(denom) < tiny)):
         raise NonSmoothPoint("degenerate crossing at the Fermi level")
     # k <= 0 pairs are counted once, from the larger index, with factor 2
     later = np.arange(len(vals))[:, None] > np.arange(m)[None, :]
     W = np.where(coupled, np.where(above, 2.0 * lam / denom, 2.0 * later) * S, 0.0)
     W[np.arange(m), np.arange(m)] = np.real(np.diag(S))
-    Y = vecs @ W
+    Y = vecs @ W - (2.0 * lam) * sternheimer(spectrum, psi2_u, lam)
+    bare, grad = spectrum.spec, np.zeros((g.d,) + g.shape)
     for lo in range(0, m, BLOCK):
         hi = min(lo + BLOCK, m)
         U_j, Y_j = _block(bare, vecs[:, lo:hi]), _block(bare, Y[:, lo:hi])

@@ -68,7 +68,6 @@ class HamiltonianSpec:
     A: VectorField | None = None
     V: ScalarField | None = None
     psi: ScalarField | None = None
-    spin: int | None = None  # default: 2 for pauli, 1 for schrodinger
 
     def __post_init__(self) -> None:
         if self.h <= 0:
@@ -77,13 +76,13 @@ class HamiltonianSpec:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == PAULI and self.grid.d != 3:
             raise ValueError("pauli flavor requires d = 3")
-        if self.spin is None:
-            object.__setattr__(self, "spin", 2 if self.flavor == PAULI else 1)
-        if self.flavor == PAULI and self.spin != 2:
-            raise ValueError("pauli flavor is two-component")
         for f in (self.A, self.V, self.psi):
             if f is not None and f.grid != self.grid:
                 raise ValueError("field grid mismatch in HamiltonianSpec")
+
+    @property
+    def spin(self) -> int:  # spinor components, fixed by the flavor
+        return 2 if self.flavor == PAULI else 1
 
     @property
     def dim(self) -> int:
@@ -328,7 +327,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
         C_{h^2|k|^2} + sum_j C_j (A_j(x) + A_j(y)) + (sum_j A_j^2 - V) delta_xy
 
-    on each spin component (Schrodinger), and as 2x2 spin blocks with
+    for Schrodinger, and as 2x2 spin blocks with
     M = sigma.A (Pauli, [sigma.(D+A)]^2 expanded; M = 0 without A)
 
         C_{h^2|k|^2} I + sum_j C_j (M(x) sigma_j + sigma_j M(y)) + (M^2 - V) delta_xy
@@ -343,20 +342,18 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     n, N, spin = g.size, g.N, spec.spin
     kin = _ifft(spec.h**2 * g.k2, g.d)
     V = np.zeros(n) if spec.V is None else spec.V.data.ravel()
-    # sb spin components are coupled; C_j is scaled by right[j](x) + left[j](y)
-    mom = []
-    if spec.A is None:
-        sb, pot = 1, np.zeros((n, 1, 1))
-    else:
+    # C_j is scaled by right[j](x) + left[j](y), spin blocks (a, b) last
+    mom, pot = [], np.zeros((n, 1, 1))
+    if spec.A is not None:
         A = spec.A.data.reshape(g.d, n)
         mom = [_ifft(spec.h * np.broadcast_to(kj, g.shape), g.d) for kj in g.k]
         if spec.flavor == PAULI:
             M = np.tensordot(A.T, _SIGMA, 1)  # sigma.A, (n, 2, 2)
-            sb, left, right, pot = 2, _SIGMA[:, None] @ M, M @ _SIGMA[:, None], M @ M
+            left, right, pot = _SIGMA[:, None] @ M, M @ _SIGMA[:, None], M @ M
         else:
-            sb, left = 1, A[:, :, None, None]
+            left = A[:, :, None, None]
             right, pot = left, np.sum(A * A, axis=0)[:, None, None]
-    pot = pot - V[:, None, None] * np.eye(sb)
+    pot = pot - V[:, None, None] * np.eye(spin)
 
     H = np.zeros((spin, n, spin, n), dtype=np.complex128)
     step = max(1, BLOCK * N // n)  # first-axis grid values per slab
@@ -366,16 +363,14 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
         diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
         kin_rows = _circulant_rows(kin, lo, hi)
         mom_rows = [_circulant_rows(c, lo, hi) for c in mom]
-        for a in range(sb):
-            for b in range(sb):
+        for a in range(spin):
+            for b in range(spin):
                 out = H[a, rows, b]  # a view: every update lands in H
                 if a == b:
                     out += kin_rows
                 for j, C in enumerate(mom_rows):
                     out += C * (right[j, rows, a, b, None] + left[j, :, a, b])
                 out[diag] += pot[rows, a, b]
-        for s in range(sb, spin):  # uncoupled components repeat the first
-            H[s, rows, s] = H[0, rows, 0]
     H = H.reshape(dim, dim)
     if spec.psi is not None:
         psi = np.tile(spec.psi.data.ravel(), spin)

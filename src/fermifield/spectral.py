@@ -1,10 +1,10 @@
 """
 Negative-spectrum computation and the gauge current of its eigenvectors.
 
-The eigensolver finds every eigenvalue <= tol_zero.  An operator H_1 (x)
-I_spin (Schrodinger, or Pauli at A = 0) is solved once as its scalar H_1 and
-each eigenpair repeated per spin component; the path is chosen from the
-asked dimension.  Up to DENSE_LIMIT it assembles the closed-form matrix and
+The eigensolver finds every eigenvalue <= tol_zero.  Pauli at A = 0, which
+is H_1 (x) I_2 with H_1 its scalar Schrodinger operator, is solved once as
+H_1 and each eigenpair repeated per spin component; the path is chosen from
+the asked dimension.  Up to DENSE_LIMIT it assembles the closed-form matrix and
 asks LAPACK's MRRR driver (?heevr) for the eigenpairs in (-inf, tol_zero]
 only.  Above it, LOBPCG (scipy), preconditioned by the inverse kinetic
 energy and with its residual target scaled to the operator, starts from a
@@ -18,6 +18,7 @@ recorded in SolveStats, not hidden.
 
 The kept eigenvectors are one read-only (dim, m) block of columns, normalized
 in place where the solver made them; SpinorFields are wrapped only on demand.
+sternheimer reaches the spectrum above the block by projected shifted solves.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "SolveStats",
     "EigenFailure",
     "negative_spectrum",
+    "sternheimer",
     "current",
     "default_tol_zero",
 ]
@@ -82,9 +84,6 @@ class NegativeSpectrum:
     tol_zero: float
     zero_band: bool  # some |lambda| <= tol_zero present
     stats: SolveStats = field(default_factory=SolveStats)
-    # (eigenvalues, quadrature-normalized columns) of one full dense
-    # decomposition, vectors a view of its first columns; None otherwise
-    full: tuple | None = None
 
     @property
     def sum(self) -> float:
@@ -115,41 +114,29 @@ def default_tol_zero(spec: HamiltonianSpec) -> float:
     return 1e-8 * _operator_scale(spec)
 
 
-def dense_eigh(H: np.ndarray, upper: float | None = None):
-    """Eigenpairs of the Hermitian H, ascending, read from one triangle.
+def dense_eigh(H: np.ndarray, upper: float):
+    """Eigenpairs of the Hermitian H in (-inf, upper], ascending, from one triangle.
 
-    Every eigenpair by default.  With upper set, only the eigenvalues in
-    (-inf, upper] and their vectors, and H is overwritten in place: LAPACK
-    gets the Fortran-ordered transpose of a C-ordered H, which is conj(H),
-    so no dim^2 copy is made.  MRRR driver ?heevr either way; (0,) and
-    (dim, 0) when nothing lies in the interval.
+    H is overwritten in place: LAPACK gets the Fortran-ordered transpose of
+    a C-ordered H, which is conj(H), so no dim^2 copy is made.  MRRR driver
+    ?heevr; (0,) and (dim, 0) when nothing lies in the interval.
     """
     import scipy.linalg as _sla
 
-    conj, subset = False, {}
-    if upper is not None:
-        conj, subset = H.flags.c_contiguous, {"subset_by_value": (-np.inf, upper)}
-    vals, vecs = _sla.eigh(H.T if conj else H, driver="evr",
-                           overwrite_a=upper is not None, **subset)
+    conj = H.flags.c_contiguous
+    vals, vecs = _sla.eigh(H.T if conj else H, driver="evr", overwrite_a=True,
+                           subset_by_value=(-np.inf, upper))
     return vals, (vecs.conj() if conj else vecs)
-
-
-def _normalize_columns(vecs: np.ndarray, weight: float) -> np.ndarray:
-    """Scale vecs's columns in place to unit quadrature norm; returns vecs."""
-    vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * weight)
-    return vecs
 
 
 def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray, tol_eig: float):
     """Largest ||H u - lam u|| over the columns of vecs, one apply per block."""
     scale = max(abs(float(vals.min(initial=0.0))), _operator_scale(spec), 1e-300)
     worst = 0.0
-    for lo in range(0, len(vals), BLOCK):
-        U = _block(spec, vecs[:, lo:lo + BLOCK])
-        lam = vals[lo:lo + BLOCK].reshape((1, -1) + (1,) * spec.grid.d)
-        R = apply(spec, U) - lam * U
-        norms = np.sqrt(np.sum(np.abs(_columns(R)) ** 2, axis=0) * spec.grid.weight)
-        worst = max(worst, float(norms.max()))
+    for lo in range(0, len(vals), BLOCK):  # block by block: no dim x m temporaries
+        U, lam = vecs[:, lo:lo + BLOCK], vals[lo:lo + BLOCK]
+        R = _columns(apply(spec, _block(spec, U))) - lam * U
+        worst = max(worst, float(np.sqrt(np.sum(np.abs(R) ** 2, axis=0) * spec.grid.weight).max()))
     if worst > tol_eig * scale:
         raise EigenFailure(
             f"eigenpair residual {worst:.3e} exceeds {tol_eig:.1e} * scale {scale:.3e}"
@@ -165,10 +152,11 @@ def negative_spectrum(
 ) -> NegativeSpectrum:
     """Compute every eigenvalue <= tol_zero of the represented operator.
 
-    A spec whose kinetic part acts componentwise in spin is solved as its
-    spin-1 scalar problem (see _spin_reduced) and each eigenpair repeated
-    spin times; dense or LOBPCG is still chosen from spec.dim, and the
-    residual check runs on spec itself.
+    Pauli at A = 0 is solved as its scalar Schrodinger problem (see
+    _spin_reduced) and each eigenpair repeated per spin component; dense or
+    LOBPCG is still chosen from spec.dim.  The columns are normalized in
+    place and kept read-only, and every pair must pass _residual_check
+    against the matrix-free operator of spec itself.
     """
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
@@ -181,37 +169,23 @@ def negative_spectrum(
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
-    return _certified(spec, vals, _normalize_columns(vecs, spec.grid.weight), tol_eig,
-                      tol_zero, dim=solved.dim, copies=copies, **info)
-
-
-def _certified(spec: HamiltonianSpec, vals: np.ndarray, vecs: np.ndarray, tol_eig: float,
-               tol_zero: float, full: tuple | None = None, **stats) -> NegativeSpectrum:
-    """NegativeSpectrum of spec from its eigenpairs <= tol_zero.
-
-    vecs holds their quadrature-normalized columns, which the result keeps
-    read-only; every pair must pass _residual_check against the matrix-free
-    operator of spec.  stats are SolveStats fields.
-    """
+    vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
     worst = _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
-    zero_band = bool(np.any(np.abs(vals) <= tol_zero))
     vecs.flags.writeable = False
-    return NegativeSpectrum(spec, vals, vecs, tol_zero, zero_band,
-                            SolveStats(worst_residual=worst, **stats), full)
+    stats = SolveStats(dim=solved.dim, copies=copies, worst_residual=worst, **info)
+    return NegativeSpectrum(spec, vals, vecs, tol_zero,
+                            bool(np.any(np.abs(vals) <= tol_zero)), stats)
 
 
 def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:
-    """The spin-1 spec H_1 with spec's operator equal to H_1 (x) I_spin, else spec.
+    """Pauli at A = 0 as the scalar Schrodinger spec H_1 with spec = H_1 (x) I_2, else spec.
 
-    Schrodinger kinetic energy acts on each spin component alone, and so
-    does the Pauli square [sigma.(D+A)]^2 = D^2 when A vanishes; V and psi
-    are scalar multiplications either way.
+    The Pauli square [sigma.(D+A)]^2 = D^2 acts on each spin component
+    alone when A vanishes; V and psi are scalar multiplications.
     """
-    pauli = spec.flavor == PAULI
-    if spec.spin == 1 or (pauli and spec.A is not None and np.any(spec.A.data)):
+    if spec.flavor != PAULI or (spec.A is not None and np.any(spec.A.data)):
         return spec
-    return HamiltonianSpec(grid=spec.grid, h=spec.h, A=None if pauli else spec.A,
-                           V=spec.V, psi=spec.psi)
+    return HamiltonianSpec(grid=spec.grid, h=spec.h, V=spec.V, psi=spec.psi)
 
 
 def _spin_copies(vals: np.ndarray, vecs: np.ndarray, spin: int):
@@ -287,38 +261,41 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     return vals, vecs, info
 
 
-def _iterative_operators(spec: HamiltonianSpec):
-    """Matrix-free operator and its Fourier-diagonal preconditioner.
+def _blockwise(spec: HamiltonianSpec, fn):
+    """fn on blocks (spin, m, *grid) as a map of columns (dim, ...), BLOCK columns per call."""
 
-    The preconditioner inverts h^2 (|k|^2 + k_1^2), k_1 = 2 pi / L the
-    smallest nonzero lattice wavenumber: the kinetic energy within a factor
-    of 2 on every nonconstant mode, regularized at k = 0, so no mode the
-    bound states are made of is left unpreconditioned.  Both act on whole
-    column blocks, BLOCK columns per core call; op.matvecs counts the
-    columns op has applied.
+    def matmat(X):
+        cols = X.reshape(spec.dim, -1)
+        out = np.empty(cols.shape, dtype=np.complex128)
+        for lo in range(0, cols.shape[1], BLOCK):
+            out[:, lo:lo + BLOCK] = _columns(fn(_block(spec, cols[:, lo:lo + BLOCK])))
+        return out.reshape(X.shape)
+
+    return matmat
+
+
+def _kinetic_inverse(spec: HamiltonianSpec):
+    """The Fourier multiplier 1 / (h^2 (|k|^2 + k_1^2)) as a map of columns.
+
+    k_1 = 2 pi / L is the smallest nonzero lattice wavenumber, so this
+    inverts the kinetic energy within a factor of 2 on every nonconstant
+    mode, regularized at k = 0: no mode the bound states are made of is
+    left unpreconditioned.  The preconditioner of LOBPCG and of sternheimer.
     """
-    import scipy.sparse.linalg as spla
-
     g = spec.grid
-    dim = spec.dim
     pre = 1.0 / (spec.h**2 * (g.k2 + (2 * np.pi / g.L) ** 2))
+    return _blockwise(spec, lambda U: _ifft(pre * _fft(U, g.d), g.d))
 
-    def blockwise(fn):
-        def matmat(X):
-            cols = X.reshape(dim, -1)
-            out = np.empty(cols.shape, dtype=np.complex128)
-            for lo in range(0, cols.shape[1], BLOCK):
-                out[:, lo:lo + BLOCK] = _columns(fn(_block(spec, cols[:, lo:lo + BLOCK])))
-            return out.reshape(X.shape)
 
-        return matmat
+def _iterative_operators(spec: HamiltonianSpec):
+    """Matrix-free operator, op.matvecs counting the columns it applied, and _kinetic_inverse."""
+    import scipy.sparse.linalg as spla
 
     def op_block(U):
         op.matvecs += U.shape[1]
         return apply(spec, U)
 
-    op_mat = blockwise(op_block)
-    pre_mat = blockwise(lambda U: _ifft(pre * _fft(U, g.d), g.d))
+    dim, op_mat, pre_mat = spec.dim, _blockwise(spec, op_block), _kinetic_inverse(spec)
     op = spla.LinearOperator((dim, dim), matvec=op_mat, matmat=op_mat, dtype=np.complex128)
     op.matvecs = 0
     M = spla.LinearOperator((dim, dim), matvec=pre_mat, matmat=pre_mat, dtype=np.complex128)
@@ -351,6 +328,60 @@ def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start
     log.append((len(out[2]) - 1 if iterative else 0, warned))
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+# ---------------------------------------------------------------------------
+# Sternheimer solves
+
+
+# CG target relative to a column's residual at x = 0: the recurrence stalls near 2e-14
+# on some problems, and 1e-13 puts the psi-outside gradient within 1e-13 of the full sum.
+STERNHEIMER_RTOL = 1e-13
+STERNHEIMER_MAXITER = 500  # 20-75 iterations on the tested problems
+
+
+def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """X with (H - shifts_j) x_j = Q rhs_j and x_j in range Q, for every column j.
+
+    H is ns.spec's operator and Q = I - U U^H w the projector off ns's kept
+    block U, so x_j = sum over the eigenpairs k above the block of
+    u_k <u_k, rhs_j> / (lam_k - shift_j): the Sternheimer equation, positive
+    definite on range Q for shift_j <= 0.  Preconditioned conjugate
+    gradients (preconditioner Q _kinetic_inverse Q), every unconverged
+    column in one block; a column stops at STERNHEIMER_RTOL times its
+    residual at x = 0, and EigenFailure is raised if one has not within
+    STERNHEIMER_MAXITER steps.
+    """
+    spec, U, w = ns.spec, ns.vectors, ns.spec.grid.weight
+    H, M = _blockwise(spec, lambda B: apply(spec, B)), _kinetic_inverse(spec)
+
+    def project(X):
+        return X - U @ (w * (U.conj().T @ X))
+
+    def dot(X, Y):
+        return np.real(np.sum(X.conj() * Y, axis=0))
+
+    R = project(np.asarray(rhs, dtype=np.complex128))
+    X, P, rz = np.zeros_like(R), np.zeros_like(R), np.ones(R.shape[1])
+    target = STERNHEIMER_RTOL * np.linalg.norm(R, axis=0)
+    active = np.flatnonzero(np.linalg.norm(R, axis=0) > target)
+    for _ in range(STERNHEIMER_MAXITER):
+        if active.size == 0:
+            break
+        Z = project(M(R[:, active]))
+        rz_new = dot(R[:, active], Z)
+        P[:, active] = Z + (rz_new / rz[active]) * P[:, active]  # P = Z on the first step
+        rz[active] = rz_new
+        p = P[:, active]
+        Ap = project(H(p) - shifts[active] * p)
+        alpha = rz_new / dot(p, Ap)
+        X[:, active] += alpha * p
+        R[:, active] -= alpha * Ap
+        active = active[np.linalg.norm(R[:, active], axis=0) > target[active]]
+    if active.size:
+        raise EigenFailure(f"Sternheimer solve: {active.size} of {R.shape[1]} columns above "
+                           f"rtol {STERNHEIMER_RTOL:.0e} after {STERNHEIMER_MAXITER} steps")
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,14 @@ def test_main_check_separation_rows_are_the_sweep_values(tmp_path):
 def test_list_builders_takes_no_flags():
     with pytest.raises(SystemExit):
         main(["list-builders", "--seed", "1"])
+
+
+def test_variant_order_reports_each_descents_residual(tmp_path):
+    out = tmp_path / "run"
+    main(["variant-order", "--config", str(CONFIG_DIR / "variant_order.cfg"), "--out", str(out),
+          "--set", "n=4", "--set", "ratios=2", "--set", "max_iters=1"])
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().strip().splitlines()]
+    [order] = [r for r in reports if r["name"] == "variant_order"]
+    notes = dict(item.split("=") for item in order["notes"].replace(";", "").split()[2:])
+    assert sorted(notes) == ["ball", "global", "prime"]
+    assert all(float(v) >= 0.0 for v in notes.values())

@@ -129,29 +129,14 @@ def test_psi_outside_trace_is_zero_without_negative_spectrum(spec3d):
         assert E == parts["beta_field"]
 
 
-def test_psi_outside_vectors_are_a_view_of_the_full_decomposition(spec3d):
-    spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
-    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
-    _, parts = total_energy(None, spec, cfg)
-    ns = parts["spectrum"]
-    vals, vecs = ns.full
-    k = len(ns.eigenvalues)
-    assert 0 < k < len(vals)
-    assert np.shares_memory(ns.vectors, vecs)
-    np.testing.assert_array_equal(ns.vectors, vecs[:, :k])
-    assert not vecs.flags.writeable and not ns.vectors.flags.writeable
-    # the whole decomposition is quadrature-normalized, not only the kept block
-    np.testing.assert_allclose(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight, 1.0,
-                               rtol=1e-12)
-
-
 def _psi_outside_gradient_loop(spec):
     """Reference: the pair-density double loop over (j <= 0, every k)."""
+    import scipy.linalg
+
     from fermifield.operators import dense_matrix
-    from fermifield.spectral import dense_eigh
 
     g = spec.grid
-    vals, vecs = dense_eigh(dense_matrix(replace(spec, psi=None)))
+    vals, vecs = scipy.linalg.eigh(dense_matrix(replace(spec, psi=None)))
     vecs = vecs / np.sqrt(g.weight)
     U = [vecs[:, k].reshape((spec.spin,) + g.shape) for k in range(len(vals))]
     axes = tuple(range(1, g.d + 1))
@@ -192,64 +177,93 @@ def _psi_outside_gradient_loop(spec):
 # in-band pair terms contribute
 @pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
 def test_psi_outside_gradient_matches_pair_density_loop(flavor, d, N, amp):
-    from fermifield.field_opt import _full_spectrum, _trace_gradient_psi_outside
+    from fermifield.field_opt import _trace_gradient_psi_outside
+    from fermifield.spectral import negative_spectrum
 
     g = GridSpec(d=d, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
                            V=bump_potential(g, amplitude=amp, radius=0.7),
                            A=random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3))
     ref = _psi_outside_gradient_loop(spec)
-    got = _trace_gradient_psi_outside(spec, _full_spectrum(replace(spec, psi=None))).data
+    got = _trace_gradient_psi_outside(spec, negative_spectrum(replace(spec, psi=None))).data
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
-def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
+def test_psi_outside_gradient_on_the_lobpcg_path(flavor, d, N, amp, monkeypatch):
     import fermifield.spectral as spectral
-    from fermifield.field_opt import _full_spectrum, _trace_gradient_psi_outside
+    from fermifield.field_opt import _trace_gradient_psi_outside
+
+    g = GridSpec(d=d, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
+                           V=bump_potential(g, amplitude=amp, radius=0.7),
+                           A=random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3))
+    bare = replace(spec, psi=None)
+    dense = spectral.negative_spectrum(bare)
+    ref = _trace_gradient_psi_outside(spec, dense).data
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", bare.dim - 1)
+    ns = spectral.negative_spectrum(bare, seed=1)
+    assert ns.stats.path == "lobpcg" and len(ns.eigenvalues) == len(dense.eigenvalues)
+    got = _trace_gradient_psi_outside(spec, ns).data
+    # The n LOBPCG pairs are exact eigenpairs of H + E with ||E|| <= 2 sqrt(n)
+    # times their largest residual, and the Sternheimer solve projects off
+    # exactly their span, so the gradient is that of H + E.  To first order
+    # it moves by ||E|| / gap relative to its size, gap the spectral gap
+    # across 0 (from the first eigenvalue above 0 to the last one below).
+    vals = np.linalg.eigvalsh(spectral.dense_matrix(bare))
+    gap = vals[vals > 0.0][0] - vals[vals <= 0.0][-1]
+    n = len(ns.eigenvalues)
+    tol = 2.0 * np.sqrt(n) * ns.stats.worst_residual / gap
+    assert tol < 1e-7
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("flavor,d,N,amp", [("schrodinger", 2, 8, 20.0), ("pauli", 3, 4, 8.0)])
+def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
+    # one negative_spectrum of the operator without psi per point, and the
+    # gradient there solves no spectrum again
+    import fermifield.field_opt as field_opt
+    import fermifield.spectral as spectral
+    from fermifield.field_opt import _field_gradient, _trace_gradient_psi_outside
 
     g = GridSpec(d=d, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
                            V=bump_potential(g, amplitude=amp, radius=0.7))
     cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
     A = random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3)
-    checked = []
-    check = spectral._residual_check
+    solves, eighs = [], []
+    solve, eigh = field_opt.negative_spectrum, spectral.dense_eigh
 
-    def counted(sp, vals, vecs, tol_eig):
-        checked.append((sp, np.array(vals), vecs))
-        return check(sp, vals, vecs, tol_eig)
+    def counted_solve(sp, *args, **kwargs):
+        solves.append(sp)
+        return solve(sp, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_residual_check", counted)
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", counted_solve)
+    monkeypatch.setattr(spectral, "dense_eigh", counted_eigh)
     _, parts = total_energy(A, spec, cfg)
-    monkeypatch.setattr(spectral, "_residual_check", check)
     ns = parts["spectrum"]
+    assert len(solves) == len(eighs) == 1
+    assert solves[0].psi is None and solves[0].A is A and ns.spec is solves[0]
+    grad = energy_gradient(A, spec, cfg, spectrum=ns)
+    assert len(solves) == len(eighs) == 1
+    monkeypatch.undo()
 
-    # oracle: the trace through the subset solve of the operator without psi
-    old = spectral.negative_spectrum(replace(spec.with_A(A), psi=None))
-    U = np.stack([u.data for u in old.eigenvectors])
+    # oracle: the trace through the eigenvector fields of the operator without psi
+    U = np.stack([u.data for u in ns.eigenvectors])
     weights = np.sum(np.abs(U) ** 2, axis=1).reshape(len(U), -1) @ (
         np.real(spec.psi.data) ** 2).ravel() * g.weight
-    ref = float(np.minimum(old.eigenvalues, 0.0) @ weights)
+    ref = float(np.minimum(ns.eigenvalues, 0.0) @ weights)
     assert ref < 0.0
     assert parts["trace"] == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert parts["zero_band"] == old.zero_band
 
-    # every pair <= tol_zero of the full decomposition is normalized and checked
-    vals, _ = ns.full
-    kept = vals[vals <= ns.tol_zero]
-    assert len(checked) == 1 and checked[0][0].psi is None and checked[0][0].A is A
-    np.testing.assert_array_equal(checked[0][1], kept)
-    np.testing.assert_allclose(
-        np.sum(np.abs(checked[0][2]) ** 2, axis=0) * g.weight, 1.0, rtol=1e-12)
-    np.testing.assert_array_equal(ns.eigenvalues, kept)
-    assert ns.eigenvalues.size == old.eigenvalues.size
-
-    # the gradient reads that decomposition: bit-identical to decomposing again
+    # the gradient read that spectrum: bit-identical to solving again
     sA = spec.with_A(A)
-    np.testing.assert_array_equal(
-        _trace_gradient_psi_outside(sA, ns).data,
-        _trace_gradient_psi_outside(sA, _full_spectrum(replace(sA, psi=None))).data)
+    fresh = _trace_gradient_psi_outside(sA, spectral.negative_spectrum(replace(sA, psi=None)))
+    np.testing.assert_array_equal(grad.data, (fresh + cfg.beta * _field_gradient(A, cfg)).data)
 
 
 def test_minimize_contracts(spec3d):
@@ -291,23 +305,17 @@ def test_variant_ordering_small():
 
 
 def _counting_solves(monkeypatch):
-    """Log every eigensolve field_opt makes: negative_spectrum, or psi-less dense assembly."""
+    """Log the spec of every negative_spectrum field_opt solves."""
     import fermifield.field_opt as field_opt
 
     calls = []
-    solve, assemble = field_opt.negative_spectrum, field_opt.dense_matrix
+    solve = field_opt.negative_spectrum
 
     def counted_solve(spec, *args, **kwargs):
-        calls.append(("negative_spectrum", spec))
+        calls.append(spec)
         return solve(spec, *args, **kwargs)
 
-    def counted_assemble(spec, *args, **kwargs):
-        if spec.psi is None:
-            calls.append(("bare", spec))
-        return assemble(spec, *args, **kwargs)
-
     monkeypatch.setattr(field_opt, "negative_spectrum", counted_solve)
-    monkeypatch.setattr(field_opt, "dense_matrix", counted_assemble)
     return calls
 
 
@@ -377,16 +385,17 @@ def test_variant_ordering_solves_each_operator_once(monkeypatch):
 
     assert len(rows) == 2
     assert descents == [GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE, BALL_GRAD, PSI_OUTSIDE]
-    # one negative_spectrum at the shared start, then one per accepted or
-    # rejected trial of the global-curl and ball-grad descents
-    solves = [sp for kind, sp in calls if kind == "negative_spectrum"]
+    # psi (T - V) psi: one negative_spectrum at the shared start, then one per
+    # accepted or rejected trial of the global-curl and ball-grad descents
+    solves = [sp for sp in calls if sp.psi is not None]
     start = solves[0].A
     assert sum(sp.A is start for sp in solves) == 1
     reports = [row["reports"] for row in rows]
     trials = sum(reports[0]["global"].trials) + sum(sum(rep["ball"].trials) for rep in reports)
     assert len(solves) == 1 + trials
-    # the operator without psi is assembled once per psi-outside point
-    bare = [sp for kind, sp in calls if kind == "bare"]
+    # the operator without psi: one negative_spectrum per psi-outside point,
+    # and its gradients and residuals solve nothing again
+    bare = [sp for sp in calls if sp.psi is None]
     assert len(bare) == points.count(PSI_OUTSIDE) > 0
     assert len({id(sp.A) for sp in bare}) == len(bare)
 
@@ -449,17 +458,17 @@ def test_minimize_reuses_the_accepted_spectrum(spec3d, variant, monkeypatch):
 def test_el_residual_of_psi_outside_is_its_own_equation(spec3d):
     from fermifield.field_opt import (
         _field_gradient,
-        _full_spectrum,
         _trace_gradient_psi_outside,
         el_residual,
     )
+    from fermifield.spectral import negative_spectrum
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
     cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
     sA = spec.with_A(A)
-    J = -0.5 * _trace_gradient_psi_outside(sA, _full_spectrum(replace(sA, psi=None)))
+    J = -0.5 * _trace_gradient_psi_outside(sA, negative_spectrum(replace(sA, psi=None)))
     ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
     assert el_residual(A, spec, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 

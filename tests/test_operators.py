@@ -40,6 +40,16 @@ def test_spec_validation(grid2d, grid3d):
     assert pauli.dim == 2 * grid3d.size
 
 
+def test_spin_follows_the_flavor(grid3d):
+    from dataclasses import replace
+
+    schrodinger = HamiltonianSpec(grid=grid3d, h=1.0)
+    assert schrodinger.spin == 1 and schrodinger.dim == grid3d.size
+    assert replace(schrodinger, flavor="pauli").spin == 2
+    with pytest.raises(TypeError):  # no longer a field to set
+        HamiltonianSpec(grid=grid3d, h=1.0, spin=2)
+
+
 def test_dense_matrix_is_hermitian(spec3d, rng):
     A = random_divfree_potential(spec3d.grid, seed=5, kmax=2, amplitude=0.4)
     spec = spec3d.with_A(A)
@@ -137,12 +147,10 @@ def test_ims_rejects_broken_partition(spec1d):
 def test_constant_potential_shift_identity(rng):
     # adding a constant to V shifts the dense spectrum rigidly
     g = GridSpec(d=1, N=16, L=2.0)
-    from fermifield.spectral import dense_eigh
-
     s0 = HamiltonianSpec(grid=g, h=0.8, V=constant_potential(g, 0.0))
     s1 = HamiltonianSpec(grid=g, h=0.8, V=constant_potential(g, 1.5))
-    v0, _ = dense_eigh(dense_matrix(s0))
-    v1, _ = dense_eigh(dense_matrix(s1))
+    v0 = np.linalg.eigvalsh(dense_matrix(s0))
+    v1 = np.linalg.eigvalsh(dense_matrix(s1))
     np.testing.assert_allclose(v1, v0 - 1.5, atol=1e-10)
 
 
@@ -236,13 +244,3 @@ def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, w
     ref = _dense_by_columns(spec)
     H = dense_matrix(spec)
     np.testing.assert_allclose(H, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("with_A", [False, True])
-def test_closed_form_dense_matrix_two_component_schrodinger(with_A, rng):
-    from dataclasses import replace
-
-    spec = replace(_core_spec("schrodinger", 2, 4, with_A, True, rng), spin=2)
-    ref = _dense_by_columns(spec)
-    np.testing.assert_allclose(dense_matrix(spec), ref, rtol=0,
-                               atol=1e-13 * np.max(np.abs(ref)))

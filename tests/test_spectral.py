@@ -61,8 +61,8 @@ def test_eigenvectors_are_quadrature_normalized(spec1d):
 
 
 @pytest.mark.parametrize("path", ["dense", "lobpcg", "spin-copies"])
-def test_vectors_are_one_read_only_normalized_block(spec1d, path, monkeypatch):
-    spec = replace(spec1d, spin=2) if path == "spin-copies" else spec1d
+def test_vectors_are_one_read_only_normalized_block(spec1d, spec3d, path, monkeypatch):
+    spec = replace(spec3d, flavor="pauli") if path == "spin-copies" else spec1d
     if path == "lobpcg":
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     ns = negative_spectrum(spec, seed=1)
@@ -81,8 +81,8 @@ def test_vectors_are_one_read_only_normalized_block(spec1d, path, monkeypatch):
             u.data, ns.vectors[:, j].reshape((spec.spin,) + spec.grid.shape))
 
 
-def test_expectations_match_field_inner_products(spec1d, rng):
-    spec = replace(spec1d, spin=2)
+def test_expectations_match_field_inner_products(spec3d, rng):
+    spec = replace(spec3d, flavor="pauli")
     g = spec.grid
     ns = negative_spectrum(spec)
     f = rng.uniform(0.5, 2.0, g.shape)
@@ -119,8 +119,9 @@ def test_default_tol_zero_scales():
 def test_dense_eigh_agrees_with_numpy(rng):
     M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     M = M + M.conj().T
-    vals, vecs = dense_eigh(M)
     ref = np.linalg.eigvalsh(M)
+    vals, vecs = dense_eigh(M.copy(), upper=ref[-1] + 1.0)  # every eigenpair
+    assert vals.shape == (40,)
     np.testing.assert_allclose(vals, ref, atol=1e-10)
     resid = M @ vecs - vecs * vals
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(vals))
@@ -196,8 +197,9 @@ def test_iterative_block_operators_match_columns(spec3d, rng):
 def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
     # blocks of 3: the perturbed vector sits in the last, partial block
     monkeypatch.setattr(spectral, "BLOCK", 3)
-    H = spectral.dense_matrix(spec1d)
-    vals, vecs = dense_eigh(H)
+    import scipy.linalg
+
+    vals, vecs = scipy.linalg.eigh(spectral.dense_matrix(spec1d))
     vals, vecs = vals[:7], vecs[:, :7] / np.sqrt(spec1d.grid.weight)
     spectral._residual_check(spec1d, vals, vecs, 1e-7)
     bad = vecs.copy()
@@ -247,7 +249,7 @@ def test_dense_subset_equals_full_eigh_filtered(case):
 def test_dense_eigh_subset_matches_full(rng):
     M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     M = M + M.conj().T
-    full_vals, _ = dense_eigh(M)
+    full_vals = np.linalg.eigvalsh(M)
     for H in (M.copy(), np.asfortranarray(M)):  # C order goes in as conj(H)
         vals, vecs = dense_eigh(H, upper=0.0)
         np.testing.assert_allclose(vals, full_vals[full_vals <= 0.0], atol=1e-12)
@@ -262,30 +264,21 @@ def test_dense_eigh_subset_matches_full(rng):
 
 
 def _spin_cases():
-    from fermifield.builders import random_divfree_potential
     from fermifield.grid import ScalarField, VectorField
 
-    g3, g2, g1 = (GridSpec(d=3, N=8, L=2.0), GridSpec(d=2, N=16, L=2.0),
-                  GridSpec(d=1, N=64, L=2.0))
+    g3 = GridSpec(d=3, N=8, L=2.0)
     V3 = bump_potential(g3, amplitude=10.0, radius=0.7)
     psi = ScalarField(g3, 0.5 + 0.5 * bump_potential(g3, amplitude=1.0, radius=0.8).data)
     return {
         "pauli-A-none": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3),
         "pauli-A-zero": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3,
                                         A=VectorField.zero(g3)),
-        "schrodinger-two-component": HamiltonianSpec(grid=g1, h=0.3, spin=2,
-                                                     V=bump_potential(g1, amplitude=5.0)),
         "pauli-psi": HamiltonianSpec(grid=g3, h=0.6, flavor="pauli", V=V3, psi=psi),
-        # Schrodinger kinetic energy is componentwise in spin with A as well
-        "schrodinger-two-component-A": HamiltonianSpec(
-            grid=g2, h=0.3, spin=2, V=bump_potential(g2, amplitude=5.0),
-            A=random_divfree_potential(g2, seed=5, kmax=2, amplitude=0.4)),
     }
 
 
 @pytest.mark.parametrize("iterative", [False, True])
-@pytest.mark.parametrize("case", ["pauli-A-none", "pauli-A-zero", "schrodinger-two-component",
-                                  "pauli-psi", "schrodinger-two-component-A"])
+@pytest.mark.parametrize("case", ["pauli-A-none", "pauli-A-zero", "pauli-psi"])
 def test_spin_reduction_matches_full_dense(case, iterative, monkeypatch):
     spec = _spin_cases()[case]
     if iterative:
@@ -323,7 +316,9 @@ def test_weyl_count_constant_potential(d, N):
     }[d]
     spec = HamiltonianSpec(grid=g, h=h, V=constant_potential(g, v0))
     assert spectral._weyl_count(spec) == pytest.approx(closed, rel=1e-12)
-    assert spectral._weyl_count(replace(spec, spin=2)) == pytest.approx(2 * closed, rel=1e-12)
+    if d == 3:  # two spin components
+        pauli = replace(spec, flavor="pauli")
+        assert spectral._weyl_count(pauli) == pytest.approx(2 * closed, rel=1e-12)
 
 
 def _recording_lobpcg(monkeypatch, calls, warn=False):
@@ -452,3 +447,45 @@ def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
     gap = ns.stats.probe_lowest - ns.eigenvalues[0]
     assert ns.stats.probe_lowest == calls[-1][2].min()
     assert -1e-8 <= gap <= 1e-6 * spectral._operator_scale(spec3d)
+
+
+# ---------------------------------------------------------------------------
+# Sternheimer solves
+
+
+def _sternheimer_case(spec, rng):
+    """Spectrum, random right-hand sides and the kept nonpositive eigenvalues as shifts."""
+    ns = negative_spectrum(spec)
+    shifts = ns.eigenvalues[ns.eigenvalues <= 0.0]
+    assert shifts.size > 0
+    rhs = rng.standard_normal((spec.dim, shifts.size)) + 1j * rng.standard_normal(
+        (spec.dim, shifts.size))
+    return ns, rhs, shifts
+
+
+@pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
+def test_sternheimer_sums_the_eigenpairs_above_the_block(spec3d, flavor, rng):
+    import scipy.linalg
+
+    from fermifield.builders import random_divfree_potential
+
+    g = spec3d.grid
+    spec = replace(spec3d, flavor=flavor, V=bump_potential(g, amplitude=10.0, radius=0.7),
+                   A=random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3))
+    ns, rhs, shifts = _sternheimer_case(spec, rng)
+    vals, vecs = scipy.linalg.eigh(spectral.dense_matrix(spec))
+    vecs /= np.sqrt(spec.grid.weight)
+    above = vals > ns.tol_zero
+    U, lam = vecs[:, above], vals[above]
+    coeff = (U.conj().T @ rhs) * spec.grid.weight / (lam[:, None] - shifts[None, :])
+    ref = U @ coeff
+    X = spectral.sternheimer(ns, rhs, shifts)
+    np.testing.assert_allclose(X, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_sternheimer_capped_below_convergence_raises(spec1d, rng, monkeypatch):
+    ns, rhs, shifts = _sternheimer_case(spec1d, rng)
+    spectral.sternheimer(ns, rhs, shifts)
+    monkeypatch.setattr(spectral, "STERNHEIMER_MAXITER", 2)
+    with pytest.raises(spectral.EigenFailure, match="Sternheimer"):
+        spectral.sternheimer(ns, rhs, shifts)
