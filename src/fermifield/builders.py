@@ -2,7 +2,8 @@
 Named builders for potentials, vector potentials and cutoffs.
 
 The catalog backs the CLI config parser; everything here is also used
-directly by the test corpus.
+directly by the test corpus.  Every potential and cutoff is centered in the
+box.
 """
 
 from __future__ import annotations
@@ -36,35 +37,36 @@ __all__ = [
 ]
 
 
-def bump_potential(grid: GridSpec, amplitude: float = 1.0, radius: float | None = None,
-                   center=None) -> ScalarField:
+def _center(grid: GridSpec) -> tuple:
+    return (grid.L / 2,) * grid.d
+
+
+def _center_distance(grid: GridSpec) -> np.ndarray:
+    """Periodic distance from every grid point to the center of the box."""
+    return np.sqrt(periodic_dist2(grid, _center(grid)))
+
+
+def bump_potential(grid: GridSpec, amplitude: float = 1.0,
+                   radius: float | None = None) -> ScalarField:
     """Smooth compactly supported bump, amplitude at the center."""
     if radius is None:
         radius = grid.L / 4
-    if center is None:
-        center = (grid.L / 2,) * grid.d
-    r = np.sqrt(periodic_dist2(grid, center))
-    return ScalarField(grid, amplitude * bump(r / radius))
+    return ScalarField(grid, amplitude * bump(_center_distance(grid) / radius))
 
 
-def constant_on_ball(grid: GridSpec, amplitude: float = 1.0, radius: float | None = None,
-                     center=None) -> ScalarField:
+def constant_on_ball(grid: GridSpec, amplitude: float = 1.0,
+                     radius: float | None = None) -> ScalarField:
     if radius is None:
         radius = grid.L / 4
-    if center is None:
-        center = (grid.L / 2,) * grid.d
-    mask = ball_mask(grid, center, radius)
+    mask = ball_mask(grid, _center(grid), radius)
     return ScalarField(grid, amplitude * mask.astype(float))
 
 
-def soft_coulomb(grid: GridSpec, charge: float = 1.0, eps: float = 0.1,
-                 center=None) -> ScalarField:
+def soft_coulomb(grid: GridSpec, charge: float = 1.0, eps: float = 0.1) -> ScalarField:
     """Regularized attraction Z/sqrt(r^2 + eps^2) (as a positive well depth)."""
     if eps <= 0:
         raise ValueError("softcoulomb regularization eps must be positive")
-    if center is None:
-        center = (grid.L / 2,) * grid.d
-    r = np.sqrt(periodic_dist2(grid, center))
+    r = _center_distance(grid)
     return ScalarField(grid, charge / np.sqrt(r**2 + eps**2))
 
 
@@ -97,21 +99,19 @@ def random_divfree_potential(grid: GridSpec, seed: int = 0, kmax: int = 2,
     return A.real
 
 
-def rough_divfree_potential(grid: GridSpec, seed: int = 0,
-                            spectral_exponent: float = 2.5,
-                            amplitude: float = 1.0) -> VectorField:
+def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> VectorField:
     """Random vector potential with power-law spectrum up to the grid Nyquist.
 
-    |A_hat(k)| ~ |k|^{-spectral_exponent} with random phases; the default
-    exponent makes scale-local quantities like |A - A_r|^2 / r^2 independent
-    of r over the resolved octaves, which is what the mollification
-    stability studies need.  Divergence-free (d = 3) and mean zero.
+    |A_hat(k)| ~ |k|^-2.5 with random phases: the exponent that makes
+    scale-local quantities like |A - A_r|^2 / r^2 independent of r over the
+    resolved octaves, which is what the mollification stability studies
+    need.  Divergence-free (d >= 2), mean zero and of unit L^2 norm.
     """
     rng = np.random.default_rng(seed)
-    kk = np.sqrt(np.real(grid.k2))
+    kk = np.sqrt(grid.k2)
     envelope = np.zeros(grid.shape)
     nz = kk > 0
-    envelope[nz] = kk[nz] ** -spectral_exponent
+    envelope[nz] = kk[nz] ** -2.5
     data = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
         white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -121,16 +121,15 @@ def rough_divfree_potential(grid: GridSpec, seed: int = 0,
         A = leray_project(A)
     A = mean_zero_normalize(A)
     scale = float(np.sqrt(np.sum(np.abs(A.data) ** 2) * grid.weight))
-    return (amplitude / max(scale, 1e-300)) * A.real
+    return (1.0 / max(scale, 1e-300)) * A.real
 
 
-def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int,
-                              strip_width: float = 0.15):
+def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int):
     """Periodic realization of a constant field b = 2 pi n h / L^2 along z.
 
     A genuinely uniform field has no periodic vector potential, so the
     builder keeps B_z = b everywhere except a narrow smooth return strip
-    (width strip_width * L) that carries the compensating flux -2 pi n h.
+    (width 0.15 L) that carries the compensating flux -2 pi n h.
     With integer n the Aharonov-Casher zero mode e^{phi/h} stays O(1), which
     is what makes the flux quantization observable on the torus.
 
@@ -146,7 +145,7 @@ def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int,
     n_flux = int(round(n_flux))
     b = 2.0 * np.pi * n_flux * h / grid.L**2
 
-    width = strip_width * grid.L
+    width = 0.15 * grid.L
     # wrapped Gaussian return profile, built from its exact Fourier series so
     # the spectrum is fully resolved whenever exp(-(pi N width / L)^2 / 2)
     # is below roundoff
@@ -157,7 +156,6 @@ def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int,
     bz1 = b * (1.0 - grid.L * rho)  # mean-zero along x
 
     # phi'' = B_z, periodic mean-zero solution along x
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.mesh)
     bh = np.fft.fft(bz1)
     k2 = k1**2
     k2[0] = 1.0
@@ -185,12 +183,9 @@ def aharonov_casher_zero_mode(grid: GridSpec, h: float, phi: ScalarField):
     return (1.0 / u.norm(2)) * u
 
 
-def cutoff_ball(grid: GridSpec, radius: float, center=None) -> ScalarField:
+def cutoff_ball(grid: GridSpec, radius: float) -> ScalarField:
     """Smooth cutoff, 1 on the half-radius ball, supported in B(radius)."""
-    if center is None:
-        center = (grid.L / 2,) * grid.d
-    r = np.sqrt(periodic_dist2(grid, center))
-    return ScalarField(grid, plateau_bump(r / radius))
+    return ScalarField(grid, plateau_bump(_center_distance(grid) / radius))
 
 
 V_BUILDERS = {

@@ -45,6 +45,7 @@ from .field_opt import (
 )
 from .grid import GridSpec, ScalarField, divergence
 from .inequalities import (
+    HARMONIC_RADII,
     CheckReport,
     check_comm2,
     check_harmonic_ratio,
@@ -149,7 +150,7 @@ def _build_A(name: str, grid: GridSpec, h: float, seed: int, args: list):
                 kwargs["amplitude"] = float(args[0])
             return A_BUILDERS[name](grid, seed=seed, **kwargs)
         if name == "constB":
-            A, _, _ = A_BUILDERS[name](grid, h, int(args[0]) if args else 1)
+            A, _, _ = A_BUILDERS[name](grid, h, args[0] if args else 1)
             return A
     except (TypeError, ValueError) as exc:
         raise ConfigError("a_args", str(exc))
@@ -443,7 +444,7 @@ def run_check_comm2(cfg, seed):
         d = int(rng.integers(1, 3))
         grid = GridSpec(d=d, N=cfg["n"] if d == 1 else 16, L=cfg["box"])
         h = float(rng.choice([1.0, 0.5]))
-        kmax = h * math.sqrt(float(np.max(np.real(grid.k2))))
+        kmax = h * math.sqrt(float(np.max(grid.k2)))
         p1 = float(rng.uniform(0.15, 0.3)) * kmax
         p2 = float(rng.uniform(0.5, 0.7)) * kmax
         f = lambda p, p1=p1: plateau_bump(np.asarray(p) / p1)
@@ -489,7 +490,7 @@ def run_harmonic_compare(cfg, seed):
     )
     header = ["l", "R", "ratio", "bound"]
     rows, plots_rows = [], []
-    for R in (1.5, 2.0, 4.0, 10.0):
+    for R in HARMONIC_RADII:
         for l in range(1, cfg["l_max"] + 1):
             ratio, bound = harmonic_energy_ratio(l, R)
             rows.append((l, R, ratio, bound))

@@ -24,8 +24,8 @@ psi-outside that is the negative spectrum of the operator without psi,
 solved like every other; its gradient reaches the eigenpairs above the
 kept block through Sternheimer solves (spectral.sternheimer) rather than
 a full decomposition.  The variant-ordering check runs the R-independent
-global-curl descent once and solves the start shared by it and every
-ball-grad descent once.
+global-curl descent once, solves the start shared by it and every
+ball-grad descent once, and solves each distinct psi-outside start once.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ BALL_GRAD = "ball-grad"
 PSI_OUTSIDE = "psi-outside"
 
 KAPPA_J = 2.0  # variational normalization: d(trace)/dA in direction a = -2 int J.a
+ARMIJO_C = 1e-4  # sufficient decrease: accept E(A - step G) <= E - ARMIJO_C step |G|^2
+MAX_BACKTRACKS = 25  # trials per step before the line search fails
 
 
 class NonSmoothPoint(RuntimeError):
@@ -265,8 +267,6 @@ def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
 class Schedule:
     max_iters: int = 50
     grad_tol: float = 1e-6  # on the constrained gradient norm, relative
-    armijo_c: float = 1e-4
-    max_backtracks: int = 25
 
 
 @dataclass
@@ -347,7 +347,7 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
 
     The energy trace is non-increasing by construction; termination is by
     gradient tolerance, iteration budget, a zero-band non-smooth point, or
-    max_backtracks failed trials.
+    MAX_BACKTRACKS failed trials.
     """
     if schedule is None:
         schedule = Schedule()
@@ -372,10 +372,10 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
             break
         step = _first_trial(G, gnorm2, cfg, last)
         accepted = False
-        for trial_no in range(1, schedule.max_backtracks + 1):
+        for trial_no in range(1, MAX_BACKTRACKS + 1):
             trial = _project(A - step * G)
             Et, parts_t = total_energy(trial, spec, cfg, seed=seed)
-            if Et <= E - schedule.armijo_c * step * gnorm2:
+            if Et <= E - ARMIJO_C * step * gnorm2:
                 A, E, parts, last = trial, Et, parts_t, (step, G)
                 rep.energies.append(E)
                 rep.steps.append(step)
@@ -419,7 +419,10 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
     Each distinct operator is solved once: the global-curl descent does not
     depend on R and runs once, and it and every ball-grad descent start at
     the same field, where both trace psi (T_h(A) - V) psi, so that start is
-    solved once for all of them.  Every radius is checked before any solve.
+    solved once for all of them.  A psi-outside descent starts where its
+    row's ball-grad descent ended, and rows whose ball-grad descents end at
+    the same field share that start's solve.  Every radius is checked
+    before any solve.
     """
     radii = [float(R) for R in radii]
     if not radii or not all(0 < r <= R / 2 for R in radii):
@@ -440,7 +443,7 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
     probe = rep_global.final_A
     full = field_energy_grad(probe)
 
-    rows = []
+    rows, prime_start = [], None
     for R in radii:
         cfg_ball = EnergyConfig(beta=beta, variant=BALL_GRAD, r=r, R=R)
         rep_ball = minimize(A, spec, cfg_ball, schedule, seed=seed, spectrum=start)
@@ -453,7 +456,10 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
         # the psi-outside descent starts at the ball minimizer, so its energy
         # is already certified against the psi-squared trace there
         cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, r=r, R=R)
-        rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed)
+        if prime_start is None or prime_start.spec.A is not rep_ball.final_A:
+            prime_start = _spectrum_at(spec.with_A(rep_ball.final_A), cfg_prime, seed, None)
+        rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed,
+                             spectrum=prime_start)
         e_prime = rep_prime.energy
 
         inside = field_energy_grad(probe, cfg_ball.region(spec.grid))

@@ -156,9 +156,6 @@ class _Field:
     def __neg__(self):
         return replace(self, data=-self.data)
 
-    def conj(self):
-        return replace(self, data=np.conj(self.data))
-
     @property
     def real(self):
         return replace(self, data=self.data.real.astype(np.complex128))
@@ -200,9 +197,6 @@ class VectorField(_Field):
     def zero(cls, grid: GridSpec) -> "VectorField":
         return cls(grid, np.zeros((grid.d,) + grid.shape))
 
-    def component(self, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[j])
-
 
 @dataclass(frozen=True)
 class SpinorField(_Field):
@@ -218,10 +212,6 @@ class SpinorField(_Field):
     @property
     def spin(self) -> int:
         return self.data.shape[0]
-
-    @classmethod
-    def zero(cls, grid: GridSpec, spin: int = 2) -> "SpinorField":
-        return cls(grid, np.zeros((spin,) + grid.shape))
 
 
 # ---------------------------------------------------------------------------

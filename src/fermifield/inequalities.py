@@ -82,7 +82,6 @@ def check_lieb_thirring(
     h: float,
     flavor: str = PAULI,
     c_emp: float | None = None,
-    tol_zero: float | None = None,
     digest: dict | None = None,
 ) -> CheckReport:
     """|sum of negative eigenvalues| against the magnetic bound.
@@ -95,7 +94,7 @@ def check_lieb_thirring(
     if g.d != 3:
         raise ValueError("the magnetic Lieb-Thirring bound is three-dimensional")
     spec = HamiltonianSpec(grid=g, h=h, flavor=flavor, A=A, V=V)
-    ns = negative_spectrum(spec, tol_zero=tol_zero)
+    ns = negative_spectrum(spec)
     lhs = abs(ns.sum)
 
     vplus = np.maximum(np.real(V.data), 0.0)
@@ -131,13 +130,22 @@ def check_lieb_thirring(
 
 def _multiplier_values(profile, grid: GridSpec, scale: float) -> np.ndarray:
     """Evaluate a radial momentum profile on the scaled dual lattice."""
-    kk = np.sqrt(np.real(grid.k2))
-    return np.asarray(profile(scale * kk), dtype=float)
+    return np.asarray(profile(scale * np.sqrt(grid.k2)), dtype=float)
 
 
-def _grad_norm_l1(profile, pmax: float, d: int, npts: int = 512) -> float:
-    """int |grad f| dp over the momentum box [-pmax, pmax]^d, midpoint rule."""
-    axes = [np.linspace(-pmax, pmax, npts) for _ in range(d)]
+def _sandwich_trace(fv: np.ndarray, power: np.ndarray, gv: np.ndarray) -> float:
+    """sum_{m,n} f_m^2 g_n power[m - n] (cyclic), all three on the dual lattice.
+
+    tr[f(D) a g(D) a f(D)] in Fourier space, power = |a_hat|^2: f^2 dotted
+    with the cyclic correlation of g against the power.
+    """
+    conv = np.real(np.fft.ifftn(np.fft.fftn(power) * np.fft.fftn(gv)))
+    return float(np.sum(fv ** 2 * conv))
+
+
+def _grad_norm_l1(profile, pmax: float, d: int) -> float:
+    """int |grad f| dp over the momentum box [-pmax, pmax]^d, 512 points an axis."""
+    axes = [np.linspace(-pmax, pmax, 512) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     r = np.sqrt(sum(m ** 2 for m in mesh))
     vals = np.asarray(profile(r), dtype=float)
@@ -164,13 +172,10 @@ def check_comm2(f, g, a, h: float, digest: dict | None = None) -> CheckReport:
     if float(np.max(np.abs(fv * gv))) > 1e-14:
         raise ValueError("momentum supports of f and g overlap on the dual lattice")
 
-    # trace in Fourier space: sum_{m,n} f_m^2 g_n |a_hat[m-n]|^2 (cyclic),
-    # i.e. f^2 dotted with the cyclic correlation of g against |a_hat|^2,
-    # summed over the components of a vector a
+    # the power of a vector a is summed over its components
     ahat = np.fft.fftn(a.data, axes=tuple(range(-grid.d, 0))) / grid.size
     pw = np.sum(np.abs(ahat) ** 2, axis=tuple(range(a.data.ndim - grid.d)))
-    conv = np.real(np.fft.ifftn(np.fft.fftn(pw) * np.fft.fftn(gv)))
-    lhs = float(np.sum(fv ** 2 * conv))
+    lhs = _sandwich_trace(fv, pw, gv)
     if lhs < -1e-12:
         raise AssertionError("comm2 trace must be nonnegative")
     lhs = max(lhs, 0.0)
@@ -179,7 +184,7 @@ def check_comm2(f, g, a, h: float, digest: dict | None = None) -> CheckReport:
     grad_a = math.sqrt(float(np.sum(np.abs(jacobian(a.data, grid)) ** 2) * grid.weight))
     which = "scalar statement" if isinstance(a, ScalarField) else "componentwise vector use"
 
-    pmax = h * math.sqrt(float(np.max(np.real(grid.k2)))) * 1.25 + 1e-9
+    pmax = h * math.sqrt(float(np.max(grid.k2))) * 1.25 + 1e-9
     rhs = (
         h ** -2
         * float(np.max(np.abs(fv)))
@@ -214,24 +219,22 @@ def check_momentum_separation(
     L: float,
     d_sep: float,
     N: int,
-    dims: int = 1,
-    digest: dict | None = None,
 ) -> CheckReport:
-    """|f(-i ell grad) eta g(-i ell grad)|_HS with supports separated by d_sep.
+    """|f(-i ell grad) eta g(-i ell grad)|_HS with supports separated by d_sep, in d = 1.
 
     eta(x) = eta0(x / L) lives on a periodic box of side 4L; the HS norm is
     computed densely in Fourier space.  The reference scale recorded as rhs is
-      (ell / (d_sep L))^3 (L / ell)^dims |f|_2 |g|_2,
+      (ell / (d_sep L))^3 (L / ell) |f|_2 |g|_2,
     so a super-cubic decay shows up as the ratio lhs/rhs shrinking along an
     ell-halving sweep.
     """
     if ell > L * d_sep:
         raise ValueError("need ell <= L * d_sep")
     box = 4.0 * L
-    grid = GridSpec(d=dims, N=N, L=box)
-    kk = np.sqrt(np.real(grid.k2))
-    fv = np.asarray(f(ell * kk), dtype=float)
-    gv = np.asarray(g(ell * kk), dtype=float)
+    grid = GridSpec(d=1, N=N, L=box)
+    kk = np.sqrt(grid.k2)
+    fv = _multiplier_values(f, grid, ell)
+    gv = _multiplier_values(g, grid, ell)
 
     fsupp = kk[np.abs(fv) > 0]
     gsupp = kk[np.abs(gv) > 0]
@@ -243,26 +246,18 @@ def check_momentum_separation(
     if ell * dk > 0.5 * d_sep:
         raise ValueError("dual lattice too coarse for the separation scale")
 
-    # eta centered in the box
-    shifted = [c - box / 2.0 for c in grid.coords]
-    r = np.sqrt(sum(c ** 2 for c in shifted)) if dims > 1 else np.abs(shifted[0])
-    eta = np.asarray(eta0(r / L), dtype=float)
+    # eta centered in the box; the HS norm squared takes g^2
+    eta = np.asarray(eta0(np.abs(grid.coords[0] - box / 2.0) / L), dtype=float)
     ehat = np.fft.fftn(eta) / grid.size
-    pw = np.abs(ehat) ** 2
-    conv = np.real(np.fft.ifftn(np.fft.fftn(pw) * np.fft.fftn(gv ** 2)))
-    hs_sq = float(np.sum(fv ** 2 * conv))
-    lhs = math.sqrt(max(hs_sq, 0.0))
+    lhs = math.sqrt(max(_sandwich_trace(fv, np.abs(ehat) ** 2, gv ** 2), 0.0))
 
     # L^2 norms of the profiles in the momentum variable u = ell k
-    norm_f = math.sqrt(float(np.sum(fv ** 2)) * (ell * dk) ** dims)
-    norm_g = math.sqrt(float(np.sum(gv ** 2)) * (ell * dk) ** dims)
-    ref = (ell / (d_sep * L)) ** 3 * (L / ell) ** dims * norm_f * norm_g
-    params = {"ell": ell, "L": L, "d_sep": d_sep, "N": N, "dims": dims}
-    if digest:
-        params.update(digest)
+    norm_f = math.sqrt(float(np.sum(fv ** 2)) * (ell * dk))
+    norm_g = math.sqrt(float(np.sum(gv ** 2)) * (ell * dk))
+    ref = (ell / (d_sep * L)) ** 3 * (L / ell) * norm_f * norm_g
     return CheckReport(
         name="momentum_separation",
-        params=params,
+        params={"ell": ell, "L": L, "d_sep": d_sep, "N": N, "dims": 1},
         lhs=lhs,
         rhs_terms={"cubic_reference": ref},
         passed=math.isfinite(lhs),
@@ -270,20 +265,20 @@ def check_momentum_separation(
     )
 
 
-def separation_sweep(f, g, eta0, L, d_sep, N, dims=1, halvings=3, ell0=None) -> CheckReport:
+def separation_sweep(f, g, eta0, L, d_sep, N, halvings=3, ell0=None) -> CheckReport:
     """Halve ell and require faster-than-cubic decay of the HS norm."""
     ell0 = L * d_sep / 4.0 if ell0 is None else ell0
     ells, values = [], []
     for i in range(halvings + 1):
         ell = ell0 * 0.5 ** i
-        rep = check_momentum_separation(f, g, eta0, ell, L, d_sep, N, dims=dims)
+        rep = check_momentum_separation(f, g, eta0, ell, L, d_sep, N)
         ells.append(ell)
         values.append(rep.lhs)
     ratios = [values[i + 1] / values[i] for i in range(halvings) if values[i] > 0]
     passed = bool(ratios) and all(r <= 0.5 ** 3 for r in ratios)
     return CheckReport(
         name="separation_sweep",
-        params={"L": L, "d_sep": d_sep, "N": N, "dims": dims, "ells": ells,
+        params={"L": L, "d_sep": d_sep, "N": N, "dims": 1, "ells": ells,
                 "values": values},
         lhs=values[-1],
         rhs_terms={"first_value": values[0]},
@@ -320,10 +315,13 @@ def harmonic_energy_ratio(l: int, R: float) -> tuple[float, float]:
     return ratio, bound
 
 
-def check_harmonic_ratio(l_max: int = 50, R_values=(1.5, 2.0, 4.0, 10.0)) -> CheckReport:
+HARMONIC_RADII = (1.5, 2.0, 4.0, 10.0)  # outer radii R of the annulus 1 < r < R
+
+
+def check_harmonic_ratio(l_max: int = 50) -> CheckReport:
     worst = 0.0
     ok = True
-    for R in R_values:
+    for R in HARMONIC_RADII:
         bound = 1.0 / (1.0 - 3.0 * R ** -3)
         for l in range(1, l_max + 1):
             ratio, _ = harmonic_energy_ratio(l, R)
@@ -331,7 +329,7 @@ def check_harmonic_ratio(l_max: int = 50, R_values=(1.5, 2.0, 4.0, 10.0)) -> Che
             worst = max(worst, ratio / bound)
     return CheckReport(
         name="harmonic_ratio",
-        params={"l_max": l_max, "R_values": list(R_values)},
+        params={"l_max": l_max, "R_values": list(HARMONIC_RADII)},
         lhs=worst,
         rhs_terms={"bound_fraction": 1.0},
         passed=ok,
@@ -349,7 +347,6 @@ def check_poincare_ball(
     center,
     rho: float,
     c_emp: float | None = None,
-    digest: dict | None = None,
 ) -> CheckReport:
     g = A.grid
     mask = ball_mask(g, center, rho)
@@ -363,12 +360,9 @@ def check_poincare_ball(
         passed = lhs == 0.0 or rhs > 0.0
     else:
         passed = lhs <= c_emp * rhs + 1e-12
-    params = {"rho": rho, "points": npts, "c_emp": c_emp}
-    if digest:
-        params.update(digest)
     return CheckReport(
         name="poincare_ball",
-        params=params,
+        params={"rho": rho, "points": npts, "c_emp": c_emp},
         lhs=lhs,
         rhs_terms={"rho2_grad": rhs},
         passed=passed,
@@ -380,9 +374,10 @@ def check_poincare_ball(
 # ---------------------------------------------------------------------------
 
 
-def check_variational_sandwich(
-    spec: HamiltonianSpec, psi: ScalarField, slack: float = 1e-10
-) -> CheckReport:
+SANDWICH_SLACK = 1e-10  # each side's slack, times max(|tr_inside|, |tr_outside|, 1)
+
+
+def check_variational_sandwich(spec: HamiltonianSpec, psi: ScalarField) -> CheckReport:
     """tr[psi H psi]_- between tr psi^2 [H]_- and that plus h^2 tr (grad psi)^2 gamma.
 
     Both sides are computed on the dense path so the comparison is exact up
@@ -403,8 +398,8 @@ def check_variational_sandwich(
     correction = spec.h ** 2 * float(np.sum(outside.expectations(gpsi2)))
 
     scale = max(abs(tr_inside), abs(tr_outside), 1.0)
-    lower_ok = tr_inside >= tr_outside - slack * scale
-    upper_ok = tr_inside <= tr_outside + correction + slack * scale
+    lower_ok = tr_inside >= tr_outside - SANDWICH_SLACK * scale
+    upper_ok = tr_inside <= tr_outside + correction + SANDWICH_SLACK * scale
     return CheckReport(
         name="variational_sandwich",
         params={"h": spec.h, "d": g.d, "N": g.N, "flavor": spec.flavor},

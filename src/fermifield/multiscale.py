@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 4.0 / 9.0  # error-optimizing exponent for the scale function
+DEFECT_RTOL = 1e-8  # partition_defect stops refining when the integral moves less
+DEFECT_MAX_LEVEL = 8  # at most 8 quadrature levels, 8 to 1024 points an axis
+SAMPLE_BOX = 3.0  # partition_from_potential checks its bounds on [-3, 3]^d
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +93,7 @@ def partition_weight(spec: PartitionSpec, u, x) -> np.ndarray:
     return np.where(r < 1.0, w, 0.0)
 
 
-def partition_defect(
-    spec: PartitionSpec,
-    x_samples,
-    rtol: float = 1e-8,
-    max_level: int = 8,
-) -> float:
+def partition_defect(spec: PartitionSpec, x_samples) -> float:
     """max_x | int psi_u(x)^2 l(u)^{-d} du - 1 | by adaptive midpoint refinement."""
     worst = 0.0
     for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
@@ -103,9 +101,9 @@ def partition_defect(
         halfwidth = 2.5 * lx  # support margin, safe for |grad ell| < 1/4
         prev, val = None, None
         n = 8
-        for _ in range(max_level):
+        for _ in range(DEFECT_MAX_LEVEL):
             val = _partition_integral(spec, x, halfwidth, n)
-            if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1.0):
+            if prev is not None and abs(val - prev) <= DEFECT_RTOL * max(abs(val), 1.0):
                 break
             prev = val
             n *= 2
@@ -133,13 +131,12 @@ def partition_from_potential(
     h: float,
     K: float = 1.0,
     alpha: float = DEFAULT_ALPHA,
-    sample_box: float = 3.0,
 ):
     """PartitionSpec with the potential-adapted scale l = (V^2 + h^{2a})^{1/2}/K.
 
     V and grad_V are analytic callables on (..., d) center arrays.  K is
     inflated minimally (both bounds scale as 1/K) if the sampled gradient or
-    size bound fails on [-sample_box, sample_box]^d.
+    size bound fails on [-SAMPLE_BOX, SAMPLE_BOX]^d.
     """
     if not (0.4 < alpha < 0.5):
         raise ValueError("alpha must lie in (2/5, 1/2)")
@@ -154,7 +151,7 @@ def partition_from_potential(
         root = np.sqrt(vv**2 + h ** (2 * alpha))
         return vv[..., None] * gv / (Kval * root[..., None])
 
-    axes = [np.linspace(-sample_box, sample_box, 48)] * d
+    axes = [np.linspace(-SAMPLE_BOX, SAMPLE_BOX, 48)] * d
     pts = np.stack([gv.ravel() for gv in np.meshgrid(*axes, indexing="ij")], axis=-1)
     grad_max = float(np.max(np.sqrt(np.sum(grad_of(pts, K) ** 2, axis=-1))))
     ell_max = float(np.max(ell_of(pts, K)))
@@ -314,7 +311,7 @@ def smoothing_constants(grid: GridSpec, potentials, radii):
 
     for n = 1, 2, 3, A_r = mollify(A, r), each norm a Fourier sum (Parseval).
     """
-    k2 = np.real(grid.k2)
+    k2 = grid.k2
     khats = [np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight) for r in radii]
     for A in potentials:
         power = grid.volume * sum(np.abs(np.fft.fftn(a) / grid.size) ** 2 for a in A.data)

@@ -266,12 +266,16 @@ def gauge_shift(spec: HamiltonianSpec, c):
 # IMS localization
 
 
-def ims_localized_family(spec: HamiltonianSpec, cutoffs, tol: float = 1e-8):
+IMS_PARTITION_TOL = 1e-8  # largest |sum phi_u^2 - 1| on supp psi
+
+
+def ims_localized_family(spec: HamiltonianSpec, cutoffs):
     """Split H through a quadratic partition of unity.
 
     cutoffs: list of real ScalarFields phi_u with sum phi_u^2 = 1 on the
-    support of psi (checked to tol).  Returns (list of localized specs,
-    IMS error density h^2 sum |grad phi_u|^2 as a ScalarField).
+    support of psi (checked to IMS_PARTITION_TOL).  Returns (list of
+    localized specs, IMS error density h^2 sum |grad phi_u|^2 as a
+    ScalarField).
     """
     g = spec.grid
     sumsq = np.zeros(g.shape)
@@ -286,8 +290,9 @@ def ims_localized_family(spec: HamiltonianSpec, cutoffs, tol: float = 1e-8):
     if spec.psi is not None:
         support = np.abs(spec.psi.data) > 1e-14
     defect = float(np.max(np.abs(sumsq[support] - 1.0))) if support.any() else 0.0
-    if defect > tol:
-        raise ValueError(f"partition defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    if defect > IMS_PARTITION_TOL:
+        raise ValueError(f"partition defect {defect:.3e} exceeds tolerance "
+                         f"{IMS_PARTITION_TOL:.1e}")
     family = []
     for phi in cutoffs:
         loc = phi if spec.psi is None else ScalarField(g, phi.data * spec.psi.data)

@@ -53,6 +53,14 @@ __all__ = [
 ]
 
 
+# Tolerances relative to _operator_scale.  RESIDUAL_TOL bounds every kept
+# eigenpair's residual; LOBPCG_TOL (1000 times inside it) and PROBE_TOL are
+# lobpcg's absolute targets for the block and for the probe.
+RESIDUAL_TOL = 1e-7
+LOBPCG_TOL = 1e-10
+PROBE_TOL = 1e-8
+
+
 class EigenFailure(RuntimeError):
     """Eigensolver did not converge within its budget."""
 
@@ -129,27 +137,26 @@ def dense_eigh(H: np.ndarray, upper: float):
     return vals, (vecs.conj() if conj else vecs)
 
 
-def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray, tol_eig: float):
-    """Largest ||H u - lam u|| over the columns of vecs, one apply per block."""
+def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray):
+    """Largest ||H u - lam u|| over the columns of vecs, one apply per block.
+
+    Raises EigenFailure above RESIDUAL_TOL times the operator scale.
+    """
     scale = max(abs(float(vals.min(initial=0.0))), _operator_scale(spec), 1e-300)
     worst = 0.0
     for lo in range(0, len(vals), BLOCK):  # block by block: no dim x m temporaries
         U, lam = vecs[:, lo:lo + BLOCK], vals[lo:lo + BLOCK]
         R = _columns(apply(spec, _block(spec, U))) - lam * U
         worst = max(worst, float(np.sqrt(np.sum(np.abs(R) ** 2, axis=0) * spec.grid.weight).max()))
-    if worst > tol_eig * scale:
+    if worst > RESIDUAL_TOL * scale:
         raise EigenFailure(
-            f"eigenpair residual {worst:.3e} exceeds {tol_eig:.1e} * scale {scale:.3e}"
+            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}"
         )
     return worst
 
 
-def negative_spectrum(
-    spec: HamiltonianSpec,
-    tol_eig: float = 1e-8,
-    tol_zero: float | None = None,
-    seed: int = 0,
-) -> NegativeSpectrum:
+def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
+                      seed: int = 0) -> NegativeSpectrum:
     """Compute every eigenvalue <= tol_zero of the represented operator.
 
     Pauli at A = 0 is solved as its scalar Schrodinger problem (see
@@ -165,12 +172,12 @@ def negative_spectrum(
         vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
         info = {"path": "dense"}
     else:
-        vals, vecs, info = _lobpcg_negative(solved, tol_eig, tol_zero, seed)
+        vals, vecs, info = _lobpcg_negative(solved, tol_zero, seed)
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
     vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
-    worst = _residual_check(spec, vals, vecs, max(tol_eig, 1e-7))
+    worst = _residual_check(spec, vals, vecs)
     vecs.flags.writeable = False
     stats = SolveStats(dim=solved.dim, copies=copies, worst_residual=worst, **info)
     return NegativeSpectrum(spec, vals, vecs, tol_zero,
@@ -212,16 +219,15 @@ def _weyl_count(spec: HamiltonianSpec) -> float:
     return float(spec.spin * ball * (2 * np.pi * spec.h) ** (-g.d) * vplus.sum() * g.weight)
 
 
-def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, seed: int):
+def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
     The first block holds a quarter more vectors than the Weyl count plus
     two guard columns; each larger block starts from the vectors the last
-    one found.  lobpcg's tol is absolute, so its target is 1e-2 * tol_eig
-    times the operator scale: 1000 times inside _residual_check's bound,
-    and reachable.  The probe is one column from an independent start, as
-    only its lowest value is read.  Returns the kept pairs and the
-    SolveStats fields.
+    one found.  lobpcg's tol is absolute, so its targets are LOBPCG_TOL and,
+    for the probe, PROBE_TOL times the operator scale.  The probe is one
+    column from an independent start, as only its lowest value is read.
+    Returns the kept pairs and the SolveStats fields.
     """
     dim = spec.dim
     op, minv = _iterative_operators(spec)
@@ -234,7 +240,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     vecs = None
     while True:
         blocks.append(k)
-        vals, vecs = _lobpcg_lowest(op, minv, dim, k, rng, 1e-2 * tol_eig * scale, log, vecs)
+        vals, vecs = _lobpcg_lowest(op, minv, dim, k, rng, LOBPCG_TOL * scale, log, vecs)
         if vals[-1] > tol_zero:
             break
         if k >= cap:
@@ -248,7 +254,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_eig: float, tol_zero: float, see
     vals, vecs = vals[keep], vecs[:, keep]
 
     # probe solve: an independent start must not find anything lower
-    pvals, _ = _lobpcg_lowest(op, minv, dim, 1, rng, 1e-8 * scale, log)
+    pvals, _ = _lobpcg_lowest(op, minv, dim, 1, rng, PROBE_TOL * scale, log)
     floor = vals[0] if vals.size else tol_zero
     if pvals[0] < floor - max(1e-8, 1e-6 * abs(floor)):
         raise EigenFailure(

@@ -107,12 +107,15 @@ class FitRejected(RuntimeError):
     """Error sequence unusable for an exponent fit (with a diagnostic)."""
 
 
-def fit_error_exponent(reports: list[WeylReport], max_drop: int = 2):
+MAX_DROP = 2  # largest-h points a fit may drop to reach a monotone error
+
+
+def fit_error_exponent(reports: list[WeylReport]):
     """Least-squares slope s of log(rel_err) against log h.
 
     The relative error scales like h^s when |quantum - weyl| ~ h^{-d+s},
     since the Weyl term itself grows like h^{-d}.  The largest-h points may
-    be dropped (up to max_drop) until the retained errors decrease
+    be dropped (up to MAX_DROP) until the retained errors decrease
     monotonically as h decreases; otherwise the fit is rejected with a
     'non-monotone error' diagnostic.
     """
@@ -122,7 +125,7 @@ def fit_error_exponent(reports: list[WeylReport], max_drop: int = 2):
     if np.any(errs <= 0):
         raise FitRejected("zero error encountered; nothing to fit")
 
-    for drop in range(max_drop + 1):
+    for drop in range(MAX_DROP + 1):
         e = errs[drop:]
         if len(e) < 3:
             break

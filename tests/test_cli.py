@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
+from fermifield.builders import flux_quantized_constant_b
 from fermifield.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -89,6 +91,15 @@ def test_build_a_dispatch():
         _build_A("nope", grid, 1.0, 0, [])
 
 
+def test_build_a_const_b_passes_the_flux_through():
+    # the config's float reaches the builder, which checks it is an integer
+    grid = GridSpec(d=3, N=8, L=2.0)
+    A = _build_A("constB", grid, 0.5, 0, [1.0])
+    assert np.array_equal(A.data, flux_quantized_constant_b(grid, 0.5, 1)[0].data)
+    with pytest.raises(ConfigError, match="flux quantization"):
+        _build_A("constB", grid, 0.5, 0, [1.5])
+
+
 def test_list_builders_contents():
     info = list_builders()
     assert "bump" in info["potentials"]
@@ -160,6 +171,22 @@ def test_main_numerical_failure_exit_1(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("v_args", ["v_args=6 0.7 1"]),
+    ("a_args", ["a_init=constB", "a_args=1.5"]),
+])
+def test_main_bad_builder_arguments_exit_2(key, overrides, tmp_path, capsys):
+    # a third potential argument and a fractional flux are config errors, not
+    # numerical failures: the run stops before any solve and writes nothing
+    out = tmp_path / "run"
+    sets = [arg for item in overrides + ["max_iters=1"] for arg in ("--set", item)]
+    code = main(["minimize-field", "--config", str(CONFIG_DIR / "minimize_field_pauli.cfg"),
+                 "--out", str(out), *sets])
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_main_config_file_roundtrip(tmp_path):

@@ -201,11 +201,11 @@ def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
 
     vals, vecs = scipy.linalg.eigh(spectral.dense_matrix(spec1d))
     vals, vecs = vals[:7], vecs[:, :7] / np.sqrt(spec1d.grid.weight)
-    spectral._residual_check(spec1d, vals, vecs, 1e-7)
+    spectral._residual_check(spec1d, vals, vecs)
     bad = vecs.copy()
     bad[:, 6] += 1e-3 * bad[:, 0]
     with pytest.raises(spectral.EigenFailure):
-        spectral._residual_check(spec1d, vals, bad, 1e-7)
+        spectral._residual_check(spec1d, vals, bad)
 
 
 def _full_eigh_kept(spec, tol_zero):
@@ -361,7 +361,7 @@ def test_lobpcg_tolerance_is_scaled(spec3d, monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
-    ns = negative_spectrum(spec3d, tol_eig=1e-8)
+    ns = negative_spectrum(spec3d)
     scale = spectral._operator_scale(spec3d)
     assert default_tol_zero(spec3d) == pytest.approx(1e-8 * scale, rel=1e-15)
     assert [tol for _, tol, _, _ in calls[:-1]] == [pytest.approx(1e-10 * scale)] * len(
