@@ -15,8 +15,7 @@ from .grid import (
     ScalarField,
     VectorField,
     ball_mask,
-    leray_project,
-    mean_zero_normalize,
+    divfree_mean_zero,
     periodic_dist2,
 )
 from .profiles import bump, plateau_bump
@@ -92,11 +91,7 @@ def random_divfree_potential(grid: GridSpec, seed: int = 0, kmax: int = 2,
             arg = sum(2 * np.pi * kvec[i] * grid.coords[i] / grid.L for i in range(grid.d))
             comp = comp + amp * np.cos(arg + phase)
         data[j] = comp
-    A = VectorField(grid, amplitude * data)
-    if grid.d >= 2:
-        A = leray_project(A)
-    A = mean_zero_normalize(A)
-    return A.real
+    return divfree_mean_zero(VectorField(grid, amplitude * data))
 
 
 def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> VectorField:
@@ -112,16 +107,12 @@ def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> VectorField:
     envelope = np.zeros(grid.shape)
     nz = kk > 0
     envelope[nz] = kk[nz] ** -2.5
-    data = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
+    data = np.empty((grid.d,) + grid.shape)
     for j in range(grid.d):
         white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         data[j] = np.fft.ifftn(envelope * white).real
-    A = VectorField(grid, data)
-    if grid.d >= 2:
-        A = leray_project(A)
-    A = mean_zero_normalize(A)
-    scale = float(np.sqrt(np.sum(np.abs(A.data) ** 2) * grid.weight))
-    return (1.0 / max(scale, 1e-300)) * A.real
+    A = divfree_mean_zero(VectorField(grid, data))
+    return (1.0 / max(A.norm(), 1e-300)) * A
 
 
 def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int):
@@ -174,13 +165,13 @@ def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int):
 
 def aharonov_casher_zero_mode(grid: GridSpec, h: float, phi: ScalarField):
     """Exact Pauli zero mode e^{phi/h} (spin up) for A = (-d_y phi, d_x phi, 0)."""
-    up = np.exp(np.real(phi.data) / h)
+    up = np.exp(phi.data / h)
     data = np.zeros((2,) + grid.shape, dtype=np.complex128)
     data[0] = up
     from .grid import SpinorField
 
     u = SpinorField(grid, data)
-    return (1.0 / u.norm(2)) * u
+    return (1.0 / u.norm()) * u
 
 
 def cutoff_ball(grid: GridSpec, radius: float) -> ScalarField:

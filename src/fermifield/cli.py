@@ -18,6 +18,7 @@ import configparser
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -40,6 +41,7 @@ from .field_opt import (
     EnergyConfig,
     Schedule,
     minimize,
+    ordering_radii,
     total_energy,
     variant_ordering_check,
 )
@@ -142,19 +144,32 @@ def _build_A(name: str, grid: GridSpec, h: float, seed: int, args: list):
         raise ConfigError("a_init", f"unknown vector-potential builder {name!r}; "
                           f"known: {sorted(A_BUILDERS)}")
     try:
-        if name == "zero":
-            return A_BUILDERS[name](grid)
         if name == "randband":
-            kwargs = {}
-            if args:
-                kwargs["amplitude"] = float(args[0])
+            kwargs = {"amplitude": float(args[0])} if args else {}
             return A_BUILDERS[name](grid, seed=seed, **kwargs)
         if name == "constB":
-            A, _, _ = A_BUILDERS[name](grid, h, args[0] if args else 1)
-            return A
+            return A_BUILDERS[name](grid, h, args[0] if args else 1)[0]
+        return A_BUILDERS[name](grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError("a_args", str(exc))
-    raise ConfigError("a_init", f"unhandled builder {name!r}")
+
+
+def _configured(fn, keys: dict, **kwargs):
+    """fn(**kwargs), keys mapping fn's arguments to the config keys they come from.
+
+    A ValueError there is a value fn rejects: a ConfigError naming the keys
+    of the arguments its message mentions (all of them if it mentions none).
+    """
+    try:
+        return fn(**kwargs)
+    except ValueError as exc:
+        said = set(re.findall(r"\w+", str(exc)))
+        named = [key for arg, key in keys.items() if arg in said] or list(keys.values())
+        raise ConfigError(", ".join(named), str(exc)) from None
+
+
+def _grid(cfg: dict, d: int, n: int) -> GridSpec:
+    return _configured(GridSpec, {"d": "d", "N": "n", "L": "box"}, d=d, N=n, L=cfg["box"])
 
 
 def experiment(name: str, schema: dict):
@@ -173,10 +188,11 @@ _PROBLEM_KEYS = {**_GRID_KEYS, "v": ("str", "bump"), "v_args": ("floats", [])}
 def _spec(cfg: dict, h: float, n: int | None = None,
           psi_radius: float | None = None) -> HamiltonianSpec:
     """The operator of a _PROBLEM_KEYS config with a flavor at h; n replaces N."""
-    grid = GridSpec(d=cfg["d"], N=cfg["n"] if n is None else n, L=cfg["box"])
+    grid = _grid(cfg, cfg["d"], cfg["n"] if n is None else n)
     V = _build_V(cfg["v"], cfg["v_args"], grid)
     psi = None if psi_radius is None else cutoff_ball(grid, psi_radius)
-    return HamiltonianSpec(grid=grid, h=h, flavor=cfg["flavor"], V=V, psi=psi)
+    keys = {"h": "h" if "h" in cfg else "h_list", "flavor": "flavor"}
+    return _configured(HamiltonianSpec, keys, grid=grid, h=h, flavor=cfg["flavor"], V=V, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +210,6 @@ def _spec(cfg: dict, h: float, n: int | None = None,
     "cert_threshold": ("float", 1e-3),
 })
 def run_weyl_converge(cfg, seed):
-    if cfg["flavor"] not in (PAULI, SCHRODINGER):
-        raise ConfigError("flavor", "must be pauli or schrodinger")
-
     def problem(h, double=False):
         return _spec(cfg, h, n=cfg["n"] * (2 if double else 1)), None
 
@@ -241,11 +254,12 @@ def run_minimize_field(cfg, seed):
     spec = _spec(cfg, cfg["h"],
                  psi_radius=cfg["r"] if cfg["variant"] == PSI_OUTSIDE else None)
     A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
-    ecfg = EnergyConfig(beta=cfg["beta"], variant=cfg["variant"],
-                        r=cfg["r"] or None, R=cfg["big_r"] or None)
+    ecfg = _configured(EnergyConfig, {"beta": "beta", "variant": "variant", "r": "r", "R": "big_r"},
+                       beta=cfg["beta"], variant=cfg["variant"], r=cfg["r"] or None,
+                       R=cfg["big_r"] or None)
     sched = Schedule(max_iters=cfg["max_iters"], grad_tol=cfg["grad_tol"])
     rep = minimize(A0, spec, ecfg, sched, seed=seed)
-    div_norm = divergence(rep.final_A).norm(2)
+    div_norm = divergence(rep.final_A).norm()
     # row 0 is the start point: no step, one energy evaluation
     header = ["iteration", "energy", "step", "trials"]
     rows = [(i, e, s, t) for i, (e, s, t) in
@@ -280,12 +294,14 @@ def run_minimize_field(cfg, seed):
     "a_args": ("floats", [0.2]),
 })
 def run_variant_order(cfg, seed):
+    radii = _configured(ordering_radii, {"r": "r", "radii": "ratios"},
+                        r=cfg["r"], radii=[cfg["r"] * x for x in cfg["ratios"]])
+    _configured(EnergyConfig, {"beta": "beta"}, beta=cfg["beta"])  # checked before any solve
     spec = _spec(cfg, cfg["h"])
     A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
     header = ["ratio", "E_prime", "E_ball", "E_global", "inflation", "ordering_ok"]
     rows, reports, inflations = [], [], []
-    results = variant_ordering_check(spec, cfg["r"], [cfg["r"] * x for x in cfg["ratios"]],
-                                     cfg["beta"], A0=A0, seed=seed,
+    results = variant_ordering_check(spec, cfg["r"], radii, cfg["beta"], A0=A0, seed=seed,
                                      schedule=Schedule(max_iters=cfg["max_iters"]))
     for ratio, res in zip(cfg["ratios"], results):
         ok = res["ordering_ok"]
@@ -357,7 +373,8 @@ def run_check_partition(cfg, seed):
     "h": ("float", 0.1), "n_grid": ("int", 10000),
 })
 def run_check_dyadic(cfg, seed):
-    fam = dyadic_build(cfg["w_fermi"], cfg["w_width"], h=cfg["h"])
+    fam = _configured(dyadic_build, {"W": "w_fermi", "w": "w_width", "h": "h"},
+                      W=cfg["w_fermi"], w=cfg["w_width"], h=cfg["h"])
     u = np.linspace(0.0, 4.0 * math.sqrt(cfg["w_fermi"]), cfg["n_grid"])
     dev = float(np.max(np.abs(fam.sum_f_sq(u) - 1.0)))
     header = ["quantity", "value"]
@@ -378,7 +395,7 @@ def run_check_dyadic(cfg, seed):
     "flavor": ("str", PAULI),
 })
 def run_check_lt(cfg, seed):
-    grid = GridSpec(d=3, N=cfg["n"], L=cfg["box"])
+    grid = _grid(cfg, 3, cfg["n"])
     rng = np.random.default_rng(seed)
     header = ["draw", "h", "ratio", "lhs", "rhs"]
     rows, reports, ratios = [], [], []
@@ -411,7 +428,7 @@ def run_check_lt(cfg, seed):
     "draws": ("int", 5), "r0": ("float", 0.2), "octaves": ("int", 3),
 })
 def run_check_smoothing(cfg, seed):
-    grid = GridSpec(d=cfg["d"], N=cfg["n"], L=cfg["box"])
+    grid = _grid(cfg, cfg["d"], cfg["n"])
     radii = [cfg["r0"] * 0.5 ** i for i in range(cfg["octaves"] + 1)]
     potentials = (rough_divfree_potential(grid, seed=seed + draw)
                   for draw in range(cfg["draws"]))
@@ -440,9 +457,10 @@ def run_check_comm2(cfg, seed):
     rng = np.random.default_rng(seed)
     header = ["draw", "d", "h", "lhs", "rhs", "ratio"]
     rows, reports = [], []
+    line = _grid(cfg, 1, cfg["n"])
     for draw in range(cfg["draws"]):
         d = int(rng.integers(1, 3))
-        grid = GridSpec(d=d, N=cfg["n"] if d == 1 else 16, L=cfg["box"])
+        grid = line if d == 1 else GridSpec(d=2, N=16, L=line.L)
         h = float(rng.choice([1.0, 0.5]))
         kmax = h * math.sqrt(float(np.max(grid.k2)))
         p1 = float(rng.uniform(0.15, 0.3)) * kmax
@@ -504,14 +522,13 @@ def run_check_sandwich(cfg, seed):
     rng = np.random.default_rng(seed)
     header = ["draw", "d", "h", "inside", "outside", "kink", "passed"]
     rows, reports = [], []
+    line = _grid(cfg, 1, cfg["n"])
     for draw in range(cfg["draws"]):
-        use3d = draw % 5 == 4
-        if use3d:
-            grid = GridSpec(d=3, N=8, L=cfg["box"])
+        if draw % 5 == 4:
+            grid = GridSpec(d=3, N=8, L=line.L)
             A = random_divfree_potential(grid, seed=seed + draw, amplitude=0.3)
         else:
-            grid = GridSpec(d=1, N=cfg["n"], L=cfg["box"])
-            A = None
+            grid, A = line, None
         h = float(rng.uniform(0.3, 1.0))
         V = bump_potential(grid, amplitude=float(rng.uniform(1.0, 4.0)),
                            radius=0.35 * cfg["box"])

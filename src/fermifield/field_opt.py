@@ -38,11 +38,10 @@ from .grid import (
     VectorField,
     ball_mask,
     div_rows,
+    divfree_mean_zero as _project,
     field_energy_curl,
     field_energy_grad,
     jacobian,
-    leray_project,
-    mean_zero_normalize,
 )
 from .operators import (
     BLOCK,
@@ -67,6 +66,7 @@ __all__ = [
     "minimize",
     "el_residual",
     "variant_ordering_check",
+    "ordering_radii",
     "GLOBAL_CURL",
     "BALL_GRAD",
     "PSI_OUTSIDE",
@@ -137,7 +137,7 @@ def _trace_part(sA: HamiltonianSpec, cfg: EnergyConfig, ns: NegativeSpectrum) ->
     """The variant's trace part at sA, read off ns = _spectrum_at(sA, ...)."""
     if cfg.variant != PSI_OUTSIDE:
         return ns.sum
-    weights = ns.expectations(np.real(sA.psi.data) ** 2)  # <u_j, psi^2 u_j>
+    weights = ns.expectations(sA.psi.data ** 2)  # <u_j, psi^2 u_j>
     return float(np.minimum(ns.eigenvalues, 0.0) @ weights)
 
 
@@ -202,7 +202,7 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectru
     g = spec.grid
     vals, vecs = spectrum.eigenvalues, spectrum.vectors
     m = int(np.count_nonzero(vals <= 0.0))  # sorted ascending
-    psi2_u = np.tile(np.real(spec.psi.data).ravel() ** 2, spec.spin)[:, None] * vecs[:, :m]
+    psi2_u = np.tile(spec.psi.data.ravel() ** 2, spec.spin)[:, None] * vecs[:, :m]
     S = vecs.conj().T @ psi2_u * g.weight
     lam = vals[:m]
     above = vals[:, None] > 0.0
@@ -255,8 +255,8 @@ def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
     half = 0.5 * energy_gradient(A, spec, cfg, seed, reject_zero_band=False,
                                  spectrum=spectrum)
-    scale = max(lhs.norm(2), (lhs - half).norm(2), 1e-300)
-    return float(half.norm(2) / scale)
+    scale = max(lhs.norm(), (lhs - half).norm(), 1e-300)
+    return half.norm() / scale
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +284,6 @@ class MinimizeReport:
         return self.energies[-1]
 
 
-def _project(A: VectorField) -> VectorField:
-    if A.grid.d >= 2:
-        A = leray_project(A)
-    return mean_zero_normalize(A).real
-
-
 def _first_trial(G: VectorField, gnorm2: float, cfg: EnergyConfig, last) -> float:
     """First trial step along -G, G the projected gradient, gnorm2 = ||G||^2.
 
@@ -305,9 +299,9 @@ def _first_trial(G: VectorField, gnorm2: float, cfg: EnergyConfig, last) -> floa
     if last is not None:
         step, G_old = last
         y = G - G_old
-        sy = -step * float(np.real(G_old.inner(y)))
+        sy = -step * G_old.inner(y)
         if sy > 0.0:
-            return sy / float(np.real(y.inner(y)))
+            return sy / y.inner(y)
     kappa = cfg.beta * _field_energy(G, cfg) / gnorm2
     return 0.5 / kappa if kappa > 0.0 else 1.0
 
@@ -327,7 +321,7 @@ def _backtrack(step: float, E: float, Et: float, gnorm2: float) -> float:
 
 def _start(A0: VectorField | None, grid) -> VectorField:
     """The descent's start point: A0 projected, or the zero field."""
-    return _project(A0) if A0 is not None else VectorField.zero(grid).real
+    return _project(A0) if A0 is not None else VectorField.zero(grid)
 
 
 def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
@@ -366,7 +360,7 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
             termination = "non-smooth point"
             break
         G = _project(grad)
-        gnorm2 = float(np.real(G.inner(G)))
+        gnorm2 = G.inner(G)
         if np.sqrt(gnorm2) <= schedule.grad_tol * scale:
             termination = "gradient tolerance"
             break
@@ -404,6 +398,13 @@ def minimize(A0: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
 # variant ordering (Lemma-style comparison of localized energies)
 
 
+def ordering_radii(r: float, radii) -> list:
+    """radii as floats; ValueError unless the hypothesis 0 < r <= R/2 holds for every R."""
+    if not radii or not all(0 < r <= R / 2 for R in radii):
+        raise ValueError(f"hypothesis requires 0 < r <= R/2 for every R; r={r}, radii={radii}")
+    return [float(R) for R in radii]
+
+
 def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
                            A0: VectorField | None = None,
                            schedule: Schedule | None = None, seed: int = 0) -> list:
@@ -424,10 +425,7 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
     the same field share that start's solve.  Every radius is checked
     before any solve.
     """
-    radii = [float(R) for R in radii]
-    if not radii or not all(0 < r <= R / 2 for R in radii):
-        raise ValueError(f"hypothesis requires 0 < r <= R/2 for every R; r={r}, radii={radii}")
-
+    radii = ordering_radii(r, radii)
     if spec.psi is None:
         from .builders import cutoff_ball
 

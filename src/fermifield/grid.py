@@ -10,6 +10,7 @@ first (jacobian), or its adjoint sum_i d_i M[i] (div_rows); both field
 energies are quadratic forms in J_ij = d_i A_j.
 Integrals use the trapezoid rule on the uniform grid, i.e. a flat quadrature
 weight (L/N)^d, which is exact for band-limited integrands.
+Real fields (V, A, psi) are float64 and stay real (_ifft_like); spinors are complex.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "field_energy_grad",
     "leray_project",
     "mean_zero_normalize",
+    "divfree_mean_zero",
     "ball_mask",
     "periodic_dist2",
 ]
@@ -53,7 +55,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
         if self.N < 4 or not _is_power_of_two(self.N):
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         if not self.L > 0:
@@ -115,8 +117,8 @@ class GridSpec:
         return sum(kj**2 for kj in self.k)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _freeze(a) -> np.ndarray:
+    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
     a.flags.writeable = False
     return a
 
@@ -156,22 +158,15 @@ class _Field:
     def __neg__(self):
         return replace(self, data=-self.data)
 
-    @property
-    def real(self):
-        return replace(self, data=self.data.real.astype(np.complex128))
-
     # -- norms ------------------------------------------------------------
-    def norm(self, p: float = 2) -> float:
-        w = self.grid.weight
-        flat = np.abs(self.data)
-        if np.isinf(p):
-            return float(flat.max())
-        return float((np.sum(flat**p) * w) ** (1.0 / p))
+    def norm(self) -> float:
+        """L^2 norm."""
+        return float((np.sum(np.abs(self.data) ** 2) * self.grid.weight) ** 0.5)
 
-    def inner(self, other) -> complex:
-        """L^2 inner product, antilinear in self."""
+    def inner(self, other) -> float | complex:
+        """L^2 inner product, antilinear in self; a float for two real fields."""
         self._check_mate(other)
-        return complex(np.vdot(self.data, other.data) * self.grid.weight)
+        return np.vdot(self.data, other.data).item() * self.grid.weight
 
 
 @dataclass(frozen=True)
@@ -226,6 +221,12 @@ def _ifft(a: np.ndarray, d: int) -> np.ndarray:
     return np.fft.ifftn(a, axes=tuple(range(-d, 0)))
 
 
+def _ifft_like(bh: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
+    """ifft(bh), bh = s fft(a), real for real a: every s here has s(-k) = conj(s(k))."""
+    out = _ifft(bh, d)
+    return out.real if np.isrealobj(a) else out
+
+
 def jacobian(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d_i a for every axis i, stacked first: shape (d, *a.shape).
 
@@ -233,13 +234,13 @@ def jacobian(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     of a, one inverse transform of the stacked block.
     """
     ah = _fft(a, grid.d)
-    return _ifft(np.stack([1j * kj * ah for kj in grid.k_deriv]), grid.d)
+    return _ifft_like(np.stack([1j * kj * ah for kj in grid.k_deriv]), a, grid.d)
 
 
 def div_rows(M: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_i d_i M[i], M a raw array with the axis i first and the grid last."""
     Mh = _fft(M, grid.d)
-    return _ifft(sum(1j * kj * Mh[i] for i, kj in enumerate(grid.k_deriv)), grid.d)
+    return _ifft_like(sum(1j * kj * Mh[i] for i, kj in enumerate(grid.k_deriv)), M, grid.d)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -269,7 +270,7 @@ def laplacian(f: ScalarField) -> ScalarField:
 def _masked_quad(density: np.ndarray, grid: GridSpec, region: np.ndarray | None) -> float:
     if region is not None:
         density = density * region
-    return float(np.real(density.sum()) * grid.weight)
+    return float(density.sum() * grid.weight)
 
 
 def field_energy_curl(A: VectorField, region: np.ndarray | None = None) -> float:
@@ -298,7 +299,7 @@ def leray_project(A: VectorField) -> VectorField:
     k2[k2 == 0.0] = 1.0  # zero/Nyquist modes: k.a = 0 there anyway
     kdot = sum(k[j] * ah[j] for j in range(g.d))
     out = np.stack([ah[j] - k[j] * kdot / k2 for j in range(g.d)])
-    return VectorField(g, _ifft(out, g.d))
+    return VectorField(g, _ifft_like(out, A.data, g.d))
 
 
 def mean_zero_normalize(A: VectorField, region: np.ndarray | None = None) -> VectorField:
@@ -313,6 +314,11 @@ def mean_zero_normalize(A: VectorField, region: np.ndarray | None = None) -> Vec
     for j in range(g.d):
         out[j] -= np.sum(A.data[j] * region) / npts
     return VectorField(g, out)
+
+
+def divfree_mean_zero(A: VectorField) -> VectorField:
+    """A Leray-projected (in d >= 2; in d = 1 only its mean is divergence-free), then mean-zero."""
+    return mean_zero_normalize(leray_project(A) if A.grid.d >= 2 else A)
 
 
 def periodic_dist2(grid: GridSpec, center) -> np.ndarray:

@@ -97,7 +97,7 @@ def check_lieb_thirring(
     ns = negative_spectrum(spec)
     lhs = abs(ns.sum)
 
-    vplus = np.maximum(np.real(V.data), 0.0)
+    vplus = np.maximum(V.data, 0.0)
     int_v52 = float(np.sum(vplus ** 2.5) * g.weight)
     int_v4 = float(np.sum(vplus ** 4) * g.weight)
     int_b2 = field_energy_curl(A) if A is not None else 0.0
@@ -180,7 +180,7 @@ def check_comm2(f, g, a, h: float, digest: dict | None = None) -> CheckReport:
         raise AssertionError("comm2 trace must be nonnegative")
     lhs = max(lhs, 0.0)
 
-    norm_a = a.norm(2)
+    norm_a = a.norm()
     grad_a = math.sqrt(float(np.sum(np.abs(jacobian(a.data, grid)) ** 2) * grid.weight))
     which = "scalar statement" if isinstance(a, ScalarField) else "componentwise vector use"
 
@@ -394,7 +394,7 @@ def check_variational_sandwich(spec: HamiltonianSpec, psi: ScalarField) -> Check
 
     outside = negative_spectrum(replace(spec, psi=None), tol_zero=0.0)
     gpsi2 = np.sum(np.abs(gradient(psi).data) ** 2, axis=0)
-    tr_outside = float(outside.eigenvalues @ outside.expectations(np.real(psi.data) ** 2))
+    tr_outside = float(outside.eigenvalues @ outside.expectations(psi.data ** 2))
     correction = spec.h ** 2 * float(np.sum(outside.expectations(gpsi2)))
 
     scale = max(abs(tr_inside), abs(tr_outside), 1.0)

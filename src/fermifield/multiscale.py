@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _fft, _ifft, periodic_dist2
+from .grid import GridSpec, _fft, _ifft_like, periodic_dist2
 from .profiles import bump, pou_pair, smooth_step
 
 __all__ = [
@@ -274,8 +274,7 @@ def dyadic_apply(family: DyadicFamily, i: int, u, h: float):
     g = u.grid
     u2 = (h**2) * g.k2  # |D|^2 symbol, full dual lattice
     mult = family.f(i, family.t(u2))
-    data = _ifft(mult * _fft(u.data, g.d), g.d)
-    return type(u)(g, data)
+    return type(u)(g, _ifft_like(mult * _fft(u.data, g.d), u.data, g.d))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +296,7 @@ def mollify(A, r: float):
     """A_r = A * chi_r, exact torus convolution through the FFT."""
     g = A.grid
     kern_hat = _fft(mollifier_kernel(g, r), g.d) * g.weight
-    data = _ifft(_fft(A.data, g.d) * kern_hat, g.d)
-    return type(A)(g, data)
+    return type(A)(g, _ifft_like(_fft(A.data, g.d) * kern_hat, A.data, g.d))
 
 
 SMOOTHING_CONSTANTS = ("c_diff", "c_d1", "c_d2", "c_d3")

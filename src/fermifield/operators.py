@@ -76,9 +76,9 @@ class HamiltonianSpec:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == PAULI and self.grid.d != 3:
             raise ValueError("pauli flavor requires d = 3")
-        for f in (self.A, self.V, self.psi):
-            if f is not None and f.grid != self.grid:
-                raise ValueError("field grid mismatch in HamiltonianSpec")
+        for name, f in (("A", self.A), ("V", self.V), ("psi", self.psi)):
+            if f is not None and (f.grid != self.grid or np.iscomplexobj(f.data)):
+                raise ValueError(f"{name} must be a real field on the spec's grid")
 
     @property
     def spin(self) -> int:  # spinor components, fixed by the flavor
@@ -255,10 +255,8 @@ def gauge_shift(spec: HamiltonianSpec, c):
         )
     g = spec.grid
     A = spec.A if spec.A is not None else VectorField.zero(g)
-    const = np.stack([np.full(g.shape, c[j], dtype=np.complex128) for j in range(g.d)])
-    newA = VectorField(g, A.data - const)
-    phase_data = np.exp(1j * sum(c[j] * g.coords[j] for j in range(g.d)) / spec.h)
-    phase = ScalarField(g, phase_data + np.zeros(g.shape, dtype=np.complex128))
+    newA = VectorField(g, A.data - c.reshape((g.d,) + (1,) * g.d))
+    phase = ScalarField(g, np.exp(1j * sum(c[j] * g.coords[j] for j in range(g.d)) / spec.h))
     return spec.with_A(newA), phase
 
 
@@ -283,7 +281,7 @@ def ims_localized_family(spec: HamiltonianSpec, cutoffs):
     for phi in cutoffs:
         if phi.grid != g:
             raise ValueError("cutoff grid mismatch")
-        sumsq += np.real(phi.data) ** 2
+        sumsq += phi.data ** 2
         gp = gradient(phi)
         err_dens += np.sum(np.abs(gp.data) ** 2, axis=0)
     support = np.ones(g.shape, dtype=bool)

@@ -108,7 +108,7 @@ class NegativeSpectrum:
         """<u_j, f u_j> for every column u_j, f a real function on the grid."""
         g, m = self.spec.grid, self.vectors.shape[1]
         dens = np.abs(self.vectors.reshape(self.spec.spin, g.size, m)) ** 2
-        return np.real(f).ravel() @ dens.sum(axis=0) * g.weight
+        return f.ravel() @ dens.sum(axis=0) * g.weight
 
 
 def _operator_scale(spec: HamiltonianSpec) -> float:
@@ -212,7 +212,7 @@ def _weyl_count(spec: HamiltonianSpec) -> float:
     g = spec.grid
     if spec.V is None:
         return 0.0
-    vplus = np.maximum(np.real(spec.V.data), 0.0) ** (g.d / 2)
+    vplus = np.maximum(spec.V.data, 0.0) ** (g.d / 2)
     if spec.psi is not None:
         vplus = np.where(spec.psi.data != 0, vplus, 0.0)
     ball = np.pi ** (g.d / 2) / math.gamma(g.d / 2 + 1)
@@ -367,7 +367,7 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     def dot(X, Y):
         return np.real(np.sum(X.conj() * Y, axis=0))
 
-    R = project(np.asarray(rhs, dtype=np.complex128))
+    R = project(rhs)
     X, P, rz = np.zeros_like(R), np.zeros_like(R), np.ones(R.shape[1])
     target = STERNHEIMER_RTOL * np.linalg.norm(R, axis=0)
     active = np.flatnonzero(np.linalg.norm(R, axis=0) > target)

@@ -38,12 +38,11 @@ def weyl_term(w: ScalarField | None, V: ScalarField, h: float, spin: int = 1) ->
         raise ValueError("h must be positive")
     g = V.grid
     d = g.d
-    vplus = np.maximum(np.real(V.data), 0.0)
-    integrand = vplus ** (1.0 + d / 2.0)
+    integrand = np.maximum(V.data, 0.0) ** (1.0 + d / 2.0)
     if w is not None:
         if w.grid != g:
             raise ValueError("weight grid mismatch")
-        integrand = integrand * np.real(w.data)
+        integrand = integrand * w.data
     c_d = momentum_constant(d)
     return float(-spin * (2.0 * np.pi * h) ** (-d) * c_d * integrand.sum() * g.weight)
 

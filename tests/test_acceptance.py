@@ -16,11 +16,11 @@ from fermifield.builders import (
     aharonov_casher_zero_mode,
     bump_potential,
     constant_potential,
-    cutoff_ball,
     flux_quantized_constant_b,
     random_divfree_potential,
     rough_divfree_potential,
 )
+from fermifield.cli import run_check_comm2, run_check_sandwich
 from fermifield.field_opt import (
     GLOBAL_CURL,
     EnergyConfig,
@@ -30,11 +30,9 @@ from fermifield.field_opt import (
     total_energy,
     variant_ordering_check,
 )
-from fermifield.grid import GridSpec, ScalarField, VectorField, divergence
+from fermifield.grid import GridSpec, VectorField, divergence
 from fermifield.inequalities import (
-    check_comm2,
     check_lieb_thirring,
-    check_variational_sandwich,
     harmonic_energy_ratio,
     separation_sweep,
 )
@@ -199,7 +197,7 @@ def test_minimize_contracts_and_beta_monotonicity():
         cfg = EnergyConfig(beta=beta, variant=GLOBAL_CURL)
         rep = minimize(None, spec, cfg, Schedule(max_iters=6))
         assert all(b <= a + 1e-12 for a, b in zip(rep.energies, rep.energies[1:]))
-        assert divergence(rep.final_A).norm(2) <= 1e-10
+        assert divergence(rep.final_A).norm() <= 1e-10
         assert max(abs(rep.final_A.data[j].mean()) for j in range(3)) <= 1e-12
         base, _ = total_energy(None, spec, cfg)
         assert rep.energy <= base + 1e-10
@@ -220,7 +218,7 @@ def test_pauli_zero_mode_on_flux_quantized_torus():
     u = aharonov_casher_zero_mode(grid, h, phi)
     # the Pauli operator is a square, hence >= 0; for a normalized u the
     # residual norm ||H u|| bounds the distance of 0 to the spectrum
-    residual = apply(spec, u).norm(2)
+    residual = apply(spec, u).norm()
     assert residual <= 1e-8, residual
 
 
@@ -313,29 +311,10 @@ def test_mollification_constants_stable_over_octaves():
 
 
 def test_comm2_twenty_random_triples():
-    rng = np.random.default_rng(7)
-    for draw in range(20):
-        d = int(rng.integers(1, 3))
-        grid = GridSpec(d=d, N=32 if d == 1 else 16, L=2.0)
-        h = float(rng.choice([1.0, 0.5]))
-        kmax = h * math.sqrt(float(np.max(np.real(grid.k2))))
-        p1 = float(rng.uniform(0.15, 0.3)) * kmax
-        p2 = float(rng.uniform(0.5, 0.7)) * kmax
-        f = lambda p, p1=p1: plateau_bump(np.asarray(p) / p1)
-        g = lambda p, p2=p2, kmax=kmax: smooth_step(
-            (np.asarray(p) - p2) / (0.2 * kmax)
-        )
-        data = np.zeros(grid.shape)
-        for _ in range(3):
-            kvec = rng.integers(-3, 4, size=d)
-            arg = sum(
-                2 * math.pi * kvec[j] * grid.coords[j] / grid.L for j in range(d)
-            )
-            data = data + float(rng.normal()) * np.cos(
-                arg + float(rng.uniform(0, 2 * math.pi))
-            )
-        rep = check_comm2(f, g, ScalarField(grid, data), h)
-        assert rep.passed, (draw, rep.lhs, rep.rhs)
+    # the check-comm2 corpus at its defaults and seed 7: one report per triple
+    _, _, reports, _ = run_check_comm2({"draws": 20, "n": 32, "box": 2.0}, seed=7)
+    assert len(reports) == 20
+    assert all(rep.passed for rep in reports), [(r.lhs, r.rhs) for r in reports]
 
 
 def test_momentum_separation_supercubic_decay():
@@ -348,21 +327,10 @@ def test_momentum_separation_supercubic_decay():
 
 
 def test_variational_sandwich_ten_dense_cases():
-    rng = np.random.default_rng(13)
-    for draw in range(10):
-        if draw % 5 == 4:
-            grid = GridSpec(d=3, N=8, L=2.0)
-            A = random_divfree_potential(grid, seed=13 + draw, amplitude=0.3)
-        else:
-            grid = GridSpec(d=1, N=64, L=2.0)
-            A = None
-        h = float(rng.uniform(0.3, 1.0))
-        V = bump_potential(grid, amplitude=float(rng.uniform(1.0, 4.0)),
-                           radius=0.7)
-        psi = cutoff_ball(grid, 0.8)
-        spec = HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, A=A, V=V)
-        rep = check_variational_sandwich(spec, psi)
-        assert rep.passed, (draw, rep.notes)
+    # the check-sandwich corpus at its defaults and seed 13
+    _, _, reports, _ = run_check_sandwich({"draws": 10, "n": 64, "box": 2.0}, seed=13)
+    assert len(reports) == 10
+    assert all(rep.passed for rep in reports), [r.notes for r in reports]
 
 
 def test_lieb_thirring_envelope_stable_across_corpora():

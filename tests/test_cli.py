@@ -1,6 +1,7 @@
 """Tests for the batch experiment runner: config plumbing, outputs, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,16 +162,47 @@ def test_main_bad_override_form_exit_2(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-def test_main_numerical_failure_exit_1(tmp_path, capsys):
-    # a dyadic width below the semiclassical parameter raises inside the
-    # experiment; the runner must record the failure and exit 1
+def test_main_numerical_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # an eigensolver that fails inside the experiment; the runner must record
+    # the failure and exit 1
+    from fermifield import spectral
+
+    def fail(spec, *args, **kwargs):
+        raise spectral.EigenFailure("no convergence")
+
+    monkeypatch.setattr(spectral, "negative_spectrum", fail)
     out = tmp_path / "run"
-    code = main(["check-dyadic", "--out", str(out),
-                 "--set", "w_width=0.01"])
+    code = main(["weyl-converge", "--out", str(out), "--set", "n=16"])
     assert code == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["error"]
+    assert manifest["error"] == "EigenFailure: no convergence"
+
+
+@pytest.mark.parametrize("experiment, config, sets, key", [
+    ("minimize-field", "minimize_field_pauli.cfg", ["n=12"], "n"),
+    ("minimize-field", "minimize_field_pauli.cfg", ["box=-1"], "box"),
+    ("minimize-field", "minimize_field_pauli.cfg", ["flavor=dirac"], "flavor"),
+    ("minimize-field", "minimize_field_pauli.cfg", ["h=0"], "h"),
+    ("minimize-field", "minimize_field_pauli.cfg", ["beta=-1"], "beta"),
+    ("minimize-field", "minimize_field_pauli.cfg", ["variant=foo"], "variant"),
+    ("variant-order", "variant_order.cfg", ["ratios=1"], "ratios"),
+    ("variant-order", "variant_order.cfg", ["r=0"], "r"),
+    ("variant-order", "variant_order.cfg", ["beta=0"], "beta"),
+    ("weyl-converge", "weyl_converge_1d_bump.cfg", ["n=12"], "n"),
+    ("check-dyadic", None, ["w_width=0.01"], "w_width"),
+])
+def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_path, capsys):
+    # a value a constructor rejects is a config error, found before any solve:
+    # exit 2, the key named, no manifest
+    out = tmp_path / "run"
+    argv = [experiment, "--out", str(out), *(arg for item in sets for arg in ("--set", item))]
+    if config:
+        argv += ["--config", str(CONFIG_DIR / config)]
+    assert main(argv) == 2
+    named = re.search(r"config key '([^']*)'", capsys.readouterr().err)
+    assert named and key in named.group(1).split(", ")
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("key, overrides", [

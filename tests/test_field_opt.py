@@ -270,7 +270,7 @@ def test_minimize_contracts(spec3d):
     cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
     rep = minimize(None, spec3d, cfg, Schedule(max_iters=3))
     assert all(b <= a + 1e-12 for a, b in zip(rep.energies, rep.energies[1:]))
-    assert divergence(rep.final_A).norm(2) < 1e-10
+    assert divergence(rep.final_A).norm() < 1e-10
     for j in range(3):
         assert abs(rep.final_A.data[j].mean()) < 1e-12
     base, _ = total_energy(None, spec3d, cfg)
@@ -472,7 +472,7 @@ def test_el_residual_of_psi_outside_is_its_own_equation(spec3d):
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
     sA = spec.with_A(A)
     J = -0.5 * _trace_gradient_psi_outside(sA, negative_spectrum(replace(sA, psi=None)))
-    ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
+    ref = (lhs - J).norm() / max(lhs.norm(), J.norm())
     assert el_residual(A, spec, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -485,7 +485,7 @@ def test_el_residual_is_the_maxwell_residual(spec3d, variant):
     A = random_divfree_potential(spec3d.grid, seed=3, kmax=2, amplitude=0.15)
     J = current(negative_spectrum(spec3d.with_A(A)))
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)  # beta curl B for global-curl
-    ref = (lhs - J).norm(2) / max(lhs.norm(2), J.norm(2))
+    ref = (lhs - J).norm() / max(lhs.norm(), J.norm())
     assert el_residual(A, spec3d, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -564,7 +564,7 @@ def _counting_total_energy(monkeypatch, reject_with=None):
     def wrapped(A, spec, cfg, seed=0, spectrum=None):
         E, parts = energy(A, spec, cfg, seed=seed, spectrum=spectrum)
         if reject_with is not None and len(log) == 1:
-            norm2 = A.norm(2) ** 2  # alpha^2 g
+            norm2 = A.norm() ** 2  # alpha^2 g
             alpha = norm2 / (2.0 * cfg.beta * field_opt._field_energy(A, cfg))
             E = log[0][1] + reject_with * norm2 / alpha
         log.append((A, E))
@@ -588,10 +588,17 @@ def test_rejected_trial_backtracks_to_the_interpolated_step(spec3d, monkeypatch,
     log = _counting_total_energy(monkeypatch, reject_with=f)
     rep = minimize(None, spec3d, EnergyConfig(beta=2.0, variant=GLOBAL_CURL),
                    Schedule(max_iters=1))
-    first, second = log[1][0].norm(2), log[2][0].norm(2)  # trial norms scale with alpha
+    first, second = log[1][0].norm(), log[2][0].norm()  # trial norms scale with alpha
     assert 0.1 * first <= second * (1 + 1e-12) and second <= 0.5 * first * (1 + 1e-12)
     assert second / first == pytest.approx(ratio, rel=1e-9)
     assert rep.trials == [2]
+
+
+def test_descent_iterate_and_gradient_are_float64(spec3d):
+    cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
+    rep = minimize(None, spec3d, cfg, Schedule(max_iters=1))
+    assert rep.steps and rep.final_A.data.dtype == np.float64
+    assert energy_gradient(rep.final_A, spec3d, cfg).data.dtype == np.float64
 
 
 def test_second_step_is_the_barzilai_borwein_step(spec3d):
@@ -600,7 +607,7 @@ def test_second_step_is_the_barzilai_borwein_step(spec3d):
     cfg = EnergyConfig(beta=2.0, variant=GLOBAL_CURL)
     rep = minimize(None, spec3d, cfg, Schedule(max_iters=2))
     assert rep.trials == [1, 1]
-    A0 = VectorField.zero(spec3d.grid).real
+    A0 = VectorField.zero(spec3d.grid)
     G0 = _project(energy_gradient(A0, spec3d, cfg))
     A1 = _project(A0 - rep.steps[0] * G0)
     G1 = _project(energy_gradient(A1, spec3d, cfg))
@@ -640,7 +647,7 @@ def _old_curl_energy_and_gradient(A, region):
 def _old_grad_energy_and_gradient(A, region):
     """The d^2 loop: region |d_i A_j|^2 and -2 sum_i d_i (region d_i A_j)."""
     g, a = A.grid, A.data
-    dens, grad = np.zeros(g.shape), np.zeros_like(a)
+    dens, grad = np.zeros(g.shape), np.zeros_like(a, dtype=complex)
     for j in range(g.d):
         for i in range(g.d):
             dija = _d(a[j], g, i)

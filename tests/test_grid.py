@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from fermifield.builders import (
+    A_BUILDERS,
+    V_BUILDERS,
+    cutoff_ball,
+    flux_quantized_constant_b,
+    random_divfree_potential,
+    rough_divfree_potential,
+)
 from fermifield.grid import (
     GridSpec,
     ScalarField,
@@ -10,15 +18,18 @@ from fermifield.grid import (
     SpinorField,
     ball_mask,
     curl,
+    div_rows,
     divergence,
     field_energy_curl,
     field_energy_grad,
     gradient,
+    jacobian,
     laplacian,
     leray_project,
     mean_zero_normalize,
     periodic_dist2,
 )
+from fermifield.multiscale import mollify
 
 
 def test_grid_validation():
@@ -71,14 +82,14 @@ def test_curl_of_gradient_vanishes():
     rng = np.random.default_rng(1)
     f = ScalarField(g, rng.standard_normal(g.shape))
     c = curl(gradient(f))
-    assert c.norm(2) < 1e-10
+    assert c.norm() < 1e-10
 
 
 def test_leray_projection_is_idempotent_and_divergence_free(rng):
     g = GridSpec(d=3, N=8, L=2.0)
     A = VectorField(g, rng.standard_normal((3,) + g.shape))
     P = leray_project(A)
-    assert divergence(P).norm(2) < 1e-10
+    assert divergence(P).norm() < 1e-10
     PP = leray_project(P)
     np.testing.assert_allclose(PP.data, P.data, atol=1e-12)
 
@@ -151,4 +162,39 @@ def test_field_arithmetic_and_inner(rng):
     # quadrature inner product matches the direct sum
     ip = f.inner(h)
     assert ip == pytest.approx(np.sum(f.data * h.data) * g.weight)
-    assert f.norm(2) == pytest.approx(np.sqrt(np.sum(f.data**2) * g.weight))
+    assert f.norm() == pytest.approx(np.sqrt(np.sum(f.data**2) * g.weight))
+
+
+# ---------------------------------------------------------------------------
+# the dtype contract: a real field is stored real and stays real
+
+
+def test_field_dtype_follows_its_data():
+    g = GridSpec(d=1, N=8, L=1.0)
+    assert ScalarField(g, np.arange(8)).data.dtype == np.float64
+    assert ScalarField(g, np.ones(8, dtype=bool)).data.dtype == np.float64
+    assert ScalarField(g, np.ones(8, dtype=np.complex64)).data.dtype == np.complex128
+    data = np.zeros(8)
+    f = ScalarField(g, data)
+    data[0] = 1.0  # the field holds its own read-only copy
+    assert f.data[0] == 0.0 and not f.data.flags.writeable
+
+
+def test_real_builders_give_float64_fields():
+    g = GridSpec(d=3, N=8, L=2.0)
+    fields = [V_BUILDERS[name](g) for name in ("bump", "constball", "softcoulomb")]
+    fields += [cutoff_ball(g, 0.5), A_BUILDERS["randband"](g, seed=1),
+               rough_divfree_potential(g, seed=1)]
+    fields += flux_quantized_constant_b(g, 1.0, 1)  # A, B_z and phi
+    assert [f.data.dtype for f in fields] == [np.float64] * len(fields)
+
+
+def test_field_calculus_keeps_a_real_field_real():
+    g = GridSpec(d=3, N=8, L=2.0)
+    A = random_divfree_potential(g, seed=2)
+    f = V_BUILDERS["bump"](g)
+    out = [gradient(f).data, divergence(A).data, curl(A).data, leray_project(A).data,
+           mollify(A, 0.3).data, mollify(f, 0.3).data, jacobian(A.data, g), div_rows(A.data, g)]
+    assert [a.dtype for a in out] == [np.float64] * len(out)
+    assert type(field_energy_curl(A)) is float and type(field_energy_grad(A)) is float
+    assert type(A.inner(A)) is float

@@ -154,14 +154,14 @@ def test_mollify_is_a_contraction_in_l2():
     rng = np.random.default_rng(3)
     A = VectorField(g, rng.standard_normal((2,) + g.shape))
     Ar = mollify(A, 0.2)
-    assert Ar.norm(2) <= A.norm(2) + 1e-12
+    assert Ar.norm() <= A.norm() + 1e-12
 
 
 def test_mollify_converges_as_r_shrinks():
     g = GridSpec(d=1, N=256, L=2.0)
     x = g.axis
     A = VectorField(g, np.sin(2 * np.pi * x / g.L)[None, :])
-    errs = [(A - mollify(A, r)).norm(2) for r in (0.4, 0.2, 0.1)]
+    errs = [(A - mollify(A, r)).norm() for r in (0.4, 0.2, 0.1)]
     assert errs[2] < errs[1] < errs[0]
     # smooth fields: ||A - A_r|| = O(r^2)
     assert errs[2] < 0.3 * errs[1]

@@ -28,6 +28,13 @@ def _random_spinor(g, spin, rng):
     return SpinorField(g, data)
 
 
+def test_spec_rejects_a_complex_field(grid2d):
+    # V, A and psi are real; a complex V would make apply non-Hermitian
+    V = ScalarField(grid2d, np.ones(grid2d.shape) + 0.5j)
+    with pytest.raises(ValueError, match="V must be a real field"):
+        HamiltonianSpec(grid=grid2d, h=1.0, V=V)
+
+
 def test_spec_validation(grid2d, grid3d):
     with pytest.raises(ValueError):
         HamiltonianSpec(grid=grid2d, h=0.0)

@@ -57,7 +57,7 @@ def test_eigenvectors_are_quadrature_normalized(spec1d):
     ns = negative_spectrum(spec1d)
     assert len(ns.eigenvalues) > 0
     for u in ns.eigenvectors:
-        assert u.norm(2) == pytest.approx(1.0, abs=1e-10)
+        assert u.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("path", ["dense", "lobpcg", "spin-copies"])
@@ -137,7 +137,7 @@ def test_current_vanishes_without_field():
         spec = HamiltonianSpec(grid=g, h=0.5, V=bump_potential(g, amplitude=3.0))
         ns = negative_spectrum(spec)
         J = current(ns)
-        norms.append(J.norm(2))
+        norms.append(J.norm())
     assert norms[0] < 1e-3
     assert norms[1] < norms[0] / 10
     assert norms[2] < 1e-7
@@ -153,7 +153,7 @@ def test_current_reacts_to_field():
     ns = negative_spectrum(spec)
     assert len(ns.eigenvalues) > 0
     J = current(ns)
-    assert J.norm(2) > 1e-6
+    assert J.norm() > 1e-6
 
 
 @pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
@@ -173,8 +173,8 @@ def test_current_of_a_constant_cutoff_scales_by_its_square(flavor):
     ns_bare, ns_local = negative_spectrum(bare), negative_spectrum(local)
     assert len(ns_local.eigenvalues) == len(ns_bare.eigenvalues) > 0
     J_bare, J_local = current(ns_bare), current(ns_local)
-    assert J_bare.norm(2) > 1e-6
-    assert (J_local - c**2 * J_bare).norm(2) <= 1e-9 * J_bare.norm(2)
+    assert J_bare.norm() > 1e-6
+    assert (J_local - c**2 * J_bare).norm() <= 1e-9 * J_bare.norm()
 
 
 def test_iterative_block_operators_match_columns(spec3d, rng):
