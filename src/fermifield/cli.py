@@ -62,6 +62,7 @@ from .multiscale import (
     SMOOTHING_CONSTANTS,
     PartitionSpec,
     dyadic_build,
+    mollifier_kernel,
     partition_defect,
     partition_from_potential,
     smoothing_constants,
@@ -210,6 +211,9 @@ def _spec(cfg: dict, h: float, n: int | None = None,
     "cert_threshold": ("float", 1e-3),
 })
 def run_weyl_converge(cfg, seed):
+    for h in cfg["h_list"]:  # every h checked before the first solve
+        _spec(cfg, h)
+
     def problem(h, double=False):
         return _spec(cfg, h, n=cfg["n"] * (2 if double else 1)), None
 
@@ -339,19 +343,17 @@ def run_variant_order(cfg, seed):
 })
 def run_check_partition(cfg, seed):
     d = cfg["d"]
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-2.0, 2.0, size=(cfg["n_samples"], d))
-
-    const = PartitionSpec.constant(d, 0.2)
-    defect_const = partition_defect(const, xs)
-
-    var, K, repaired = partition_from_potential(
-        d,
-        lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)),
-        lambda x: -2.0 * np.asarray(x)
+    var, K, repaired = _configured(
+        partition_from_potential, {"h": "h", "K": "kappa", "alpha": "alpha"},
+        d=d,
+        V=lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)),
+        grad_V=lambda x: -2.0 * np.asarray(x)
         * np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))[..., None],
         h=cfg["h"], K=cfg["kappa"], alpha=cfg["alpha"],
     )
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2.0, 2.0, size=(cfg["n_samples"], d))
+    defect_const = partition_defect(PartitionSpec.constant(d, 0.2), xs)
     defect_var = partition_defect(var, xs)
 
     header = ["case", "defect", "tolerance"]
@@ -396,6 +398,9 @@ def run_check_dyadic(cfg, seed):
 })
 def run_check_lt(cfg, seed):
     grid = _grid(cfg, 3, cfg["n"])
+    for h in cfg["h_list"]:  # every h checked before the first solve
+        _configured(HamiltonianSpec, {"h": "h_list", "flavor": "flavor"},
+                    grid=grid, h=h, flavor=cfg["flavor"])
     rng = np.random.default_rng(seed)
     header = ["draw", "h", "ratio", "lhs", "rhs"]
     rows, reports, ratios = [], [], []
@@ -430,6 +435,8 @@ def run_check_lt(cfg, seed):
 def run_check_smoothing(cfg, seed):
     grid = _grid(cfg, cfg["d"], cfg["n"])
     radii = [cfg["r0"] * 0.5 ** i for i in range(cfg["octaves"] + 1)]
+    for r in radii:  # every radius checked before the first draw
+        _configured(mollifier_kernel, {"r": "r0"}, grid=grid, r=r)
     potentials = (rough_divfree_potential(grid, seed=seed + draw)
                   for draw in range(cfg["draws"]))
     series = list(smoothing_constants(grid, potentials, radii))  # one dict per draw

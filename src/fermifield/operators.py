@@ -335,15 +335,17 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
         C_{h^2|k|^2} I + sum_j C_j (M(x) sigma_j + sigma_j M(y)) + (M^2 - V) delta_xy
 
-    times psi(x) psi(y).  Rows are built in slabs of about BLOCK, so the
-    temporaries stay a small multiple of BLOCK * dim (dim <= DENSE_LIMIT).
+    times psi(x) psi(y).  Every factor is real when A is None, and so is the
+    matrix then (float64; complex128 otherwise).  Rows are built in slabs of
+    about BLOCK, so the temporaries stay a small multiple of BLOCK * dim
+    (dim <= DENSE_LIMIT).
     """
     dim = spec.dim
     if dim > DENSE_LIMIT:
         raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {dim}")
     g = spec.grid
     n, N, spin = g.size, g.N, spec.spin
-    kin = _ifft(spec.h**2 * g.k2, g.d)
+    kin = _ifft(spec.h**2 * g.k2, g.d).real  # an even real symbol: a real circulant
     V = np.zeros(n) if spec.V is None else spec.V.data.ravel()
     # C_j is scaled by right[j](x) + left[j](y), spin blocks (a, b) last
     mom, pot = [], np.zeros((n, 1, 1))
@@ -358,7 +360,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
             right, pot = left, np.sum(A * A, axis=0)[:, None, None]
     pot = pot - V[:, None, None] * np.eye(spin)
 
-    H = np.zeros((spin, n, spin, n), dtype=np.complex128)
+    H = np.zeros((spin, n, spin, n), dtype=np.float64 if spec.A is None else np.complex128)
     step = max(1, BLOCK * N // n)  # first-axis grid values per slab
     for lo in range(0, N, step):
         hi = min(lo + step, N)

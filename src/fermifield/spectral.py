@@ -3,18 +3,31 @@ Negative-spectrum computation and the gauge current of its eigenvectors.
 
 The eigensolver finds every eigenvalue <= tol_zero.  Pauli at A = 0, which
 is H_1 (x) I_2 with H_1 its scalar Schrodinger operator, is solved once as
-H_1 and each eigenpair repeated per spin component; the path is chosen from
-the asked dimension.  Up to DENSE_LIMIT it assembles the closed-form matrix and
-asks LAPACK's MRRR driver (?heevr) for the eigenpairs in (-inf, tol_zero]
-only.  Above it, LOBPCG (scipy), preconditioned by the inverse kinetic
-energy and with its residual target scaled to the operator, starts from a
-block of 1.25 times the Weyl count plus two guard vectors and doubles it,
-from the vectors found, until the spectrum is bracketed at zero; a
-one-vector probe solve from an independent start guards against a missed
-lowest eigenvalue.  Every kept eigenpair is checked against the
-matrix-free operator of the asked spec; lobpcg calls that end above their
-residual target, operator columns applied and the probe's value are
-recorded in SolveStats, not hidden.
+H_1 and each eigenpair repeated per spin component.  One of three routes
+solves it, each with its own count certificate (SolveStats.certificate):
+
+- "lapack": up to DENSE_LIMIT (of the asked dimension), by default, the
+  closed-form matrix (real when A is None) goes to LAPACK's MRRR driver
+  (?heevr / ?syevr) for the eigenpairs in (-inf, tol_zero] only.
+- "inertia": up to DENSE_LIMIT, when the solved dimension is at least
+  INERTIA_MIN_DIM, psi is unset and the predicted block (a quarter more
+  than the Weyl count plus two guards) is at most dim / INERTIA_BLOCK_RATIO.
+  The matrix of H - tol_zero is factored in place by Bunch-Kaufman LDL^T
+  (?hetrf / ?sytrf); by Sylvester's law of inertia its negative pivots count
+  the eigenvalues below tol_zero exactly.  One LOBPCG block of that count
+  plus two then solves the matrix-free operator to INERTIA_LOBPCG_TOL; if
+  it finds another count, dense evr solves a re-assembled matrix and the
+  fallback is recorded.
+- "probe": above DENSE_LIMIT, LOBPCG (scipy), preconditioned by the inverse
+  kinetic energy and with its residual target scaled to the operator,
+  starts from the predicted block and doubles it, from the vectors found,
+  until the spectrum is bracketed at zero; a one-vector probe solve from an
+  independent start guards against a missed lowest eigenvalue.
+
+Every kept eigenpair is checked against the matrix-free operator of the
+asked spec; lobpcg calls that end above their residual target, operator
+columns applied, the inertia count and the probe's value are recorded in
+SolveStats, not hidden.
 
 The kept eigenvectors are one read-only (dim, m) block of columns, normalized
 in place where the solver made them; SpinorFields are wrapped only on demand.
@@ -59,6 +72,19 @@ __all__ = [
 RESIDUAL_TOL = 1e-7
 LOBPCG_TOL = 1e-10
 PROBE_TOL = 1e-8
+# The inertia route's block target.  sternheimer projects off the kept block, and
+# at LOBPCG_TOL its Pauli N=8 sum over the pairs above missed the dense one by
+# 1.1e-11 of its largest entry; at this target it meets 1e-12.
+INERTIA_LOBPCG_TOL = 1e-13
+
+# The inertia route's rule, from the dense-versus-iterative crossover in
+# BENCH_eigensolver.json (one BLAS thread): at dim 512 evr wins at every block
+# (0.016 s real, 0.05 s complex, against 0.1 s or more), and the inertia route
+# wins up to a predicted block of about 8 at dim 1024 and 32 at dim 4096.  A
+# localized operator stays dense: where psi is small but nonzero its eigenvalues
+# crowd zero, and LOBPCG's count at tol_zero would rest on round-off.
+INERTIA_MIN_DIM = 1024
+INERTIA_BLOCK_RATIO = 128
 
 
 class EigenFailure(RuntimeError):
@@ -69,7 +95,8 @@ class EigenFailure(RuntimeError):
 class SolveStats:
     """How a negative spectrum was found."""
 
-    path: str = ""  # "dense" or "lobpcg"
+    path: str = ""  # "dense" or "lobpcg": the solver of the kept pairs
+    certificate: str = ""  # "lapack", "inertia" or "probe": what vouches for the count
     dim: int = 0  # dimension solved, after the spin reduction
     copies: int = 1  # spin copies of each solved eigenpair
     blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
@@ -78,8 +105,10 @@ class SolveStats:
     worst_residual: float = 0.0  # largest ||H u - lam u|| over the kept pairs
     matvecs: int = 0  # operator columns applied by lobpcg, probe included
     # lobpcg probe's lowest value; less the lowest kept eigenvalue (tol_zero if
-    # none is kept) it is the certificate gap.  None on the dense path.
+    # none is kept) it is the certificate gap.  None off the probe route.
     probe_lowest: float | None = None
+    inertia: int | None = None  # eigenvalues below tol_zero by LDL^T; None off the inertia route
+    fallback: bool = False  # the inertia route's LOBPCG missed that count; dense evr solved
 
 
 @dataclass(frozen=True)
@@ -160,19 +189,22 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     """Compute every eigenvalue <= tol_zero of the represented operator.
 
     Pauli at A = 0 is solved as its scalar Schrodinger problem (see
-    _spin_reduced) and each eigenpair repeated per spin component; dense or
-    LOBPCG is still chosen from spec.dim.  The columns are normalized in
-    place and kept read-only, and every pair must pass _residual_check
-    against the matrix-free operator of spec itself.
+    _spin_reduced) and each eigenpair repeated per spin component; the
+    route (module docstring) is chosen from spec.dim and the solved spec.
+    The columns are normalized in place and kept read-only, and every pair
+    must pass _residual_check against the matrix-free operator of spec itself.
     """
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
     solved = _spin_reduced(spec)
-    if spec.dim <= DENSE_LIMIT:
-        vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
-        info = {"path": "dense"}
-    else:
+    if spec.dim > DENSE_LIMIT:
         vals, vecs, info = _lobpcg_negative(solved, tol_zero, seed)
+    elif (solved.dim >= INERTIA_MIN_DIM and solved.psi is None
+          and _predicted_block(solved) <= solved.dim / INERTIA_BLOCK_RATIO):
+        vals, vecs, info = _inertia_negative(solved, tol_zero, seed)
+    else:
+        vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
+        info = {"path": "dense", "certificate": "lapack"}
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
@@ -219,6 +251,62 @@ def _weyl_count(spec: HamiltonianSpec) -> float:
     return float(spec.spin * ball * (2 * np.pi * spec.h) ** (-g.d) * vplus.sum() * g.weight)
 
 
+def _predicted_block(spec: HamiltonianSpec) -> int:
+    """LOBPCG's first block: a quarter more than the Weyl count plus two guard columns."""
+    return math.ceil(1.25 * _weyl_count(spec)) + 2
+
+
+def _inertia(H: np.ndarray, shift: float) -> int:
+    """Count of eigenvalues of the Hermitian H below shift, from one LDL^T.
+
+    Bunch-Kaufman (?hetrf, or ?sytrf for a real H) factors H - shift =
+    L D L^H in place, so H is overwritten and no second dim^2 array is made
+    (the Fortran-ordered transpose of a C-ordered H is conj(H), whose inertia
+    is the same).  By Sylvester's law D has as many negative eigenvalues as
+    H - shift: a 1x1 pivot counts by its sign, a 2x2 pivot [[a, b], [b*, c]]
+    once if a c - |b|^2 < 0 and else twice if a < 0.
+    """
+    from scipy.linalg import lapack
+
+    n = H.shape[0]
+    H.flat[::n + 1] -= shift
+    trf, trf_lwork = ((lapack.zhetrf, lapack.zhetrf_lwork) if np.iscomplexobj(H)
+                      else (lapack.dsytrf, lapack.dsytrf_lwork))
+    lwork = int(trf_lwork(n)[0].real)
+    ldu, ipiv, info = trf(H.T if H.flags.c_contiguous else H, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise EigenFailure(f"LDL^T factorization: argument {-info} rejected")
+    d = ldu.diagonal().real
+    first = np.flatnonzero(ipiv < 0)[::2]  # 2x2 pivots fill two negative ipiv entries
+    a, c, b = d[first], d[first + 1], np.abs(ldu[first, first + 1])  # upper: D(k, k+1)
+    single = np.ones(n, dtype=bool)
+    single[first] = single[first + 1] = False
+    pairs = np.where(a * c - b * b < 0, 1, 2 * (a < 0))
+    return int(np.count_nonzero(d[single] < 0) + pairs.sum())
+
+
+def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
+    """Eigenpairs <= tol_zero from their inertia count m and one LOBPCG block of m + 2.
+
+    m is exact, so the block needs no growth and no probe; its target is
+    INERTIA_LOBPCG_TOL times the operator scale.  If LOBPCG finds other than
+    m values <= tol_zero, dense evr solves a re-assembled matrix and the
+    SolveStats fields record the fallback.  Returns the kept pairs and those fields.
+    """
+    m = _inertia(dense_matrix(spec), tol_zero)
+    op, minv = _iterative_operators(spec)
+    log = []
+    vals, vecs = _lobpcg_lowest(op, minv, spec.dim, m + 2, np.random.default_rng(seed),
+                                INERTIA_LOBPCG_TOL * _operator_scale(spec), log)
+    info = {"inertia": m, "blocks": (m + 2,), "iterations": tuple(its for its, _ in log),
+            "unconverged": sum(warned for _, warned in log), "matvecs": op.matvecs}
+    keep = vals <= tol_zero
+    if np.count_nonzero(keep) != m:
+        vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
+        return vals, vecs, {**info, "path": "dense", "certificate": "lapack", "fallback": True}
+    return vals[keep], vecs[:, keep], {**info, "path": "lobpcg", "certificate": "inertia"}
+
+
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
@@ -236,7 +324,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     blocks, log = [], []  # log: (iterations, warned) per lobpcg call
 
     cap = min(dim - 4, 600)
-    k = min(max(4, math.ceil(1.25 * _weyl_count(spec)) + 2), cap)
+    k = min(max(4, _predicted_block(spec)), cap)
     vecs = None
     while True:
         blocks.append(k)
@@ -260,7 +348,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
         raise EigenFailure(
             f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
         )
-    info = {"path": "lobpcg", "blocks": tuple(blocks),
+    info = {"path": "lobpcg", "certificate": "probe", "blocks": tuple(blocks),
             "iterations": tuple(its for its, _ in log),
             "unconverged": sum(warned for _, warned in log),
             "matvecs": op.matvecs, "probe_lowest": float(pvals[0])}
@@ -367,7 +455,7 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     def dot(X, Y):
         return np.real(np.sum(X.conj() * Y, axis=0))
 
-    R = project(rhs)
+    R = project(rhs).astype(np.complex128)  # H's columns are complex even for a real block
     X, P, rz = np.zeros_like(R), np.zeros_like(R), np.ones(R.shape[1])
     target = STERNHEIMER_RTOL * np.linalg.norm(R, axis=0)
     active = np.flatnonzero(np.linalg.norm(R, axis=0) > target)

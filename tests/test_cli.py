@@ -205,6 +205,32 @@ def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_pa
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("experiment, sets, key", [
+    ("check-partition", ["alpha=0.3"], "alpha"),
+    ("check-lt", ["h_list=0"], "h_list"),
+    ("check-smoothing", ["r0=0"], "r0"),
+    ("weyl-converge", ["n=16", "h_list=0.5,0"], "h_list"),  # the bad h is not the first
+])
+def test_main_rejected_value_exits_2_before_any_solve(experiment, sets, key, tmp_path, capsys,
+                                                      monkeypatch):
+    # every value is checked before the first solve, draw or sample: a call to
+    # any of them fails the run with exit 1 instead
+    from fermifield import cli, inequalities, spectral
+
+    def refused(*args, **kwargs):
+        raise AssertionError("computed before the config was checked")
+
+    for mod, name in ((spectral, "negative_spectrum"), (inequalities, "negative_spectrum"),
+                      (cli, "rough_divfree_potential"), (cli, "partition_defect")):
+        monkeypatch.setattr(mod, name, refused)
+    out = tmp_path / "run"
+    argv = [experiment, "--out", str(out), *(arg for item in sets for arg in ("--set", item))]
+    assert main(argv) == 2
+    named = re.search(r"config key '([^']*)'", capsys.readouterr().err)
+    assert named and key in named.group(1).split(", ")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("key, overrides", [
     ("v_args", ["v_args=6 0.7 1"]),
     ("a_args", ["a_init=constB", "a_args=1.5"]),

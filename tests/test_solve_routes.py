@@ -1,0 +1,93 @@
+"""The solve route of every benchmark workload's operators, pinned.
+
+benchmarks/workloads.py requires spans that only some routes make:
+spectral.dense_eigh on the two CLI workloads, spectral.lobpcg on
+weyl3d_iterative.  So a change in routing shows here first, not as a traced
+run that exits 3.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fermifield.field_opt as field_opt
+import fermifield.spectral as spectral
+from fermifield import builders
+from fermifield.cli import main
+from fermifield.grid import GridSpec
+from fermifield.operators import HamiltonianSpec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _recorded_cli_solves(monkeypatch, tmp_path, config, experiment, sets):
+    """(A is nonzero, SolveStats, vectors dtype) per solve of one CLI run; dense_eigh calls."""
+    solves, dense_calls = [], []
+    solve, eigh = field_opt.negative_spectrum, spectral.dense_eigh
+
+    def recorded_solve(spec, *args, **kwargs):
+        ns = solve(spec, *args, **kwargs)
+        solves.append((spec.A is not None and bool(np.any(spec.A.data)), ns.stats,
+                       ns.vectors.dtype))
+        return ns
+
+    def recorded_eigh(H, upper):
+        dense_calls.append(H.dtype)
+        return eigh(H, upper)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", recorded_solve)
+    monkeypatch.setattr(spectral, "dense_eigh", recorded_eigh)
+    argv = [experiment, "--config", str(CONFIG_DIR / config), "--out", str(tmp_path),
+            "--seed", "1", *(arg for item in sets for arg in ("--set", item))]
+    assert main(argv) == 0
+    return solves, dense_calls
+
+
+def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
+        monkeypatch, tmp_path):
+    solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path,
+                                               "minimize_field_pauli.cfg", "minimize-field",
+                                               ["max_iters=1"])
+    at_zero = [(st, dt) for field, st, dt in solves if not field]
+    with_field = [st for field, st, _ in solves if field]
+    assert at_zero and with_field
+    for st, dtype in at_zero:  # the spin-reduced dim-512 operator
+        assert (st.path, st.certificate, st.dim, st.copies) == ("dense", "lapack", 512, 2)
+        assert dtype == np.float64
+    for st in with_field:
+        assert (st.path, st.certificate, st.dim, st.fallback) == ("lobpcg", "inertia", 1024,
+                                                                  False)
+        assert st.blocks == (st.inertia + 2,) and st.probe_lowest is None
+    assert dense_calls and all(dt == np.float64 for dt in dense_calls)
+
+
+def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
+    solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path, "variant_order.cfg",
+                                               "variant-order", ["ratios=2 4", "max_iters=1"])
+    assert solves
+    for _, st, _ in solves:
+        assert (st.path, st.certificate, st.dim, st.inertia) == ("dense", "lapack", 512, None)
+    assert len(dense_calls) == len(solves)
+
+
+# blocks, iterations (probe last) and matvecs per solve at seed 1 and one BLAS
+# thread, as the probe route gave them before the inertia route existed
+WEYL3D_STATS = {
+    (0.6, False): ((4,), (52, 14), 138),
+    (0.6, True): ((4,), (52, 37), 184),
+    (0.45, False): ((4,), (35, 13), 126),
+    (0.45, True): ((5,), (67, 32), 249),
+}
+
+
+@pytest.mark.parametrize("h, with_a", list(WEYL3D_STATS))
+def test_weyl3d_iterative_solves_keep_the_probe_route(h, with_a):
+    g = GridSpec(d=3, N=16, L=2.0)
+    V = builders.bump_potential(g, 6.0, 0.7)
+    A = builders.random_divfree_potential(g, seed=1, amplitude=0.3)
+    A = (0.55 / float(np.sqrt(np.mean(A.data ** 2)))) * A
+    spec = HamiltonianSpec(grid=g, h=h, flavor="pauli", A=A if with_a else None, V=V)
+    st = spectral.negative_spectrum(spec, seed=1).stats
+    assert (st.path, st.certificate, st.inertia) == ("lobpcg", "probe", None)
+    assert (st.blocks, st.iterations, st.matvecs) == WEYL3D_STATS[(h, with_a)]

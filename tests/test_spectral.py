@@ -439,14 +439,111 @@ def test_matvecs_count_every_operator_column_lobpcg_applies(spec3d, monkeypatch)
 
 
 def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
-    assert negative_spectrum(spec3d).stats.probe_lowest is None  # dense path
+    dense = negative_spectrum(spec3d).stats
+    assert (dense.certificate, dense.probe_lowest, dense.inertia) == ("lapack", None, None)
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec3d)
+    assert (ns.stats.certificate, ns.stats.inertia) == ("probe", None)
     gap = ns.stats.probe_lowest - ns.eigenvalues[0]
     assert ns.stats.probe_lowest == calls[-1][2].min()
     assert -1e-8 <= gap <= 1e-6 * spectral._operator_scale(spec3d)
+
+
+# ---------------------------------------------------------------------------
+# inertia route
+
+
+def _inertia_cases():
+    g1, g2, g3 = GridSpec(d=1, N=32, L=2.0), GridSpec(d=2, N=16, L=2.0), GridSpec(d=3, N=8, L=2.0)
+    from fermifield.builders import cutoff_ball, random_divfree_potential
+
+    A = random_divfree_potential(g3, seed=2, kmax=1, amplitude=0.3)
+    return {
+        "schrodinger-1d": HamiltonianSpec(grid=g1, h=0.3, V=bump_potential(g1, 5.0, 0.6)),
+        "schrodinger-2d": HamiltonianSpec(grid=g2, h=0.4, V=bump_potential(g2, 5.0, 0.6)),
+        "schrodinger-3d": HamiltonianSpec(grid=g3, h=0.6, V=bump_potential(g3, 6.0, 0.7)),
+        "pauli-with-A": HamiltonianSpec(grid=g3, h=0.5, flavor="pauli", A=A,
+                                        V=bump_potential(g3, 10.0, 0.7)),
+        # psi vanishes off a ball: ker psi is a band of exact zeros below tol_zero
+        "psi-zero-band": HamiltonianSpec(grid=g3, h=0.6, psi=cutoff_ball(g3, 0.6),
+                                         V=bump_potential(g3, 6.0, 0.7)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_inertia_cases()))
+def test_inertia_count_equals_dense_count(case):
+    spec = _inertia_cases()[case]
+    tol = default_tol_zero(spec)
+    vals, _ = dense_eigh(spectral.dense_matrix(spec), upper=tol)
+    assert spectral._inertia(spectral.dense_matrix(spec), tol) == len(vals) > 0
+    if case == "psi-zero-band":
+        assert np.sum(np.abs(vals) <= tol) > spec.dim // 2
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inertia_counts_two_by_two_pivots(dtype, rng):
+    # [[0, B], [B^H, 0]] has eigenvalues +-sigma(B) and a zero diagonal, which
+    # forces Bunch-Kaufman into 2x2 pivots; the diagonal shift moves the count
+    n = 40
+    B = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+    H = np.block([[np.zeros((n, n)), B], [B.conj().T, np.zeros((n, n))]]).astype(dtype)
+    H[np.arange(2 * n), np.arange(2 * n)] += 0.05 * rng.standard_normal(2 * n)
+    from scipy.linalg import lapack
+
+    trf = lapack.zhetrf if dtype is complex else lapack.dsytrf
+    assert np.any(trf(H)[1] < 0)  # 2x2 pivots are exercised
+    ev = np.linalg.eigvalsh(H)
+    for shift in (ev[0] - 1.0, -0.3, 0.0, 0.7, ev[-1] + 1.0):
+        assert spectral._inertia(H.copy(), shift) == np.count_nonzero(ev < shift)
+
+
+def _dense_reference(spec):
+    vals, vecs = dense_eigh(spectral.dense_matrix(spec), upper=default_tol_zero(spec))
+    return vals, vecs / np.sqrt(spec.grid.weight)
+
+
+@pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
+def test_inertia_route_matches_dense(flavor):
+    from fermifield.builders import random_divfree_potential
+
+    if flavor == "pauli":  # complex ?hetrf
+        g = GridSpec(d=3, N=8, L=2.0)
+        spec = HamiltonianSpec(grid=g, h=0.6, flavor="pauli", V=bump_potential(g, 6.0, 0.7),
+                               A=random_divfree_potential(g, seed=1, amplitude=0.3))
+    else:  # A = None: real ?sytrf
+        g = GridSpec(d=2, N=32, L=2.0)
+        spec = HamiltonianSpec(grid=g, h=0.3, V=bump_potential(g, 5.0, 0.6))
+    ns = negative_spectrum(spec, seed=1)
+    vals, vecs = _dense_reference(spec)
+    st = ns.stats
+    assert (st.path, st.certificate, st.inertia, st.fallback) == ("lobpcg", "inertia", len(vals),
+                                                                   False)
+    assert st.blocks == (len(vals) + 2,) and st.probe_lowest is None and st.matvecs > 0
+    np.testing.assert_allclose(ns.eigenvalues, vals, rtol=1e-12, atol=0)
+    w = g.weight
+    np.testing.assert_allclose(ns.vectors @ ns.vectors.conj().T * w, vecs @ vecs.conj().T * w,
+                               rtol=0, atol=1e-10)
+
+
+def test_inertia_route_falls_back_to_dense_when_lobpcg_misses(monkeypatch):
+    g = GridSpec(d=2, N=32, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.3, V=bump_potential(g, 5.0, 0.6))
+    original = spectral._lobpcg_lowest
+
+    def drop_lowest(*args, **kwargs):
+        vals, vecs = original(*args, **kwargs)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(spectral, "_lobpcg_lowest", drop_lowest)
+    ns = negative_spectrum(spec, seed=1)
+    vals, _ = _dense_reference(spec)
+    st = ns.stats
+    assert (st.path, st.certificate, st.inertia, st.fallback) == ("dense", "lapack", len(vals),
+                                                                   True)
+    assert st.probe_lowest is None and len(st.iterations) == 1
+    np.testing.assert_array_equal(ns.eigenvalues, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +578,16 @@ def test_sternheimer_sums_the_eigenpairs_above_the_block(spec3d, flavor, rng):
     ref = U @ coeff
     X = spectral.sternheimer(ns, rhs, shifts)
     np.testing.assert_allclose(X, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_sternheimer_takes_a_real_block_and_real_columns(spec3d, rng):
+    ns = negative_spectrum(spec3d)  # A = None: real dense eigenvectors
+    assert ns.vectors.dtype == np.float64
+    rhs = rng.standard_normal((spec3d.dim, 3))
+    shifts = np.repeat(ns.eigenvalues[0], 3)
+    ref = spectral.sternheimer(ns, rhs.astype(complex), shifts)
+    np.testing.assert_allclose(spectral.sternheimer(ns, rhs, shifts), ref,
+                               rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_sternheimer_capped_below_convergence_raises(spec1d, rng, monkeypatch):
