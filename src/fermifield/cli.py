@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .builders import (
@@ -564,6 +563,8 @@ def list_builders() -> dict:
 
 def _write_outputs(outdir: Path, args, cfg, header, rows, reports, plots,
                    status: str, error: str | None) -> None:
+    import scipy  # only for its version: importing it at set-up costs every run
+
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "experiment": args.experiment,

@@ -10,17 +10,22 @@ scale its rows and columns.
 
 One Fourier-space core acts on raw arrays laid out (spin, *batch, *grid):
 any number of batch axes between the spin axis and the last d grid axes, so
-a whole block of vectors goes through one call.  n-d transforms per vector,
-counted in units of one grid-sized transform (at d = 3):
+a whole block of vectors goes through one call.  It takes a vector in both
+spaces and returns T u as a pair (F, R) with T u = ifft(F) + R, so it has two
+entries: apply on samples and apply_fourier on unitary plane-wave
+coefficients.  n-d transforms per vector, counted in units of one grid-sized
+transform (at d = 3), the same for both entries; apply_fourier adds two per
+spin component when psi is set:
 
-    Schrodinger, A = None    2       ifft(h^2 |k|^2 fft u)
+    Schrodinger, A = None    2       h^2 |k|^2 uh, V u on samples
     Schrodinger, with A      2d + 2  v_j = (D_j + A_j) u, then sum_j (D_j + A_j) v_j
     Pauli, A = None          4       (sigma.hk)^2 = h^2 |k|^2 on the full lattice
-    Pauli, with A            8       sigma.(D+A) twice, one fft and ifft of the spinor each
+    Pauli, with A            8       sigma.(D+A) twice, the middle spinor in both spaces
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +44,7 @@ from .grid import (
 __all__ = [
     "HamiltonianSpec",
     "apply",
+    "apply_fourier",
     "gauge_shift",
     "nearest_admissible_shift",
     "ims_localized_family",
@@ -49,6 +55,7 @@ __all__ = [
 
 DENSE_LIMIT = 4096
 BLOCK = 512  # most vectors per core call and rows per dense slab; caps temporaries
+ORTHO = "ortho"  # apply_fourier's coefficients: the unitary transform
 
 PAULI = "pauli"
 SCHRODINGER = "schrodinger"
@@ -103,16 +110,21 @@ def _block(spec: HamiltonianSpec, cols: np.ndarray) -> np.ndarray:
 
 
 def _columns(block: np.ndarray) -> np.ndarray:
-    """Inverse of _block: (spin, m, *grid) -> columns (dim, m)."""
-    return np.moveaxis(block, 1, -1).reshape(-1, block.shape[1])
+    """Inverse of _block: (spin, m, *grid) -> columns (dim, m), m = 0 included."""
+    dim = block.shape[0] * math.prod(block.shape[2:])
+    return np.moveaxis(block, 1, -1).reshape(dim, block.shape[1])
 
 
 def _sigma_dot(v, w: np.ndarray) -> np.ndarray:
-    """sigma.v acting on a 2-spinor array w = (up, down, ...)."""
-    return np.stack([
-        v[2] * w[0] + (v[0] - 1j * v[1]) * w[1],
-        (v[0] + 1j * v[1]) * w[0] - v[2] * w[1],
-    ])
+    """sigma.v acting on a 2-spinor array w = (up, down, ...), built in one new array."""
+    vm, vp = v[0] - 1j * v[1], v[0] + 1j * v[1]
+    out = np.empty((2,) + np.broadcast_shapes(vm.shape, np.shape(v[2]), w.shape[1:]),
+                   dtype=np.result_type(vm, w))
+    np.multiply(v[2], w[0], out=out[0])
+    out[0] += vm * w[1]
+    np.multiply(vp, w[0], out=out[1])
+    out[1] -= v[2] * w[1]
+    return out
 
 
 def _sigma_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,48 +137,66 @@ def _sigma_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ])
 
 
-def _momenta(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    """(D_j + A_j) u for every j, stacked first: one fft and d iffts of u.
+def _in_space(F: np.ndarray, R, d: int, norm: str = "backward") -> np.ndarray:
+    """The vector ifft(F) + R; R is None for a vector with no real-space part."""
+    out = _ifft(F, d, norm)
+    if R is not None:
+        out += R
+    return out
 
-    D = -ih grad multiplies by h*k on the full dual lattice (Nyquist
-    included), which keeps the kinetic operator Hermitian with a strictly
-    positive symbol away from k = 0; the Nyquist-zeroed field calculus
-    (grid.jacobian) is only for real fields.
+
+def _both(F: np.ndarray, R, d: int, norm: str):
+    """The vector ifft(F) + R in both spaces, (transform, samples).
+
+    Each space is built from the two parts with one transform, never by a
+    round trip through the other space, which would add a second rounding.
     """
-    g = spec.grid
-    uh = _fft(u, g.d)
-    out = _ifft(np.stack([spec.h * kj * uh for kj in g.k]), g.d)
-    if spec.A is not None:
-        for j, a in enumerate(spec.A.data):
-            out[j] += a * u
-    return out
+    vh = _fft(R, d, norm)
+    vh += F
+    return vh, _in_space(F, R, d, norm)
 
 
-def _sigma_momentum(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    """sigma.(D+A) u on 2-spinors: one fft and one ifft of u, sigma.hk between."""
-    g = spec.grid
-    out = _ifft(_sigma_dot([spec.h * kj for kj in g.k], _fft(u, g.d)), g.d)
-    if spec.A is not None:
-        out += _sigma_dot(spec.A.data, u)
-    return out
+def _momenta(spec: HamiltonianSpec, uh: np.ndarray, u: np.ndarray):
+    """(D_j + A_j) u for each j in turn, as the pairs (h k_j uh, A_j u).
+
+    uh is the transform of u.  One component at a time, so a large block
+    never holds d copies of each part.  D = -ih grad multiplies by h*k on
+    the full dual lattice (Nyquist included), which keeps the kinetic
+    operator Hermitian with a strictly positive symbol away from k = 0; the
+    Nyquist-zeroed field calculus (grid.jacobian) is only for real fields.
+    """
+    for j, kj in enumerate(spec.grid.k):
+        yield spec.h * kj * uh, None if spec.A is None else spec.A.data[j] * u
 
 
-def _schrodinger_kinetic(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    """(D+A)^2 componentwise in spin: 2 transforms without A, 2d + 2 with A."""
+def _sigma_momentum(spec: HamiltonianSpec, uh: np.ndarray, u: np.ndarray):
+    """sigma.(D+A) u on 2-spinors as the pair (sigma.hk uh, sigma.A u)."""
+    F = _sigma_dot([spec.h * kj for kj in spec.grid.k], uh)
+    return F, None if spec.A is None else _sigma_dot(spec.A.data, u)
+
+
+def _schrodinger_kinetic(spec: HamiltonianSpec, uh: np.ndarray, u: np.ndarray, norm: str):
+    """(D+A)^2 componentwise in spin as a pair: no transform without A, 2d with A."""
     g = spec.grid
     if spec.A is None:
-        return _ifft(spec.h**2 * g.k2 * _fft(u, g.d), g.d)
-    v = _momenta(spec, u)
-    vh = _fft(v, g.d)
-    out = _ifft(sum(spec.h * kj * vh[j] for j, kj in enumerate(g.k)), g.d)
-    return out + sum(a * v[j] for j, a in enumerate(spec.A.data))
+        return spec.h**2 * g.k2 * uh, None
+    F = R = 0
+    for (Fj, Rj), kj, a in zip(_momenta(spec, uh, u), g.k, spec.A.data):
+        vh, v = _both(Fj, Rj, g.d, norm)
+        F, R = F + spec.h * kj * vh, R + a * v
+    return F, R
 
 
-def _kinetic(spec: HamiltonianSpec, u: np.ndarray) -> np.ndarray:
-    """T_h(A) u; the Pauli square [sigma.(D+A)]^2 equals h^2 |k|^2 at A = None."""
+def _kinetic(spec: HamiltonianSpec, uh: np.ndarray, u: np.ndarray, norm: str = "backward"):
+    """T_h(A) u as a pair (F, R), T u = ifft(F) + R, from u and its transform uh.
+
+    The Pauli square [sigma.(D+A)]^2 equals h^2 |k|^2 at A = None.  Every
+    transform inside uses norm, the convention that relates uh to u.
+    """
     if spec.flavor == PAULI and spec.A is not None:
-        return _sigma_momentum(spec, _sigma_momentum(spec, u))
-    return _schrodinger_kinetic(spec, u)
+        vh, v = _both(*_sigma_momentum(spec, uh, u), spec.grid.d, norm)
+        return _sigma_momentum(spec, vh, v)
+    return _schrodinger_kinetic(spec, uh, u, norm)
 
 
 def _current_form(spec: HamiltonianSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,21 +206,23 @@ def _current_form(spec: HamiltonianSpec, a: np.ndarray, b: np.ndarray) -> np.nda
     the spin current); a and b are blocks of the same shape.  Returns the
     complex density (d, *grid); the physical current takes minus its real part.
     """
+    d, bh = spec.grid.d, _fft(b, spec.grid.d)
     if spec.flavor == PAULI:
-        dens = _sigma_pair(a, _sigma_momentum(spec, b))  # spin already traced
+        dens = _sigma_pair(a, _in_space(*_sigma_momentum(spec, bh, b), d))  # spin already traced
     else:
-        dens = np.sum(np.conj(a) * _momenta(spec, b), axis=1)
-    return np.sum(dens, axis=tuple(range(1, dens.ndim - spec.grid.d)))
+        dens = np.stack([np.sum(np.conj(a) * _in_space(F, R, d), axis=0)
+                         for F, R in _momenta(spec, bh, b)])
+    return np.sum(dens, axis=tuple(range(1, dens.ndim - d)))
 
 
 def pauli_expanded_apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
     """Cross-check path: (D+A)^2 + h sigma.B for divergence-free A."""
     if spec.flavor != PAULI:
         raise ValueError("expanded form is for the pauli flavor")
-    w = u.data
+    w, d = u.data, spec.grid.d
     if spec.psi is not None:
         w = spec.psi.data * w
-    out = _schrodinger_kinetic(spec, w)
+    out = _in_space(*_schrodinger_kinetic(spec, _fft(w, d), w, "backward"), d)
     if spec.A is not None:
         out = out + spec.h * _sigma_dot(curl(spec.A).data, w)
     if spec.V is not None:
@@ -216,12 +248,43 @@ def apply(spec: HamiltonianSpec, u):
         raise ValueError(f"spinor has {w.shape[0]} components, spec expects {spec.spin}")
     if spec.psi is not None:
         w = spec.psi.data * w
-    out = _kinetic(spec, w)
+    out = _in_space(*_kinetic(spec, _fft(w, g.d), w), g.d)
     if spec.V is not None:
         out -= spec.V.data * w
     if spec.psi is not None:
         out *= spec.psi.data
     return SpinorField(g, out) if field else out
+
+
+def apply_fourier(spec: HamiltonianSpec, c: np.ndarray) -> np.ndarray:
+    """apply on unitary plane-wave coefficients: F apply F^-1 c, F = fft(norm="ortho").
+
+    c is a raw block laid out like apply's, the grid axes holding
+    wavenumbers in numpy's fft order.  The kinetic part stays in Fourier
+    space and V, A and psi act on samples, so a vector costs the transforms
+    of apply (module docstring), or two more per spin component when psi
+    is set.
+    """
+    d, wh = spec.grid.d, np.asarray(c)
+    w = _ifft(wh, d, ORTHO)
+    if spec.psi is not None:
+        w = spec.psi.data * w
+        wh = _fft(w, d, ORTHO)
+    F, R = _kinetic(spec, wh, w, ORTHO)
+    if spec.V is not None:  # R is the core's own array, so it is updated in place
+        if R is None:
+            R = -spec.V.data * w
+        else:
+            R -= spec.V.data * w
+    if spec.psi is not None:
+        out = _in_space(F, R, d, ORTHO)
+        out *= spec.psi.data
+        return _fft(out, d, ORTHO)
+    if R is None:
+        return F
+    out = _fft(R, d, ORTHO)
+    out += F
+    return out
 
 
 # ---------------------------------------------------------------------------

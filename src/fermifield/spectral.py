@@ -18,16 +18,23 @@ solves it, each with its own count certificate (SolveStats.certificate):
   plus two then solves the matrix-free operator to INERTIA_LOBPCG_TOL; if
   it finds another count, dense evr solves a re-assembled matrix and the
   fallback is recorded.
-- "probe": above DENSE_LIMIT, LOBPCG (scipy), preconditioned by the inverse
-  kinetic energy and with its residual target scaled to the operator,
-  starts from the predicted block and doubles it, from the vectors found,
-  until the spectrum is bracketed at zero; a one-vector probe solve from an
-  independent start guards against a missed lowest eigenvalue.
+- "probe": above DENSE_LIMIT, LOBPCG (scipy) with its residual target
+  scaled to the operator starts from the predicted block and doubles it,
+  from the vectors found, until the spectrum is bracketed at zero; a
+  one-vector probe solve from an independent start guards against a missed
+  lowest eigenvalue.  On a grid with N / 2 >= COARSE_MIN_N the same spec,
+  sampled at every other point, is first solved on N / 2 to a loose target
+  and grown there until bracketed; its vectors, zero-padded to N, start the
+  fine block at that size (SolveStats.coarse records that solve).
 
-Every kept eigenpair is checked against the matrix-free operator of the
-asked spec; lobpcg calls that end above their residual target, operator
-columns applied, the inertia count and the probe's value are recorded in
-SolveStats, not hidden.
+Every iterative solve, LOBPCG and sternheimer's CG, works on unitary
+plane-wave coefficients (operators.apply_fourier), where the preconditioner,
+the inverse kinetic energy, is a diagonal; LOBPCG's vectors of a real
+operator (A unset) come back real, through one Rayleigh-Ritz step on their
+real and imaginary parts (_real_pairs).  Every kept eigenpair is checked
+against the matrix-free operator of the asked spec on samples; lobpcg calls
+that end above their residual target, operator columns applied, the
+inertia count and the probe's value are recorded in SolveStats, not hidden.
 
 The kept eigenvectors are one read-only (dim, m) block of columns, normalized
 in place where the solver made them; SpinorFields are wrapped only on demand.
@@ -38,26 +45,29 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import SpinorField, VectorField, _fft, _ifft
+from .grid import GridSpec, SpinorField, VectorField, _fft, _ifft
 from .operators import (
     BLOCK,
     DENSE_LIMIT,
+    ORTHO,
     PAULI,
     HamiltonianSpec,
     _block,
     _columns,
     _current_form,
     apply,
+    apply_fourier,
     dense_matrix,
 )
 
 __all__ = [
     "NegativeSpectrum",
     "SolveStats",
+    "CoarseSolve",
     "EigenFailure",
     "negative_spectrum",
     "sternheimer",
@@ -86,9 +96,26 @@ INERTIA_LOBPCG_TOL = 1e-13
 INERTIA_MIN_DIM = 1024
 INERTIA_BLOCK_RATIO = 128
 
+# The probe route's half-grid start: on a grid with N / 2 >= COARSE_MIN_N the
+# same spec is first solved on N / 2 to this loose target (times the coarse
+# operator scale), only to seed the fine block.
+COARSE_MIN_N = 8
+COARSE_LOBPCG_TOL = 1e-4
+
 
 class EigenFailure(RuntimeError):
     """Eigensolver did not converge within its budget."""
+
+
+@dataclass(frozen=True)
+class CoarseSolve:
+    """The half-grid solve that seeded a probe-route block."""
+
+    N: int  # grid points per axis of the coarse grid
+    blocks: tuple  # LOBPCG block sizes tried there
+    iterations: tuple  # per coarse lobpcg call
+    unconverged: int  # coarse lobpcg calls that ended above their loose target
+    matvecs: int  # coarse operator columns applied
 
 
 @dataclass(frozen=True)
@@ -109,6 +136,7 @@ class SolveStats:
     probe_lowest: float | None = None
     inertia: int | None = None  # eigenvalues below tol_zero by LDL^T; None off the inertia route
     fallback: bool = False  # the inertia route's LOBPCG missed that count; dense evr solved
+    coarse: CoarseSolve | None = None  # the half-grid start; the counts above are the fine ones
 
 
 @dataclass(frozen=True)
@@ -205,6 +233,8 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     else:
         vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
         info = {"path": "dense", "certificate": "lapack"}
+    if solved.A is None and np.iscomplexobj(vecs):  # LOBPCG's vectors of a real operator
+        vals, vecs = _real_pairs(solved, vals, vecs)
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
@@ -225,6 +255,24 @@ def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:
     if spec.flavor != PAULI or (spec.A is not None and np.any(spec.A.data)):
         return spec
     return HamiltonianSpec(grid=spec.grid, h=spec.h, V=spec.V, psi=spec.psi)
+
+
+def _real_pairs(spec: HamiltonianSpec, vals: np.ndarray, vecs: np.ndarray):
+    """Real eigenpairs spanning the complex columns vecs of spec's real operator.
+
+    A real symmetric operator's eigenspaces are closed under conjugation, so
+    Re vecs and Im vecs span the kept space: its m leading left singular
+    vectors are a real orthonormal basis Q, and the eigenpairs of Q^T H Q
+    (Rayleigh-Ritz) are real eigenpairs of H, stored at half the size.
+    """
+    m = vecs.shape[1]
+    if m == 0:
+        return vals, vecs.real
+    Q = np.linalg.svd(np.concatenate([vecs.real, vecs.imag], axis=1),
+                      full_matrices=False)[0][:, :m]
+    HQ = _columns(apply(spec, _block(spec, Q))).real
+    theta, Z = np.linalg.eigh(Q.T @ HQ)
+    return theta, Q @ Z
 
 
 def _spin_copies(vals: np.ndarray, vecs: np.ndarray, spin: int):
@@ -294,9 +342,9 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     SolveStats fields record the fallback.  Returns the kept pairs and those fields.
     """
     m = _inertia(dense_matrix(spec), tol_zero)
-    op, minv = _iterative_operators(spec)
-    log = []
-    vals, vecs = _lobpcg_lowest(op, minv, spec.dim, m + 2, np.random.default_rng(seed),
+    op, log = _plane_wave_operator(spec), []
+    vals, vecs = _lobpcg_lowest(op, _kinetic_inverse(spec), spec.dim, m + 2,
+                                np.random.default_rng(seed),
                                 INERTIA_LOBPCG_TOL * _operator_scale(spec), log)
     info = {"inertia": m, "blocks": (m + 2,), "iterations": tuple(its for its, _ in log),
             "unconverged": sum(warned for _, warned in log), "matvecs": op.matvecs}
@@ -304,45 +352,37 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     if np.count_nonzero(keep) != m:
         vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
         return vals, vecs, {**info, "path": "dense", "certificate": "lapack", "fallback": True}
-    return vals[keep], vecs[:, keep], {**info, "path": "lobpcg", "certificate": "inertia"}
+    return vals[keep], _samples(spec, vecs[:, keep]), {**info, "path": "lobpcg",
+                                                        "certificate": "inertia"}
 
 
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
-    The first block holds a quarter more vectors than the Weyl count plus
-    two guard columns; each larger block starts from the vectors the last
-    one found.  lobpcg's tol is absolute, so its targets are LOBPCG_TOL and,
-    for the probe, PROBE_TOL times the operator scale.  The probe is one
-    column from an independent start, as only its lowest value is read.
-    Returns the kept pairs and the SolveStats fields.
+    On a grid with N / 2 >= COARSE_MIN_N the block starts from the zero-padded
+    vectors of the same spec solved on N / 2 (_coarse_start), at the size
+    that bracketed there; otherwise the first block holds a quarter more
+    vectors than the Weyl count plus two guard columns.  Each larger block
+    starts from the vectors the last one found.  lobpcg's tol is absolute,
+    so its targets are LOBPCG_TOL and, for the probe, PROBE_TOL times the
+    operator scale.  The probe is one column from an independent random
+    start on this grid, as only its lowest value is read.  Returns the kept
+    pairs and the SolveStats fields.
     """
-    dim = spec.dim
-    op, minv = _iterative_operators(spec)
+    dim, op, pre = spec.dim, _plane_wave_operator(spec), _kinetic_inverse(spec)
     rng = np.random.default_rng(seed)
     scale = _operator_scale(spec)
-    blocks, log = [], []  # log: (iterations, warned) per lobpcg call
-
-    cap = min(dim - 4, 600)
-    k = min(max(4, _predicted_block(spec)), cap)
-    vecs = None
-    while True:
-        blocks.append(k)
-        vals, vecs = _lobpcg_lowest(op, minv, dim, k, rng, LOBPCG_TOL * scale, log, vecs)
-        if vals[-1] > tol_zero:
-            break
-        if k >= cap:
-            raise EigenFailure(
-                f"negative spectrum not bracketed with {k} vectors "
-                f"(largest found {vals[-1]:.6e}, tol_zero {tol_zero:.1e})"
-            )
-        k = min(2 * k, cap)
-
+    log, start, coarse = [], None, None  # log: (iterations, warned) per lobpcg call
+    if spec.grid.N // 2 >= COARSE_MIN_N:
+        start, coarse = _coarse_start(spec, tol_zero, rng)
+    k = _predicted_block(spec) if start is None else start.shape[1]
+    vals, vecs, blocks = _bracketed(op, pre, dim, k, rng, LOBPCG_TOL * scale, tol_zero, log,
+                                    start)
     keep = vals <= tol_zero
     vals, vecs = vals[keep], vecs[:, keep]
 
     # probe solve: an independent start must not find anything lower
-    pvals, _ = _lobpcg_lowest(op, minv, dim, 1, rng, PROBE_TOL * scale, log)
+    pvals, _ = _lobpcg_lowest(op, pre, dim, 1, rng, PROBE_TOL * scale, log)
     floor = vals[0] if vals.size else tol_zero
     if pvals[0] < floor - max(1e-8, 1e-6 * abs(floor)):
         raise EigenFailure(
@@ -351,25 +391,93 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     info = {"path": "lobpcg", "certificate": "probe", "blocks": tuple(blocks),
             "iterations": tuple(its for its, _ in log),
             "unconverged": sum(warned for _, warned in log),
-            "matvecs": op.matvecs, "probe_lowest": float(pvals[0])}
-    return vals, vecs, info
+            "matvecs": op.matvecs, "probe_lowest": float(pvals[0]), "coarse": coarse}
+    return vals, _samples(spec, vecs), info
 
 
-def _blockwise(spec: HamiltonianSpec, fn):
-    """fn on blocks (spin, m, *grid) as a map of columns (dim, ...), BLOCK columns per call."""
+def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log: list,
+               start=None):
+    """Lowest blocks from k columns (at least 4), doubled until one value is above tol_zero.
 
-    def matmat(X):
-        cols = X.reshape(spec.dim, -1)
-        out = np.empty(cols.shape, dtype=np.complex128)
-        for lo in range(0, cols.shape[1], BLOCK):
-            out[:, lo:lo + BLOCK] = _columns(fn(_block(spec, cols[:, lo:lo + BLOCK])))
-        return out.reshape(X.shape)
+    Each larger block starts from the vectors the last one found; at most
+    min(dim - 4, 600) columns, past which EigenFailure is raised.  Returns
+    the last block's pairs and the block sizes tried.
+    """
+    cap = min(dim - 4, 600)
+    k, blocks = min(max(4, k), cap), []
+    while True:
+        blocks.append(k)
+        vals, vecs = _lobpcg_lowest(op, pre, dim, k, rng, tol, log, start)
+        if vals[-1] > tol_zero:
+            return vals, vecs, blocks
+        if k >= cap:
+            raise EigenFailure(
+                f"negative spectrum not bracketed with {k} vectors "
+                f"(largest found {vals[-1]:.6e}, tol_zero {tol_zero:.1e})"
+            )
+        k, start = min(2 * k, cap), vecs
 
-    return matmat
+
+def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
+    """Start block for spec from the same operator on N / 2, and its CoarseSolve record.
+
+    V, A and psi are sampled at every other point.  The coarse blocks start
+    at the predicted block and grow until they bracket tol_zero, solved to
+    COARSE_LOBPCG_TOL times the coarse operator scale; their vectors,
+    zero-padded to N, are the start block.
+    """
+    g = spec.grid
+    half = GridSpec(d=g.d, N=g.N // 2, L=g.L)
+
+    def sampled(f):
+        return None if f is None else type(f)(half, f.data[(...,) + (slice(None, None, 2),) * g.d])
+
+    coarse = replace(spec, grid=half, A=sampled(spec.A), V=sampled(spec.V), psi=sampled(spec.psi))
+    op, log = _plane_wave_operator(coarse), []
+    _, vecs, blocks = _bracketed(op, _kinetic_inverse(coarse), coarse.dim,
+                                 _predicted_block(coarse), rng,
+                                 COARSE_LOBPCG_TOL * _operator_scale(coarse), tol_zero, log)
+    padded = _zero_pad(_block(coarse, vecs), g.N, g.d)
+    record = CoarseSolve(N=half.N, blocks=tuple(blocks),
+                         iterations=tuple(its for its, _ in log),
+                         unconverged=sum(warned for _, warned in log), matvecs=op.matvecs)
+    return _columns(padded), record
+
+
+def _zero_pad(c: np.ndarray, N: int, d: int) -> np.ndarray:
+    """Unitary coefficients on N per axis of the field whose coefficients on N / 2 are c.
+
+    The last d axes of c hold the wavenumbers -N/4 .. N/4 - 1 of the half
+    grid in numpy's fft order; every other wavenumber of the N grid is 0.
+    The factor 2^(d/2) keeps norm="ortho" coefficients of the same samples.
+    """
+    n = c.shape[-1]
+    at = np.fft.fftfreq(n, 1.0 / n).astype(int) % N
+    out = np.zeros(c.shape[:-d] + (N,) * d, dtype=np.complex128)
+    out[(...,) + np.ix_(*[at] * d)] = c * 2.0 ** (d / 2)
+    return out
+
+
+def _plane_wave_operator(spec: HamiltonianSpec):
+    """spec's operator on columns of unitary plane-wave coefficients, BLOCK per core call.
+
+    op.matvecs counts the columns it applied.  Any (dim, m) array goes in,
+    lobpcg's integer identity included.
+    """
+
+    def op(X):
+        op.matvecs += X.shape[1]
+        out = np.empty(X.shape, dtype=np.complex128)
+        for lo in range(0, X.shape[1], BLOCK):
+            out[:, lo:lo + BLOCK] = _columns(apply_fourier(spec, _block(spec, X[:, lo:lo + BLOCK])))
+        return out
+
+    op.matvecs = 0
+    return op
 
 
 def _kinetic_inverse(spec: HamiltonianSpec):
-    """The Fourier multiplier 1 / (h^2 (|k|^2 + k_1^2)) as a map of columns.
+    """1 / (h^2 (|k|^2 + k_1^2)) on columns of plane-wave coefficients, elementwise.
 
     k_1 = 2 pi / L is the smallest nonzero lattice wavenumber, so this
     inverts the kinetic energy within a factor of 2 on every nonconstant
@@ -377,26 +485,22 @@ def _kinetic_inverse(spec: HamiltonianSpec):
     left unpreconditioned.  The preconditioner of LOBPCG and of sternheimer.
     """
     g = spec.grid
-    pre = 1.0 / (spec.h**2 * (g.k2 + (2 * np.pi / g.L) ** 2))
-    return _blockwise(spec, lambda U: _ifft(pre * _fft(U, g.d), g.d))
+    pre = np.tile((1.0 / (spec.h**2 * (g.k2 + (2 * np.pi / g.L) ** 2))).ravel(), spec.spin)
+    column = pre[:, None]
+    return lambda R: column * R
 
 
-def _iterative_operators(spec: HamiltonianSpec):
-    """Matrix-free operator, op.matvecs counting the columns it applied, and _kinetic_inverse."""
-    import scipy.sparse.linalg as spla
-
-    def op_block(U):
-        op.matvecs += U.shape[1]
-        return apply(spec, U)
-
-    dim, op_mat, pre_mat = spec.dim, _blockwise(spec, op_block), _kinetic_inverse(spec)
-    op = spla.LinearOperator((dim, dim), matvec=op_mat, matmat=op_mat, dtype=np.complex128)
-    op.matvecs = 0
-    M = spla.LinearOperator((dim, dim), matvec=pre_mat, matmat=pre_mat, dtype=np.complex128)
-    return op, M
+def _coefficients(spec: HamiltonianSpec, cols: np.ndarray) -> np.ndarray:
+    """Sample columns (dim, m) -> their unitary plane-wave coefficients (dim, m)."""
+    return _columns(_fft(_block(spec, cols), spec.grid.d, ORTHO))
 
 
-def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start=None):
+def _samples(spec: HamiltonianSpec, coef: np.ndarray) -> np.ndarray:
+    """Inverse of _coefficients."""
+    return _columns(_ifft(_block(spec, coef), spec.grid.d, ORTHO))
+
+
+def _lobpcg_lowest(op, pre, dim: int, k: int, rng, tol: float, log: list, start=None):
     """Lowest-k block solve from start's columns plus random ones, sorted ascending.
 
     tol is lobpcg's absolute residual target.  Appends (iterations, warned)
@@ -410,7 +514,7 @@ def _lobpcg_lowest(op, minv, dim: int, k: int, rng, tol: float, log: list, start
         X[:, :start.shape[1]] = start
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        out = spla.lobpcg(op, X, M=minv, largest=False, tol=max(tol, 1e-12),
+        out = spla.lobpcg(op, X, M=pre, largest=False, tol=max(tol, 1e-12),
                           maxiter=400, retLambdaHistory=True)
     for w in caught:
         if not issubclass(w.category, UserWarning):
@@ -441,13 +545,14 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     block U, so x_j = sum over the eigenpairs k above the block of
     u_k <u_k, rhs_j> / (lam_k - shift_j): the Sternheimer equation, positive
     definite on range Q for shift_j <= 0.  Preconditioned conjugate
-    gradients (preconditioner Q _kinetic_inverse Q), every unconverged
-    column in one block; a column stops at STERNHEIMER_RTOL times its
-    residual at x = 0, and EigenFailure is raised if one has not within
-    STERNHEIMER_MAXITER steps.
+    gradients (preconditioner Q _kinetic_inverse Q) on unitary plane-wave
+    coefficients, every unconverged column in one block; a column stops at
+    STERNHEIMER_RTOL times its residual at x = 0, and EigenFailure is raised
+    if one has not within STERNHEIMER_MAXITER steps.  rhs and X are samples.
     """
-    spec, U, w = ns.spec, ns.vectors, ns.spec.grid.weight
-    H, M = _blockwise(spec, lambda B: apply(spec, B)), _kinetic_inverse(spec)
+    spec, w = ns.spec, ns.spec.grid.weight
+    H, M = _plane_wave_operator(spec), _kinetic_inverse(spec)
+    U = _coefficients(spec, ns.vectors)
 
     def project(X):
         return X - U @ (w * (U.conj().T @ X))
@@ -455,7 +560,7 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     def dot(X, Y):
         return np.real(np.sum(X.conj() * Y, axis=0))
 
-    R = project(rhs).astype(np.complex128)  # H's columns are complex even for a real block
+    R = project(_coefficients(spec, rhs))
     X, P, rz = np.zeros_like(R), np.zeros_like(R), np.ones(R.shape[1])
     target = STERNHEIMER_RTOL * np.linalg.norm(R, axis=0)
     active = np.flatnonzero(np.linalg.norm(R, axis=0) > target)
@@ -475,7 +580,7 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     if active.size:
         raise EigenFailure(f"Sternheimer solve: {active.size} of {R.shape[1]} columns above "
                            f"rtol {STERNHEIMER_RTOL:.0e} after {STERNHEIMER_MAXITER} steps")
-    return X
+    return _samples(spec, X)
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,41 @@ def test_variant_order_reports_each_descents_residual(tmp_path):
     notes = dict(item.split("=") for item in order["notes"].replace(";", "").split()[2:])
     assert sorted(notes) == ["ball", "global", "prime"]
     assert all(float(v) >= 0.0 for v in notes.values())
+
+
+# ---------------------------------------------------------------------------
+# set-up cost
+# ---------------------------------------------------------------------------
+
+
+_SETUP_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import fermifield.cli
+from fermifield import builders
+from fermifield.grid import GridSpec
+from fermifield.operators import HamiltonianSpec
+
+g = GridSpec(d=3, N=16, L=2.0)
+V = builders.bump_potential(g, 6.0, 0.7)
+A = builders.random_divfree_potential(g, seed=1, amplitude=0.3)
+A = (0.55 / float(np.sqrt(np.mean(A.data ** 2)))) * A
+specs = [HamiltonianSpec(grid=g, h=h, flavor="pauli", A=A if with_a else None, V=V)
+         for h in (0.6, 0.45) for with_a in (False, True)]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_import_and_an_iterative_setup_load_no_scipy():
+    # the weyl3d_iterative benchmark's set-up: importing the CLI and building
+    # its grid, V, A and specs; SciPy is imported where a solve first needs it
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _SETUP_WITHOUT_SCIPY], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from fermifield.operators import (
     GaugeError,
     HamiltonianSpec,
     apply,
+    apply_fourier,
     dense_matrix,
     gauge_shift,
     ims_localized_family,
@@ -199,6 +200,23 @@ def test_block_apply_equals_single_applies(flavor, d, N, with_A, with_psi, rng):
                                    atol=1e-13 * np.max(np.abs(single)))
 
 
+@pytest.mark.parametrize("with_psi", [False, True])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_fourier_entry_is_apply_between_unitary_transforms(flavor, d, N, with_A, with_psi,
+                                                           rng):
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    g = spec.grid
+    c = rng.standard_normal((spec.spin, 5) + g.shape) + 1j * rng.standard_normal(
+        (spec.spin, 5) + g.shape
+    )
+    axes = tuple(range(-d, 0))
+    ref = np.fft.fftn(apply(spec, np.fft.ifftn(c, axes=axes, norm="ortho")), axes=axes,
+                      norm="ortho")
+    out = apply_fourier(spec, c)
+    assert out.shape == c.shape
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("flavor,d,N,with_A,per_vector", [
     ("schrodinger", 3, 4, False, 2),
     ("schrodinger", 3, 4, True, 8),
@@ -206,19 +224,26 @@ def test_block_apply_equals_single_applies(flavor, d, N, with_A, with_psi, rng):
     ("pauli", 3, 4, True, 8),
 ])
 def test_transform_count_per_vector(flavor, d, N, with_A, per_vector, rng, monkeypatch):
-    spec = _core_spec(flavor, d, N, with_A, True, rng)
+    import scipy.fft
+
     volume = []
-    for name in ("fftn", "ifftn"):
-        orig = getattr(np.fft, name)
+    for lib, name in [(lib, name) for lib in (np.fft, scipy.fft) for name in ("fftn", "ifftn")]:
+        orig = getattr(lib, name)
 
         def counted(a, *args, _orig=orig, **kwargs):
             volume.append(np.asarray(a).size)
             return _orig(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
-    block = rng.standard_normal((spec.spin, 5) + spec.grid.shape)
-    apply(spec, block)
-    assert sum(volume) == per_vector * 5 * spec.grid.size
+        monkeypatch.setattr(lib, name, counted)
+    # apply costs the same with and without psi; apply_fourier, two more per
+    # spin component with psi (psi acts on samples at both ends)
+    for with_psi in (False, True):
+        spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+        block = rng.standard_normal((spec.spin, 5) + spec.grid.shape)
+        for entry, extra in ((apply, 0), (apply_fourier, 2 * spec.spin * with_psi)):
+            volume.clear()
+            entry(spec, block)
+            assert sum(volume) == (per_vector + extra) * 5 * spec.grid.size, (entry, with_psi)
 
 
 def test_apply_rejects_mismatched_block(spec1d):

@@ -72,12 +72,13 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
 
 
 # blocks, iterations (probe last) and matvecs per solve at seed 1 and one BLAS
-# thread, as the probe route gave them before the inertia route existed
+# thread on the fine grid, then the half-grid start's N, blocks, iterations
+# and matvecs
 WEYL3D_STATS = {
-    (0.6, False): ((4,), (52, 14), 138),
-    (0.6, True): ((4,), (52, 37), 184),
-    (0.45, False): ((4,), (35, 13), 126),
-    (0.45, True): ((5,), (67, 32), 249),
+    (0.6, False): ((4,), (28, 16), 100, (8, (4,), (16,), 53)),
+    (0.6, True): ((4,), (35, 33), 136, (8, (4,), (21,), 64)),
+    (0.45, False): ((4,), (17, 14), 76, (8, (4,), (15,), 49)),
+    (0.45, True): ((5,), (43, 28), 183, (8, (5,), (23,), 88)),
 }
 
 
@@ -90,4 +91,6 @@ def test_weyl3d_iterative_solves_keep_the_probe_route(h, with_a):
     spec = HamiltonianSpec(grid=g, h=h, flavor="pauli", A=A if with_a else None, V=V)
     st = spectral.negative_spectrum(spec, seed=1).stats
     assert (st.path, st.certificate, st.inertia) == ("lobpcg", "probe", None)
-    assert (st.blocks, st.iterations, st.matvecs) == WEYL3D_STATS[(h, with_a)]
+    c = st.coarse
+    assert (st.blocks, st.iterations, st.matvecs,
+            (c.N, c.blocks, c.iterations, c.matvecs)) == WEYL3D_STATS[(h, with_a)]

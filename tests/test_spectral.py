@@ -81,6 +81,24 @@ def test_vectors_are_one_read_only_normalized_block(spec1d, spec3d, path, monkey
             u.data, ns.vectors[:, j].reshape((spec.spin,) + spec.grid.shape))
 
 
+def test_lobpcg_vectors_of_a_real_operator_are_real(monkeypatch):
+    # a cubic-symmetric bump: the kept space holds degenerate triplets, whose
+    # complex LOBPCG vectors are not each a phase times a real vector
+    g = GridSpec(d=3, N=8, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.3, V=bump_potential(g, amplitude=10.0, radius=0.7))
+    vals, vecs = dense_eigh(spectral.dense_matrix(spec), upper=default_tol_zero(spec))
+    vecs /= np.sqrt(g.weight)
+    assert np.any(np.diff(vals) < 1e-9) and vals.size >= 4
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    ns = negative_spectrum(spec, seed=1)
+    assert ns.stats.path == "lobpcg" and ns.vectors.dtype == np.float64
+    np.testing.assert_allclose(ns.eigenvalues, vals, rtol=0,
+                               atol=1e-9 * spectral._operator_scale(spec))
+    w = g.weight
+    np.testing.assert_allclose(ns.vectors @ ns.vectors.T * w, vecs @ vecs.T * w,
+                               rtol=0, atol=1e-8)
+
+
 def test_expectations_match_field_inner_products(spec3d, rng):
     spec = replace(spec3d, flavor="pauli")
     g = spec.grid
@@ -179,19 +197,21 @@ def test_current_of_a_constant_cutoff_scales_by_its_square(flavor):
 
 def test_iterative_block_operators_match_columns(spec3d, rng):
     from fermifield.builders import random_divfree_potential
+    from fermifield.grid import _fft
 
     spec = spec3d.with_A(random_divfree_potential(spec3d.grid, seed=2, amplitude=0.3))
-    op, minv = spectral._iterative_operators(spec)
+    op, minv = spectral._plane_wave_operator(spec), spectral._kinetic_inverse(spec)
     X = rng.standard_normal((spec.dim, 6)) + 1j * rng.standard_normal((spec.dim, 6))
     for lin in (op, minv):
-        block = lin.matmat(X)
-        cols = np.stack([lin.matvec(X[:, i]) for i in range(6)], axis=1)
+        block = lin(X)
+        cols = np.concatenate([lin(X[:, i:i + 1]) for i in range(6)], axis=1)
         np.testing.assert_allclose(block, cols, rtol=0, atol=1e-13 * np.max(np.abs(cols)))
+    # column i holds the unitary plane-wave coefficients of the field u_i
     shape = (spec.spin,) + spec.grid.shape
-    fields = [apply(spec, SpinorField(spec.grid, X[:, i].reshape(shape))) for i in range(6)]
-    by_field = np.stack([u.data.ravel() for u in fields], axis=1)
-    np.testing.assert_allclose(op.matmat(X), by_field, rtol=0,
-                               atol=1e-13 * np.max(np.abs(by_field)))
+    fields = [spectral._samples(spec, X[:, i:i + 1]).reshape(shape) for i in range(6)]
+    by_field = np.stack([_fft(apply(spec, SpinorField(spec.grid, u)).data, 3, "ortho").ravel()
+                         for u in fields], axis=1)
+    np.testing.assert_allclose(op(X), by_field, rtol=0, atol=1e-13 * np.max(np.abs(by_field)))
 
 
 def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
@@ -338,37 +358,58 @@ def _recording_lobpcg(monkeypatch, calls, warn=False):
     monkeypatch.setattr(spla, "lobpcg", wrapped)
 
 
-def test_grown_block_starts_from_previous_vectors(monkeypatch):
+@pytest.mark.parametrize("half_grid", [False, True])
+def test_grown_block_starts_from_previous_vectors(half_grid, monkeypatch):
     g = GridSpec(d=1, N=128, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.15, V=bump_potential(g, amplitude=20.0))
     dense = negative_spectrum(spec)
     assert len(dense.eigenvalues) >= 6
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
+    if not half_grid:
+        monkeypatch.setattr(spectral, "COARSE_MIN_N", g.N)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=2)
     assert ns.sum == pytest.approx(dense.sum, rel=1e-8)
-    blocks = ns.stats.blocks
-    assert len(blocks) >= 2 and blocks[0] == 4
-    assert len(calls) == len(blocks) + 1  # the probe comes last
-    for (_, _, vals, vecs), (X_next, _, _, _) in zip(calls, calls[1:len(blocks)]):
+    # the blocks that grew from 4: on N / 2 with the half-grid start, else on N
+    grown = ns.stats.coarse.blocks if half_grid else ns.stats.blocks
+    assert len(grown) >= 2 and grown[0] == 4
+    n_coarse = len(ns.stats.coarse.blocks) if half_grid else 0
+    assert len(calls) == n_coarse + len(ns.stats.blocks) + 1  # the probe comes last
+    chain = calls[:n_coarse] if half_grid else calls[:len(grown)]
+    for (_, _, vals, vecs), (X_next, _, _, _) in zip(chain, chain[1:]):
         prev = vecs[:, np.argsort(vals)]
         np.testing.assert_array_equal(X_next[:, :prev.shape[1]], prev)
 
 
-def test_lobpcg_tolerance_is_scaled(spec3d, monkeypatch):
+@pytest.mark.parametrize("half_grid", [False, True])
+def test_lobpcg_tolerance_is_scaled(spec3d, half_grid, monkeypatch):
+    spec = spec3d
+    if half_grid:  # N / 2 = 8: one coarse call, then the fine block and the probe
+        g = GridSpec(d=3, N=16, L=2.0)
+        spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
-    ns = negative_spectrum(spec3d)
-    scale = spectral._operator_scale(spec3d)
-    assert default_tol_zero(spec3d) == pytest.approx(1e-8 * scale, rel=1e-15)
-    assert [tol for _, tol, _, _ in calls[:-1]] == [pytest.approx(1e-10 * scale)] * len(
+    ns = negative_spectrum(spec)
+    scale = spectral._operator_scale(spec)
+    assert default_tol_zero(spec) == pytest.approx(1e-8 * scale, rel=1e-15)
+    coarse = ns.stats.coarse
+    n_coarse = len(coarse.blocks) if half_grid else 0
+    assert (coarse is not None) == half_grid
+    if half_grid:
+        half = replace(spec, grid=GridSpec(d=3, N=8, L=2.0), V=bump_potential(
+            GridSpec(d=3, N=8, L=2.0), amplitude=6.0, radius=0.7))
+        coarse_scale = spectral._operator_scale(half)
+        assert [tol for _, tol, _, _ in calls[:n_coarse]] == [
+            pytest.approx(1e-4 * coarse_scale)] * n_coarse
+        assert len(coarse.iterations) == n_coarse
+    assert [tol for _, tol, _, _ in calls[n_coarse:-1]] == [pytest.approx(1e-10 * scale)] * len(
         ns.stats.blocks)
     assert calls[-1][1] == pytest.approx(1e-8 * scale)
     assert ns.stats.worst_residual <= 1e-7 * scale
-    assert len(ns.stats.iterations) == len(calls)
+    assert len(ns.stats.iterations) == len(calls) - n_coarse
     assert max(ns.stats.iterations) < 400
 
 
@@ -382,26 +423,34 @@ def test_lobpcg_warning_is_counted_not_shown(spec1d, monkeypatch, capsys):
         ns = negative_spectrum(spec1d)
     assert shown == []
     assert capsys.readouterr() == ("", "")
-    assert ns.stats.unconverged == len(calls) > quiet.stats.unconverged
+    # N = 32: the half-grid call counts apart from the fine ones, and lobpcg
+    # solves its dimension of 16 densely, with no iterations to warn about
+    assert ns.stats.coarse.iterations == (0,) and ns.stats.coarse.unconverged == 0
+    assert ns.stats.unconverged == len(ns.stats.iterations) == len(calls) - 1
+    assert ns.stats.unconverged > quiet.stats.unconverged
     assert ns.sum == quiet.sum
 
 
-def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(monkeypatch):
-    g = GridSpec(d=3, N=8, L=2.0)
+@pytest.mark.parametrize("N", [8, 16])  # 16: the Weyl-sized block is the half grid's
+def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(N, monkeypatch):
+    g = GridSpec(d=3, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.4, V=bump_potential(g, amplitude=10.0, radius=0.7))
-    weyl = spectral._weyl_count(spec)
+    half = GridSpec(d=3, N=8, L=2.0)  # spec's own grid, or its half grid
+    weyl = spectral._weyl_count(replace(spec, grid=half, V=bump_potential(half, 10.0, 0.7)))
     first = max(4, int(np.ceil(1.25 * weyl)) + 2)
     assert first == 6  # Weyl count 2.52: the formula, not the floor of 4
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=3)
-    assert ns.stats.blocks == (first,) and calls[0][0].shape == (spec.dim, first)
+    st = ns.stats
+    assert (st.coarse.blocks if N == 16 else st.blocks) == (first,)
+    assert calls[0][0].shape == (half.size, first)
     X_probe, tol, _, _ = calls[-1]
     assert X_probe.shape == (spec.dim, 1)
     assert tol == pytest.approx(1e-8 * spectral._operator_scale(spec))
     # drawn independently: not one of the main block's columns, nor near their span
-    X_main, _, _, vecs = calls[0]  # lobpcg returns orthonormal vectors
+    X_main, _, _, vecs = next(c for c in calls if c[0].shape[0] == spec.dim)  # orthonormal
     assert not np.any(np.all(X_main == X_probe, axis=0))
     p = X_probe[:, 0]
     assert np.linalg.norm(vecs.conj().T @ p) < 0.5 * np.linalg.norm(p)
@@ -411,7 +460,7 @@ def test_preconditioner_inverts_kinetic_energy_on_plane_waves():
     g = GridSpec(d=3, N=8, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.6, flavor="pauli",
                            V=bump_potential(g, amplitude=6.0, radius=0.7))
-    _, minv = spectral._iterative_operators(spec)
+    minv = spectral._kinetic_inverse(spec)
     k1 = 2 * np.pi / g.L
     x = np.meshgrid(*([g.axis] * 3), indexing="ij")
     for m, s in [((0, 0, 0), 0), ((1, 0, 0), 1), ((2, -1, 3), 0), ((-4, 1, 0), 1)]:
@@ -419,23 +468,117 @@ def test_preconditioner_inverts_kinetic_energy_on_plane_waves():
         e = np.zeros((2,) + g.shape, dtype=complex)
         e[s] = np.exp(1j * sum(kj * xj for kj, xj in zip(k, x)))
         want = e / (spec.h**2 * (sum(kj**2 for kj in k) + k1**2))
-        np.testing.assert_allclose(minv.matvec(e.ravel()), want.ravel(), rtol=0, atol=1e-12)
+        got = spectral._samples(spec, minv(spectral._coefficients(spec, e.reshape(-1, 1))))
+        np.testing.assert_allclose(got[:, 0], want.ravel(), rtol=0, atol=1e-12)
 
 
-def test_matvecs_count_every_operator_column_lobpcg_applies(spec3d, monkeypatch):
-    assert negative_spectrum(spec3d).stats.matvecs == 0  # dense path
+@pytest.mark.parametrize("N", [8, 16])  # 16: a half-grid start on N = 8
+def test_matvecs_count_every_operator_column_lobpcg_applies(N, monkeypatch):
+    g = GridSpec(d=3, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
+    if N == 8:
+        assert negative_spectrum(spec).stats.matvecs == 0  # dense path
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
-    columns = []
-    original = spectral.apply
+    applied, columns = [], {}
+    real_apply, fourier_apply = spectral.apply, spectral.apply_fourier
 
     def counted(spec, U):
-        columns.append(U.shape[1])
-        return original(spec, U)
+        applied.append(U.shape[1])
+        return real_apply(spec, U)
+
+    def counted_fourier(spec, C):
+        columns[spec.grid.N] = columns.get(spec.grid.N, 0) + C.shape[1]
+        return fourier_apply(spec, C)
 
     monkeypatch.setattr(spectral, "apply", counted)
-    ns = negative_spectrum(spec3d)
-    # the residual check applies each kept vector once; lobpcg applied the rest
-    assert ns.stats.matvecs == sum(columns) - len(ns.eigenvalues) > 0
+    monkeypatch.setattr(spectral, "apply_fourier", counted_fourier)
+    ns = negative_spectrum(spec)
+    # lobpcg applies the operator on coefficients; on samples, this real
+    # operator's Rayleigh-Ritz step and the residual check apply each kept
+    # vector once
+    assert sum(applied) == 2 * len(ns.eigenvalues)
+    assert ns.stats.matvecs == columns[N] > 0
+    coarse = ns.stats.coarse
+    assert (coarse.N, coarse.matvecs) == (N // 2, columns[N // 2]) if N == 16 else coarse is None
+    assert len(columns) == (2 if N == 16 else 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_padding_reproduces_a_band_limited_field(d, rng):
+    N = 16
+    fine, half = GridSpec(d=d, N=N, L=2.0), GridSpec(d=d, N=N // 2, L=2.0)
+    spec = HamiltonianSpec(grid=fine, h=0.5)
+    m = np.arange(-N // 4, N // 4)  # every wavenumber the half grid holds
+    coeff = rng.standard_normal((len(m),) * d) + 1j * rng.standard_normal((len(m),) * d)
+
+    def samples(g):  # sum_m coeff_m exp(i k_m . x), one axis contracted at a time
+        wave = np.exp(2j * np.pi * m[:, None] * g.axis[None, :] / g.L)
+        out = coeff
+        for _ in range(d):
+            out = np.tensordot(out, wave, axes=([0], [0]))
+        return out
+
+    u_fine, u_half = samples(fine), samples(half)
+    c_half = _fft_ortho(u_half[None, None], d)
+    padded = spectral._zero_pad(c_half, N, d)
+    back = spectral._samples(spec, spectral._columns(padded))[:, 0].reshape(fine.shape)
+    np.testing.assert_allclose(back, u_fine, rtol=0, atol=1e-14 * np.abs(u_fine).max())
+
+
+def _fft_ortho(a, d):
+    from fermifield.grid import _fft
+
+    return _fft(a, d, "ortho")
+
+
+def _half_grid_cases():
+    from fermifield.builders import random_divfree_potential
+
+    g1, g2 = GridSpec(d=1, N=128, L=2.0), GridSpec(d=2, N=32, L=2.0)
+    return {
+        "schrodinger-1d": HamiltonianSpec(grid=g1, h=0.15, V=bump_potential(g1, amplitude=20.0)),
+        "schrodinger-2d-A": HamiltonianSpec(
+            grid=g2, h=0.2, V=bump_potential(g2, 5.0, 0.6),
+            A=random_divfree_potential(g2, seed=1, amplitude=0.3)),
+        # no Weyl estimate: the coarse block grows from 4 before the fine solve
+        "grows-on-the-half-grid": HamiltonianSpec(grid=g1, h=0.15,
+                                                  V=bump_potential(g1, amplitude=20.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_half_grid_cases()))
+def test_half_grid_start_matches_dense(case, monkeypatch):
+    spec = _half_grid_cases()[case]
+    dense, _ = dense_eigh(spectral.dense_matrix(spec), upper=default_tol_zero(spec))
+    assert len(dense) >= 4
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    if case == "grows-on-the-half-grid":
+        monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
+    ns = negative_spectrum(spec, seed=1)
+    st = ns.stats
+    assert (st.path, st.certificate, st.coarse.N) == ("lobpcg", "probe", spec.grid.N // 2)
+    assert st.blocks[0] == st.coarse.blocks[-1]  # the fine block starts at the bracketing size
+    if case == "grows-on-the-half-grid":
+        assert st.coarse.blocks[0] == 4 and len(st.coarse.blocks) >= 2
+    assert len(ns.eigenvalues) == len(dense)
+    assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [8, 16])  # 16: the main block starts from the half grid
+def test_probe_start_is_outside_the_span_of_the_main_start(N, monkeypatch):
+    g = GridSpec(d=3, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.45, V=bump_potential(g, amplitude=6.0, radius=0.7))
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    calls = []
+    _recording_lobpcg(monkeypatch, calls)
+    ns = negative_spectrum(spec, seed=3)
+    assert (ns.stats.coarse is not None) == (N == 16)
+    main = [X for X, _, _, _ in calls if X.shape[0] == spec.dim]
+    X_main, X_probe = main[0], main[-1]
+    assert X_main.shape[1] == ns.stats.blocks[0] > 1 and X_probe.shape[1] == 1
+    Q, _ = np.linalg.qr(X_main)
+    p = X_probe[:, 0]
+    assert np.linalg.norm(p - Q @ (Q.conj().T @ p)) > 0.9 * np.linalg.norm(p)
 
 
 def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
