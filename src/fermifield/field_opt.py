@@ -44,9 +44,8 @@ from .grid import (
     jacobian,
 )
 from .operators import (
-    BLOCK,
     HamiltonianSpec,
-    _block,
+    _column_blocks,
     _current_form,
     dense_matrix,  # noqa: F401  unused here; benchmarks/spans.py traces it on this module
 )
@@ -217,9 +216,7 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectru
     W[np.arange(m), np.arange(m)] = np.real(np.diag(S))
     Y = vecs @ W - (2.0 * lam) * sternheimer(spectrum, psi2_u, lam)
     bare, grad = spectrum.spec, np.zeros((g.d,) + g.shape)
-    for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        U_j, Y_j = _block(bare, vecs[:, lo:hi]), _block(bare, Y[:, lo:hi])
+    for _, (U_j, Y_j) in _column_blocks(bare, vecs[:, :m], Y):
         grad += np.real(_current_form(bare, Y_j, U_j) + _current_form(bare, U_j, Y_j))
     return VectorField(g, grad)
 

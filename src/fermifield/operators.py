@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
-BLOCK = 512  # most vectors per core call and rows per dense slab; caps temporaries
+BLOCK = 512  # most vectors per core call (_column_blocks) and rows per dense slab
 ORTHO = "ortho"  # apply_fourier's coefficients: the unitary transform
 
 PAULI = "pauli"
@@ -113,6 +113,17 @@ def _columns(block: np.ndarray) -> np.ndarray:
     """Inverse of _block: (spin, m, *grid) -> columns (dim, m), m = 0 included."""
     dim = block.shape[0] * math.prod(block.shape[2:])
     return np.moveaxis(block, 1, -1).reshape(dim, block.shape[1])
+
+
+def _column_blocks(spec: HamiltonianSpec, *cols: np.ndarray):
+    """(column slice, blocks) for BLOCK columns at a time of the (dim, m) arrays cols.
+
+    The one walk from columns to core-sized blocks, so no dim x m temporary
+    of the core is made; blocks holds one _block per array, in order.
+    """
+    for lo in range(0, cols[0].shape[1], BLOCK):
+        at = slice(lo, lo + BLOCK)
+        yield at, [_block(spec, X[:, at]) for X in cols]
 
 
 def _sigma_dot(v, w: np.ndarray) -> np.ndarray:

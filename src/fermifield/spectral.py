@@ -18,14 +18,14 @@ solves it, each with its own count certificate (SolveStats.certificate):
   plus two then solves the matrix-free operator to INERTIA_LOBPCG_TOL; if
   it finds another count, dense evr solves a re-assembled matrix and the
   fallback is recorded.
-- "probe": above DENSE_LIMIT, LOBPCG (scipy) with its residual target
-  scaled to the operator starts from the predicted block and doubles it,
-  from the vectors found, until the spectrum is bracketed at zero; a
-  one-vector probe solve from an independent start guards against a missed
-  lowest eigenvalue.  On a grid with N / 2 >= COARSE_MIN_N the same spec,
-  sampled at every other point, is first solved on N / 2 to a loose target
-  and grown there until bracketed; its vectors, zero-padded to N, start the
-  fine block at that size (SolveStats.coarse records that solve).
+- "probe": above DENSE_LIMIT, where every grid has N / 2 >= 8, the same
+  spec sampled at every other point is first solved on N / 2 to a loose
+  target, from the predicted block grown until bracketed at zero; its
+  vectors, zero-padded to N, start LOBPCG (scipy) on N at that size, with
+  its residual target scaled to the operator, doubled from the vectors
+  found until bracketed again (SolveStats.coarse is the half-grid solve's
+  own SolveStats).  A one-vector probe solve from an independent start
+  guards against a missed lowest eigenvalue.
 
 Every iterative solve, LOBPCG and sternheimer's CG, works on unitary
 plane-wave coefficients (operators.apply_fourier), where the preconditioner,
@@ -51,12 +51,12 @@ import numpy as np
 
 from .grid import GridSpec, SpinorField, VectorField, _fft, _ifft
 from .operators import (
-    BLOCK,
     DENSE_LIMIT,
     ORTHO,
     PAULI,
     HamiltonianSpec,
     _block,
+    _column_blocks,
     _columns,
     _current_form,
     apply,
@@ -67,7 +67,6 @@ from .operators import (
 __all__ = [
     "NegativeSpectrum",
     "SolveStats",
-    "CoarseSolve",
     "EigenFailure",
     "negative_spectrum",
     "sternheimer",
@@ -96,26 +95,13 @@ INERTIA_LOBPCG_TOL = 1e-13
 INERTIA_MIN_DIM = 1024
 INERTIA_BLOCK_RATIO = 128
 
-# The probe route's half-grid start: on a grid with N / 2 >= COARSE_MIN_N the
-# same spec is first solved on N / 2 to this loose target (times the coarse
-# operator scale), only to seed the fine block.
-COARSE_MIN_N = 8
+# The probe route's half-grid start: the same spec is first solved on N / 2 to
+# this loose target (times the coarse operator scale), only to seed the fine block.
 COARSE_LOBPCG_TOL = 1e-4
 
 
 class EigenFailure(RuntimeError):
     """Eigensolver did not converge within its budget."""
-
-
-@dataclass(frozen=True)
-class CoarseSolve:
-    """The half-grid solve that seeded a probe-route block."""
-
-    N: int  # grid points per axis of the coarse grid
-    blocks: tuple  # LOBPCG block sizes tried there
-    iterations: tuple  # per coarse lobpcg call
-    unconverged: int  # coarse lobpcg calls that ended above their loose target
-    matvecs: int  # coarse operator columns applied
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,9 @@ class SolveStats:
     probe_lowest: float | None = None
     inertia: int | None = None  # eigenvalues below tol_zero by LDL^T; None off the inertia route
     fallback: bool = False  # the inertia route's LOBPCG missed that count; dense evr solved
-    coarse: CoarseSolve | None = None  # the half-grid start; the counts above are the fine ones
+    # the probe route's half-grid solve (its dim, blocks, iterations, unconverged
+    # and matvecs); the counts above are the fine ones.  None off the probe route.
+    coarse: SolveStats | None = None
 
 
 @dataclass(frozen=True)
@@ -201,9 +189,8 @@ def _residual_check(spec: HamiltonianSpec, vals, vecs: np.ndarray):
     """
     scale = max(abs(float(vals.min(initial=0.0))), _operator_scale(spec), 1e-300)
     worst = 0.0
-    for lo in range(0, len(vals), BLOCK):  # block by block: no dim x m temporaries
-        U, lam = vecs[:, lo:lo + BLOCK], vals[lo:lo + BLOCK]
-        R = _columns(apply(spec, _block(spec, U))) - lam * U
+    for at, (U,) in _column_blocks(spec, vecs):
+        R = _columns(apply(spec, U)) - vals[at] * vecs[:, at]
         worst = max(worst, float(np.sqrt(np.sum(np.abs(R) ** 2, axis=0) * spec.grid.weight).max()))
     if worst > RESIDUAL_TOL * scale:
         raise EigenFailure(
@@ -270,7 +257,9 @@ def _real_pairs(spec: HamiltonianSpec, vals: np.ndarray, vecs: np.ndarray):
         return vals, vecs.real
     Q = np.linalg.svd(np.concatenate([vecs.real, vecs.imag], axis=1),
                       full_matrices=False)[0][:, :m]
-    HQ = _columns(apply(spec, _block(spec, Q))).real
+    HQ = np.empty_like(Q)
+    for at, (B,) in _column_blocks(spec, Q):
+        HQ[:, at] = _columns(apply(spec, B)).real
     theta, Z = np.linalg.eigh(Q.T @ HQ)
     return theta, Q @ Z
 
@@ -346,8 +335,7 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     vals, vecs = _lobpcg_lowest(op, _kinetic_inverse(spec), spec.dim, m + 2,
                                 np.random.default_rng(seed),
                                 INERTIA_LOBPCG_TOL * _operator_scale(spec), log)
-    info = {"inertia": m, "blocks": (m + 2,), "iterations": tuple(its for its, _ in log),
-            "unconverged": sum(warned for _, warned in log), "matvecs": op.matvecs}
+    info = {"inertia": m, "blocks": (m + 2,), **_tally(log, op)}
     keep = vals <= tol_zero
     if np.count_nonzero(keep) != m:
         vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
@@ -359,11 +347,9 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
 
-    On a grid with N / 2 >= COARSE_MIN_N the block starts from the zero-padded
-    vectors of the same spec solved on N / 2 (_coarse_start), at the size
-    that bracketed there; otherwise the first block holds a quarter more
-    vectors than the Weyl count plus two guard columns.  Each larger block
-    starts from the vectors the last one found.  lobpcg's tol is absolute,
+    The block starts from the zero-padded vectors of the same spec solved on
+    N / 2 (_coarse_start), at the size that bracketed there, and each larger
+    block starts from the vectors the last one found.  lobpcg's tol is absolute,
     so its targets are LOBPCG_TOL and, for the probe, PROBE_TOL times the
     operator scale.  The probe is one column from an independent random
     start on this grid, as only its lowest value is read.  Returns the kept
@@ -372,12 +358,10 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     dim, op, pre = spec.dim, _plane_wave_operator(spec), _kinetic_inverse(spec)
     rng = np.random.default_rng(seed)
     scale = _operator_scale(spec)
-    log, start, coarse = [], None, None  # log: (iterations, warned) per lobpcg call
-    if spec.grid.N // 2 >= COARSE_MIN_N:
-        start, coarse = _coarse_start(spec, tol_zero, rng)
-    k = _predicted_block(spec) if start is None else start.shape[1]
-    vals, vecs, blocks = _bracketed(op, pre, dim, k, rng, LOBPCG_TOL * scale, tol_zero, log,
-                                    start)
+    log = []  # (iterations, warned) per lobpcg call
+    start, coarse = _coarse_start(spec, tol_zero, rng)
+    vals, vecs, blocks = _bracketed(op, pre, dim, start.shape[1], rng, LOBPCG_TOL * scale,
+                                    tol_zero, log, start)
     keep = vals <= tol_zero
     vals, vecs = vals[keep], vecs[:, keep]
 
@@ -388,11 +372,15 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
         raise EigenFailure(
             f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
         )
-    info = {"path": "lobpcg", "certificate": "probe", "blocks": tuple(blocks),
-            "iterations": tuple(its for its, _ in log),
-            "unconverged": sum(warned for _, warned in log),
-            "matvecs": op.matvecs, "probe_lowest": float(pvals[0]), "coarse": coarse}
+    info = {"path": "lobpcg", "certificate": "probe", "blocks": tuple(blocks), **_tally(log, op),
+            "probe_lowest": float(pvals[0]), "coarse": coarse}
     return vals, _samples(spec, vecs), info
+
+
+def _tally(log: list, op) -> dict:
+    """The SolveStats counts of the lobpcg calls in log, (iterations, warned) each, on op."""
+    return {"iterations": tuple(its for its, _ in log),
+            "unconverged": sum(warned for _, warned in log), "matvecs": op.matvecs}
 
 
 def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log: list,
@@ -419,7 +407,7 @@ def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log:
 
 
 def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
-    """Start block for spec from the same operator on N / 2, and its CoarseSolve record.
+    """Start block for spec from the same operator on N / 2, and that solve's SolveStats.
 
     V, A and psi are sampled at every other point.  The coarse blocks start
     at the predicted block and grow until they bracket tol_zero, solved to
@@ -438,10 +426,7 @@ def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
                                  _predicted_block(coarse), rng,
                                  COARSE_LOBPCG_TOL * _operator_scale(coarse), tol_zero, log)
     padded = _zero_pad(_block(coarse, vecs), g.N, g.d)
-    record = CoarseSolve(N=half.N, blocks=tuple(blocks),
-                         iterations=tuple(its for its, _ in log),
-                         unconverged=sum(warned for _, warned in log), matvecs=op.matvecs)
-    return _columns(padded), record
+    return _columns(padded), SolveStats(dim=coarse.dim, blocks=tuple(blocks), **_tally(log, op))
 
 
 def _zero_pad(c: np.ndarray, N: int, d: int) -> np.ndarray:
@@ -468,8 +453,8 @@ def _plane_wave_operator(spec: HamiltonianSpec):
     def op(X):
         op.matvecs += X.shape[1]
         out = np.empty(X.shape, dtype=np.complex128)
-        for lo in range(0, X.shape[1], BLOCK):
-            out[:, lo:lo + BLOCK] = _columns(apply_fourier(spec, _block(spec, X[:, lo:lo + BLOCK])))
+        for at, (C,) in _column_blocks(spec, X):
+            out[:, at] = _columns(apply_fourier(spec, C))
         return out
 
     op.matvecs = 0
@@ -598,8 +583,7 @@ def current(ns: NegativeSpectrum) -> VectorField:
     spec = ns.spec
     g = spec.grid
     J = np.zeros((g.d,) + g.shape)
-    for lo in range(0, ns.vectors.shape[1], BLOCK):
-        U = _block(spec, ns.vectors[:, lo:lo + BLOCK])
+    for _, (U,) in _column_blocks(spec, ns.vectors):
         if spec.psi is not None:
             U = spec.psi.data * U
         J -= np.real(_current_form(spec, U, U))

@@ -6,6 +6,7 @@ weyl3d_iterative.  So a change in routing shows here first, not as a traced
 run that exits 3.
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,13 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
 
 
 # blocks, iterations (probe last) and matvecs per solve at seed 1 and one BLAS
-# thread on the fine grid, then the half-grid start's N, blocks, iterations
-# and matvecs
+# thread on the fine grid, then the half-grid start's dim (N = 8, spin-reduced
+# at A = 0), blocks, iterations and matvecs
 WEYL3D_STATS = {
-    (0.6, False): ((4,), (28, 16), 100, (8, (4,), (16,), 53)),
-    (0.6, True): ((4,), (35, 33), 136, (8, (4,), (21,), 64)),
-    (0.45, False): ((4,), (17, 14), 76, (8, (4,), (15,), 49)),
-    (0.45, True): ((5,), (43, 28), 183, (8, (5,), (23,), 88)),
+    (0.6, False): ((4,), (28, 16), 100, (512, (4,), (16,), 53)),
+    (0.6, True): ((4,), (35, 33), 136, (1024, (4,), (21,), 64)),
+    (0.45, False): ((4,), (17, 14), 76, (512, (4,), (15,), 49)),
+    (0.45, True): ((5,), (43, 28), 183, (1024, (5,), (23,), 88)),
 }
 
 
@@ -93,4 +94,28 @@ def test_weyl3d_iterative_solves_keep_the_probe_route(h, with_a):
     assert (st.path, st.certificate, st.inertia) == ("lobpcg", "probe", None)
     c = st.coarse
     assert (st.blocks, st.iterations, st.matvecs,
-            (c.N, c.blocks, c.iterations, c.matvecs)) == WEYL3D_STATS[(h, with_a)]
+            (c.dim, c.blocks, c.iterations, c.matvecs)) == WEYL3D_STATS[(h, with_a)]
+
+
+def _digest(spec) -> str:
+    """sha256 of the inputs that fix a solve: h, flavor, grid, V, psi and A."""
+    sha = hashlib.sha256(repr((spec.h, spec.flavor, spec.grid)).encode())
+    for f in (spec.V, spec.psi, spec.A):
+        sha.update(b"none" if f is None else f.data.tobytes())
+    return sha.hexdigest()
+
+
+def test_variant_order_repeats_no_solve(monkeypatch, tmp_path):
+    # the full bundled config: every ratio and every descent step
+    digests, solve = [], field_opt.negative_spectrum
+
+    def recorded_solve(spec, *args, **kwargs):
+        digests.append(_digest(spec))
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(field_opt, "negative_spectrum", recorded_solve)
+    argv = ["variant-order", "--config", str(CONFIG_DIR / "variant_order.cfg"),
+            "--out", str(tmp_path), "--seed", "7"]
+    assert main(argv) == 0
+    assert len(digests) > 1
+    assert len(set(digests)) == len(digests)

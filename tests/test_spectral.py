@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fermifield.operators as operators
 import fermifield.spectral as spectral
 from fermifield.builders import bump_potential, constant_potential
 from fermifield.grid import GridSpec, SpinorField
@@ -216,7 +217,7 @@ def test_iterative_block_operators_match_columns(spec3d, rng):
 
 def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
     # blocks of 3: the perturbed vector sits in the last, partial block
-    monkeypatch.setattr(spectral, "BLOCK", 3)
+    monkeypatch.setattr(operators, "BLOCK", 3)
     import scipy.linalg
 
     vals, vecs = scipy.linalg.eigh(spectral.dense_matrix(spec1d))
@@ -358,37 +359,31 @@ def _recording_lobpcg(monkeypatch, calls, warn=False):
     monkeypatch.setattr(spla, "lobpcg", wrapped)
 
 
-@pytest.mark.parametrize("half_grid", [False, True])
-def test_grown_block_starts_from_previous_vectors(half_grid, monkeypatch):
+def test_grown_block_starts_from_previous_vectors(monkeypatch):
     g = GridSpec(d=1, N=128, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.15, V=bump_potential(g, amplitude=20.0))
     dense = negative_spectrum(spec)
     assert len(dense.eigenvalues) >= 6
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
-    if not half_grid:
-        monkeypatch.setattr(spectral, "COARSE_MIN_N", g.N)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=2)
     assert ns.sum == pytest.approx(dense.sum, rel=1e-8)
-    # the blocks that grew from 4: on N / 2 with the half-grid start, else on N
-    grown = ns.stats.coarse.blocks if half_grid else ns.stats.blocks
+    # the blocks grow from 4 on N / 2, the half-grid start
+    grown = ns.stats.coarse.blocks
     assert len(grown) >= 2 and grown[0] == 4
-    n_coarse = len(ns.stats.coarse.blocks) if half_grid else 0
-    assert len(calls) == n_coarse + len(ns.stats.blocks) + 1  # the probe comes last
-    chain = calls[:n_coarse] if half_grid else calls[:len(grown)]
+    assert len(calls) == len(grown) + len(ns.stats.blocks) + 1  # the probe comes last
+    chain = calls[:len(grown)]
     for (_, _, vals, vecs), (X_next, _, _, _) in zip(chain, chain[1:]):
         prev = vecs[:, np.argsort(vals)]
         np.testing.assert_array_equal(X_next[:, :prev.shape[1]], prev)
 
 
-@pytest.mark.parametrize("half_grid", [False, True])
-def test_lobpcg_tolerance_is_scaled(spec3d, half_grid, monkeypatch):
-    spec = spec3d
-    if half_grid:  # N / 2 = 8: one coarse call, then the fine block and the probe
-        g = GridSpec(d=3, N=16, L=2.0)
-        spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
+def test_lobpcg_tolerance_is_scaled(monkeypatch):
+    # N / 2 = 8: one coarse call, then the fine block and the probe
+    g = GridSpec(d=3, N=16, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
@@ -396,15 +391,13 @@ def test_lobpcg_tolerance_is_scaled(spec3d, half_grid, monkeypatch):
     scale = spectral._operator_scale(spec)
     assert default_tol_zero(spec) == pytest.approx(1e-8 * scale, rel=1e-15)
     coarse = ns.stats.coarse
-    n_coarse = len(coarse.blocks) if half_grid else 0
-    assert (coarse is not None) == half_grid
-    if half_grid:
-        half = replace(spec, grid=GridSpec(d=3, N=8, L=2.0), V=bump_potential(
-            GridSpec(d=3, N=8, L=2.0), amplitude=6.0, radius=0.7))
-        coarse_scale = spectral._operator_scale(half)
-        assert [tol for _, tol, _, _ in calls[:n_coarse]] == [
-            pytest.approx(1e-4 * coarse_scale)] * n_coarse
-        assert len(coarse.iterations) == n_coarse
+    n_coarse = len(coarse.blocks)
+    half = replace(spec, grid=GridSpec(d=3, N=8, L=2.0), V=bump_potential(
+        GridSpec(d=3, N=8, L=2.0), amplitude=6.0, radius=0.7))
+    coarse_scale = spectral._operator_scale(half)
+    assert [tol for _, tol, _, _ in calls[:n_coarse]] == [
+        pytest.approx(1e-4 * coarse_scale)] * n_coarse
+    assert len(coarse.iterations) == n_coarse
     assert [tol for _, tol, _, _ in calls[n_coarse:-1]] == [pytest.approx(1e-10 * scale)] * len(
         ns.stats.blocks)
     assert calls[-1][1] == pytest.approx(1e-8 * scale)
@@ -431,11 +424,11 @@ def test_lobpcg_warning_is_counted_not_shown(spec1d, monkeypatch, capsys):
     assert ns.sum == quiet.sum
 
 
-@pytest.mark.parametrize("N", [8, 16])  # 16: the Weyl-sized block is the half grid's
-def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(N, monkeypatch):
-    g = GridSpec(d=3, N=N, L=2.0)
+def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(monkeypatch):
+    # the Weyl-sized block is the half grid's
+    g = GridSpec(d=3, N=16, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.4, V=bump_potential(g, amplitude=10.0, radius=0.7))
-    half = GridSpec(d=3, N=8, L=2.0)  # spec's own grid, or its half grid
+    half = GridSpec(d=3, N=8, L=2.0)
     weyl = spectral._weyl_count(replace(spec, grid=half, V=bump_potential(half, 10.0, 0.7)))
     first = max(4, int(np.ceil(1.25 * weyl)) + 2)
     assert first == 6  # Weyl count 2.52: the formula, not the floor of 4
@@ -444,7 +437,7 @@ def test_first_block_is_weyl_sized_with_two_guards_and_probe_is_one_column(N, mo
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=3)
     st = ns.stats
-    assert (st.coarse.blocks if N == 16 else st.blocks) == (first,)
+    assert st.coarse.blocks == (first,)
     assert calls[0][0].shape == (half.size, first)
     X_probe, tol, _, _ = calls[-1]
     assert X_probe.shape == (spec.dim, 1)
@@ -472,12 +465,10 @@ def test_preconditioner_inverts_kinetic_energy_on_plane_waves():
         np.testing.assert_allclose(got[:, 0], want.ravel(), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("N", [8, 16])  # 16: a half-grid start on N = 8
-def test_matvecs_count_every_operator_column_lobpcg_applies(N, monkeypatch):
+def test_matvecs_count_every_operator_column_lobpcg_applies(monkeypatch):
+    N = 16  # a half-grid start on N = 8
     g = GridSpec(d=3, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
-    if N == 8:
-        assert negative_spectrum(spec).stats.matvecs == 0  # dense path
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     applied, columns = [], {}
     real_apply, fourier_apply = spectral.apply, spectral.apply_fourier
@@ -499,8 +490,8 @@ def test_matvecs_count_every_operator_column_lobpcg_applies(N, monkeypatch):
     assert sum(applied) == 2 * len(ns.eigenvalues)
     assert ns.stats.matvecs == columns[N] > 0
     coarse = ns.stats.coarse
-    assert (coarse.N, coarse.matvecs) == (N // 2, columns[N // 2]) if N == 16 else coarse is None
-    assert len(columns) == (2 if N == 16 else 1)
+    assert (coarse.dim, coarse.matvecs) == (spec.dim // 8, columns[N // 2])
+    assert len(columns) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -556,7 +547,8 @@ def test_half_grid_start_matches_dense(case, monkeypatch):
         monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
     ns = negative_spectrum(spec, seed=1)
     st = ns.stats
-    assert (st.path, st.certificate, st.coarse.N) == ("lobpcg", "probe", spec.grid.N // 2)
+    assert (st.path, st.certificate, st.coarse.dim) == ("lobpcg", "probe",
+                                                         spec.dim // 2**spec.grid.d)
     assert st.blocks[0] == st.coarse.blocks[-1]  # the fine block starts at the bracketing size
     if case == "grows-on-the-half-grid":
         assert st.coarse.blocks[0] == 4 and len(st.coarse.blocks) >= 2
@@ -564,15 +556,15 @@ def test_half_grid_start_matches_dense(case, monkeypatch):
     assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
 
 
-@pytest.mark.parametrize("N", [8, 16])  # 16: the main block starts from the half grid
-def test_probe_start_is_outside_the_span_of_the_main_start(N, monkeypatch):
-    g = GridSpec(d=3, N=N, L=2.0)
+def test_probe_start_is_outside_the_span_of_the_main_start(monkeypatch):
+    # the main block starts from the half grid
+    g = GridSpec(d=3, N=16, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.45, V=bump_potential(g, amplitude=6.0, radius=0.7))
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=3)
-    assert (ns.stats.coarse is not None) == (N == 16)
+    assert ns.stats.coarse is not None
     main = [X for X, _, _, _ in calls if X.shape[0] == spec.dim]
     X_main, X_probe = main[0], main[-1]
     assert X_main.shape[1] == ns.stats.blocks[0] > 1 and X_probe.shape[1] == 1
@@ -584,6 +576,11 @@ def test_probe_start_is_outside_the_span_of_the_main_start(N, monkeypatch):
 def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
     dense = negative_spectrum(spec3d).stats
     assert (dense.certificate, dense.probe_lowest, dense.inertia) == ("lapack", None, None)
+    assert dense.coarse is None and dense.matvecs == 0
+    g2 = GridSpec(d=2, N=32, L=2.0)
+    inertia = negative_spectrum(HamiltonianSpec(grid=g2, h=0.3, V=bump_potential(g2, 5.0, 0.6)),
+                                seed=1).stats
+    assert (inertia.certificate, inertia.probe_lowest, inertia.coarse) == ("inertia", None, None)
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
@@ -592,6 +589,11 @@ def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
     gap = ns.stats.probe_lowest - ns.eigenvalues[0]
     assert ns.stats.probe_lowest == calls[-1][2].min()
     assert -1e-8 <= gap <= 1e-6 * spectral._operator_scale(spec3d)
+    # the half-grid start's own record, on N / 2 = 4
+    coarse = ns.stats.coarse
+    assert isinstance(coarse, spectral.SolveStats)
+    assert coarse.dim == ns.stats.dim // 2**spec3d.grid.d
+    assert coarse.coarse is None and coarse.matvecs > 0
 
 
 # ---------------------------------------------------------------------------
