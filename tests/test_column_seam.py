@@ -3,8 +3,14 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fermifield.field_opt as field_opt
+import fermifield.operators as operators
 import fermifield.spectral as spectral
+from fermifield.grid import GridSpec
+from fermifield.operators import HamiltonianSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fermifield"
 # a hand-written walk over BLOCK columns, range(0, m, BLOCK)
@@ -16,3 +22,21 @@ def test_only_operators_walks_block_columns():
     walks = {path.name: len(WALK.findall(path.read_text())) for path in SRC.glob("*.py")}
     assert walks.pop("operators.py") == 1  # the generator itself
     assert not any(walks.values()), walks
+
+
+# blocks of 3: one partial block, one full block, and two full plus a partial one
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_column_blocks_tile_the_columns_in_order(m, monkeypatch):
+    monkeypatch.setattr(operators, "BLOCK", 3)
+    g = GridSpec(d=3, N=4, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5, flavor="pauli")
+    rng = np.random.default_rng(m)
+    X, Y = rng.standard_normal((2, spec.dim, m))
+    seen = []
+    for at, blocks in operators._column_blocks(spec, X, Y):
+        seen.extend(range(m)[at])
+        assert len(blocks) == 2
+        for block, cols in zip(blocks, (X, Y)):
+            assert block.shape == (spec.spin, cols[:, at].shape[1]) + g.shape
+            np.testing.assert_array_equal(operators._columns(block), cols[:, at])
+    assert seen == list(range(m))  # every column once, in order

@@ -380,10 +380,11 @@ def test_grown_block_starts_from_previous_vectors(monkeypatch):
         np.testing.assert_array_equal(X_next[:, :prev.shape[1]], prev)
 
 
-def test_lobpcg_tolerance_is_scaled(monkeypatch):
-    # N / 2 = 8: one coarse call, then the fine block and the probe
-    g = GridSpec(d=3, N=16, L=2.0)
-    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=6.0, radius=0.7))
+# d = 3, N / 2 = 8: one coarse call, then the fine block and the probe
+@pytest.mark.parametrize("d,N,h", [(3, 16, 0.6), (2, 32, 0.3)])
+def test_lobpcg_tolerance_is_scaled(d, N, h, monkeypatch):
+    g = GridSpec(d=d, N=N, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=h, V=bump_potential(g, amplitude=6.0, radius=0.7))
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     calls = []
     _recording_lobpcg(monkeypatch, calls)
@@ -392,8 +393,9 @@ def test_lobpcg_tolerance_is_scaled(monkeypatch):
     assert default_tol_zero(spec) == pytest.approx(1e-8 * scale, rel=1e-15)
     coarse = ns.stats.coarse
     n_coarse = len(coarse.blocks)
-    half = replace(spec, grid=GridSpec(d=3, N=8, L=2.0), V=bump_potential(
-        GridSpec(d=3, N=8, L=2.0), amplitude=6.0, radius=0.7))
+    assert n_coarse >= 1
+    g_half = GridSpec(d=d, N=N // 2, L=2.0)
+    half = replace(spec, grid=g_half, V=bump_potential(g_half, amplitude=6.0, radius=0.7))
     coarse_scale = spectral._operator_scale(half)
     assert [tol for _, tol, _, _ in calls[:n_coarse]] == [
         pytest.approx(1e-4 * coarse_scale)] * n_coarse
