@@ -18,7 +18,6 @@ from .grid import (
     field_energy_curl,
     field_energy_grad,
     gradient,
-    laplacian,
     leray_project,
     mean_zero_normalize,
 )
@@ -26,12 +25,8 @@ from .operators import (
     DENSE_LIMIT,
     PAULI,
     SCHRODINGER,
-    GaugeError,
     HamiltonianSpec,
     dense_matrix,
-    gauge_shift,
-    ims_localized_family,
-    nearest_admissible_shift,
 )
 from .spectral import (
     EigenFailure,

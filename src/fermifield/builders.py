@@ -29,7 +29,6 @@ __all__ = [
     "random_divfree_potential",
     "rough_divfree_potential",
     "flux_quantized_constant_b",
-    "aharonov_casher_zero_mode",
     "cutoff_ball",
     "V_BUILDERS",
     "A_BUILDERS",
@@ -163,19 +162,10 @@ def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int):
     return VectorField(grid, Adata), Bz, phi
 
 
-def aharonov_casher_zero_mode(grid: GridSpec, h: float, phi: ScalarField):
-    """Exact Pauli zero mode e^{phi/h} (spin up) for A = (-d_y phi, d_x phi, 0)."""
-    up = np.exp(phi.data / h)
-    data = np.zeros((2,) + grid.shape, dtype=np.complex128)
-    data[0] = up
-    from .grid import SpinorField
-
-    u = SpinorField(grid, data)
-    return (1.0 / u.norm()) * u
-
-
 def cutoff_ball(grid: GridSpec, radius: float) -> ScalarField:
     """Smooth cutoff, 1 on the half-radius ball, supported in B(radius)."""
+    if not radius > 0:
+        raise ValueError(f"cutoff radius must be positive, got {radius}")
     return ScalarField(grid, plateau_bump(_center_distance(grid) / radius))
 
 

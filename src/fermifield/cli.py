@@ -187,10 +187,14 @@ _PROBLEM_KEYS = {**_GRID_KEYS, "v": ("str", "bump"), "v_args": ("floats", [])}
 
 def _spec(cfg: dict, h: float, n: int | None = None,
           psi_radius: float | None = None) -> HamiltonianSpec:
-    """The operator of a _PROBLEM_KEYS config with a flavor at h; n replaces N."""
+    """The operator of a _PROBLEM_KEYS config with a flavor at h; n replaces N.
+
+    psi_radius, the config key r, sets the ball cutoff psi.
+    """
     grid = _grid(cfg, cfg["d"], cfg["n"] if n is None else n)
     V = _build_V(cfg["v"], cfg["v_args"], grid)
-    psi = None if psi_radius is None else cutoff_ball(grid, psi_radius)
+    psi = (None if psi_radius is None
+           else _configured(cutoff_ball, {"radius": "r"}, grid=grid, radius=psi_radius))
     keys = {"h": "h" if "h" in cfg else "h_list", "flavor": "flavor"}
     return _configured(HamiltonianSpec, keys, grid=grid, h=h, flavor=cfg["flavor"], V=V, psi=psi)
 
@@ -214,7 +218,7 @@ def run_weyl_converge(cfg, seed):
         _spec(cfg, h)
 
     def problem(h, double=False):
-        return _spec(cfg, h, n=cfg["n"] * (2 if double else 1)), None
+        return _spec(cfg, h, n=cfg["n"] * (2 if double else 1))
 
     reports, resolved, fit = convergence_study(
         problem, cfg["h_list"], certify=bool(cfg["certify"]),

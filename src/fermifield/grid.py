@@ -31,7 +31,6 @@ __all__ = [
     "gradient",
     "divergence",
     "curl",
-    "laplacian",
     "field_energy_curl",
     "field_energy_grad",
     "leray_project",
@@ -175,14 +174,6 @@ class ScalarField(_Field):
     def _expected_shape(self):
         return self.grid.shape
 
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.coords) + np.zeros(grid.shape))
-
 
 @dataclass(frozen=True)
 class VectorField(_Field):
@@ -283,35 +274,27 @@ def curl(A: VectorField) -> VectorField:
     return VectorField(A.grid, np.stack([J[i, j] - J[j, i] for i, j in ((1, 2), (2, 0), (0, 1))]))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return divergence(gradient(f))
-
-
 # ---------------------------------------------------------------------------
 # field energies: quadratic forms in the Jacobian J_ij = d_i A_j
 
 
-def _masked_quad(density: np.ndarray, grid: GridSpec, region: np.ndarray | None) -> float:
-    if region is not None:
-        density = density * region
-    return float(density.sum() * grid.weight)
-
-
-def field_energy_curl(A: VectorField, region: np.ndarray | None = None) -> float:
-    """Integral of |curl A|^2 = 1/2 sum_ij |J_ij - J_ji|^2, optionally over a region.
+def field_energy_curl(A: VectorField) -> float:
+    """Integral of |curl A|^2 = 1/2 sum_ij |J_ij - J_ji|^2 over the torus.
 
     The same integral in every dimension: in d = 2 the curl is the scalar
     d_x A_y - d_y A_x, and in d = 1 it vanishes.
     """
     J = jacobian(A.data, A.grid)
     dens = 0.5 * np.sum(np.abs(J - np.swapaxes(J, 0, 1)) ** 2, axis=(0, 1))
-    return _masked_quad(dens, A.grid, region)
+    return float(dens.sum() * A.grid.weight)
 
 
 def field_energy_grad(A: VectorField, region: np.ndarray | None = None) -> float:
-    """Integral of |grad (x) A|^2 = sum_ij |J_ij|^2 over the region."""
+    """Integral of |grad (x) A|^2 = sum_ij |J_ij|^2 over the region (the torus if None)."""
     dens = np.sum(np.abs(jacobian(A.data, A.grid)) ** 2, axis=(0, 1))
-    return _masked_quad(dens, A.grid, region)
+    if region is not None:
+        dens = dens * region
+    return float(dens.sum() * A.grid.weight)
 
 
 def leray_project(A: VectorField) -> VectorField:
@@ -326,18 +309,12 @@ def leray_project(A: VectorField) -> VectorField:
     return VectorField(g, _ifft_like(out, A.data, g.d))
 
 
-def mean_zero_normalize(A: VectorField, region: np.ndarray | None = None) -> VectorField:
-    """Subtract the (region-)average constant vector from each component."""
-    g = A.grid
-    if region is None:
-        region = np.ones(g.shape, dtype=bool)
-    npts = float(np.count_nonzero(region))
-    if npts == 0:
-        raise ValueError("region mask is empty")
+def mean_zero_normalize(A: VectorField) -> VectorField:
+    """Subtract the average constant vector from each component."""
     out = A.data.copy()
-    for j in range(g.d):
-        out[j] -= np.sum(A.data[j] * region) / npts
-    return VectorField(g, out)
+    for j in range(A.grid.d):
+        out[j] -= np.sum(A.data[j]) / A.grid.size
+    return VectorField(A.grid, out)
 
 
 def divfree_mean_zero(A: VectorField) -> VectorField:

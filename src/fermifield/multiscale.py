@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, _fft, _ifft_like, periodic_dist2
-from .profiles import bump, pou_pair, smooth_step
+from .profiles import bump, pou_pair
 
 __all__ = [
     "PartitionSpec",
@@ -24,7 +24,6 @@ __all__ = [
     "partition_defect",
     "DyadicFamily",
     "dyadic_build",
-    "dyadic_apply",
     "mollify",
     "mollifier_kernel",
     "smoothing_constants",
@@ -197,20 +196,6 @@ def _chi_zero(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chi_tilde_positive(i: int, t: np.ndarray) -> np.ndarray:
-    """Enlarged cutoff: supp [1/2 2^{i-1}, 3/2 2^i], 1 on [3/4 2^{i-1}, 5/4 2^i]."""
-    lo, hi = 2.0 ** (i - 1), 2.0**i
-    t = np.asarray(t, dtype=float)
-    rise = smooth_step((t - 0.5 * lo) / (0.25 * lo))
-    fall = smooth_step((1.5 * hi - t) / (0.25 * hi))
-    return rise * fall
-
-
-def _chi_tilde_zero(t: np.ndarray) -> np.ndarray:
-    a = np.abs(np.asarray(t, dtype=float))
-    return smooth_step((3.0 - a) / 1.0)
-
-
 @dataclass(frozen=True)
 class DyadicFamily:
     """Shell cutoffs f_i of t = (u^2 - W)/(w W) around the Fermi surface."""
@@ -239,14 +224,6 @@ class DyadicFamily:
             return np.zeros_like(t)
         return _chi_positive(-i, -t)
 
-    def f_tilde(self, i: int, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if i == 0:
-            return _chi_tilde_zero(t)
-        if i > 0:
-            return _chi_tilde_positive(i, t)
-        return _chi_tilde_positive(-i, -t)
-
     def _imax(self, t) -> int:
         tmax = float(np.max(np.abs(t), initial=4.0))
         return int(np.ceil(np.log2(max(tmax, 2.0)))) + 2
@@ -267,14 +244,6 @@ def dyadic_build(W: float, w: float, h: float | None = None) -> DyadicFamily:
     if not (0.0 < w <= 1.0):
         raise ValueError("w must lie in (0, 1]")
     return DyadicFamily(W=W, w=w)
-
-
-def dyadic_apply(family: DyadicFamily, i: int, u, h: float):
-    """F_i = f_i(D) as a Fourier multiplier on a spinor/scalar field."""
-    g = u.grid
-    u2 = (h**2) * g.k2  # |D|^2 symbol, full dual lattice
-    mult = family.f(i, family.t(u2))
-    return type(u)(g, _ifft_like(mult * _fft(u.data, g.d), u.data, g.d))
 
 
 # ---------------------------------------------------------------------------

@@ -30,27 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ScalarField,
-    SpinorField,
-    VectorField,
-    _fft,
-    _ifft,
-    curl,
-    gradient,
-)
+from .grid import GridSpec, ScalarField, SpinorField, VectorField, _fft, _ifft
 
 __all__ = [
     "HamiltonianSpec",
     "apply",
     "apply_fourier",
-    "gauge_shift",
-    "nearest_admissible_shift",
-    "ims_localized_family",
     "dense_matrix",
     "DENSE_LIMIT",
-    "GaugeError",
 ]
 
 DENSE_LIMIT = 4096
@@ -59,10 +46,6 @@ ORTHO = "ortho"  # apply_fourier's coefficients: the unitary transform
 
 PAULI = "pauli"
 SCHRODINGER = "schrodinger"
-
-
-class GaugeError(ValueError):
-    """Constant gauge shift whose phase is not periodic on the torus."""
 
 
 @dataclass(frozen=True)
@@ -226,23 +209,6 @@ def _current_form(spec: HamiltonianSpec, a: np.ndarray, b: np.ndarray) -> np.nda
     return np.sum(dens, axis=tuple(range(1, dens.ndim - d)))
 
 
-def pauli_expanded_apply(spec: HamiltonianSpec, u: SpinorField) -> SpinorField:
-    """Cross-check path: (D+A)^2 + h sigma.B for divergence-free A."""
-    if spec.flavor != PAULI:
-        raise ValueError("expanded form is for the pauli flavor")
-    w, d = u.data, spec.grid.d
-    if spec.psi is not None:
-        w = spec.psi.data * w
-    out = _in_space(*_schrodinger_kinetic(spec, _fft(w, d), w, "backward"), d)
-    if spec.A is not None:
-        out = out + spec.h * _sigma_dot(curl(spec.A).data, w)
-    if spec.V is not None:
-        out = out - spec.V.data * w
-    if spec.psi is not None:
-        out = spec.psi.data * out
-    return SpinorField(spec.grid, out)
-
-
 def apply(spec: HamiltonianSpec, u):
     """psi (T_h(A) - V) psi u, or (T_h(A) - V) u without localization.
 
@@ -296,81 +262,6 @@ def apply_fourier(spec: HamiltonianSpec, c: np.ndarray) -> np.ndarray:
     out = _fft(R, d, ORTHO)
     out += F
     return out
-
-
-# ---------------------------------------------------------------------------
-# gauge arithmetic
-
-
-def nearest_admissible_shift(spec: HamiltonianSpec, c) -> np.ndarray:
-    """Round a constant shift to the nearest torus-periodic one."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    unit = 2.0 * np.pi * spec.h / spec.grid.L
-    return np.round(c / unit) * unit
-
-
-def gauge_shift(spec: HamiltonianSpec, c):
-    """Shift A -> A - c for an admissible constant c.
-
-    Returns (shifted spec, phase ScalarField e^{i c.x / h}); conjugation by
-    the phase intertwines the two operators, so their spectra agree.
-    """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.shape != (spec.grid.d,):
-        raise ValueError(f"shift must have {spec.grid.d} components")
-    unit = 2.0 * np.pi * spec.h / spec.grid.L
-    ratio = c / unit
-    if np.any(np.abs(ratio - np.round(ratio)) > 1e-9):
-        suggestion = nearest_admissible_shift(spec, c)
-        raise GaugeError(
-            f"shift {c.tolist()} is not periodic on the torus: c*L/h must be a "
-            f"multiple of 2*pi per component; nearest admissible shift is "
-            f"{suggestion.tolist()}"
-        )
-    g = spec.grid
-    A = spec.A if spec.A is not None else VectorField.zero(g)
-    newA = VectorField(g, A.data - c.reshape((g.d,) + (1,) * g.d))
-    phase = ScalarField(g, np.exp(1j * sum(c[j] * g.coords[j] for j in range(g.d)) / spec.h))
-    return spec.with_A(newA), phase
-
-
-# ---------------------------------------------------------------------------
-# IMS localization
-
-
-IMS_PARTITION_TOL = 1e-8  # largest |sum phi_u^2 - 1| on supp psi
-
-
-def ims_localized_family(spec: HamiltonianSpec, cutoffs):
-    """Split H through a quadratic partition of unity.
-
-    cutoffs: list of real ScalarFields phi_u with sum phi_u^2 = 1 on the
-    support of psi (checked to IMS_PARTITION_TOL).  Returns (list of
-    localized specs, IMS error density h^2 sum |grad phi_u|^2 as a
-    ScalarField).
-    """
-    g = spec.grid
-    sumsq = np.zeros(g.shape)
-    err_dens = np.zeros(g.shape)
-    for phi in cutoffs:
-        if phi.grid != g:
-            raise ValueError("cutoff grid mismatch")
-        sumsq += phi.data ** 2
-        gp = gradient(phi)
-        err_dens += np.sum(np.abs(gp.data) ** 2, axis=0)
-    support = np.ones(g.shape, dtype=bool)
-    if spec.psi is not None:
-        support = np.abs(spec.psi.data) > 1e-14
-    defect = float(np.max(np.abs(sumsq[support] - 1.0))) if support.any() else 0.0
-    if defect > IMS_PARTITION_TOL:
-        raise ValueError(f"partition defect {defect:.3e} exceeds tolerance "
-                         f"{IMS_PARTITION_TOL:.1e}")
-    family = []
-    for phi in cutoffs:
-        loc = phi if spec.psi is None else ScalarField(g, phi.data * spec.psi.data)
-        family.append(replace(spec, psi=loc))
-    err_dens *= spec.h**2
-    return family, ScalarField(g, err_dens)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,9 @@ class EigenFailure(RuntimeError):
 class SolveStats:
     """How a negative spectrum was found."""
 
-    path: str = ""  # "dense" or "lobpcg": the solver of the kept pairs
-    certificate: str = ""  # "lapack", "inertia" or "probe": what vouches for the count
+    # "lapack", "inertia" or "probe": what vouches for the count.  The kept pairs
+    # come from dense evr under "lapack" and from LOBPCG under the other two.
+    certificate: str = ""
     dim: int = 0  # dimension solved, after the spin reduction
     copies: int = 1  # spin copies of each solved eigenpair
     blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
@@ -219,7 +220,7 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
         vals, vecs, info = _inertia_negative(solved, tol_zero, seed)
     else:
         vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
-        info = {"path": "dense", "certificate": "lapack"}
+        info = {"certificate": "lapack"}
     if solved.A is None and np.iscomplexobj(vecs):  # LOBPCG's vectors of a real operator
         vals, vecs = _real_pairs(solved, vals, vecs)
     copies = spec.spin // solved.spin
@@ -339,9 +340,8 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     keep = vals <= tol_zero
     if np.count_nonzero(keep) != m:
         vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
-        return vals, vecs, {**info, "path": "dense", "certificate": "lapack", "fallback": True}
-    return vals[keep], _samples(spec, vecs[:, keep]), {**info, "path": "lobpcg",
-                                                        "certificate": "inertia"}
+        return vals, vecs, {**info, "certificate": "lapack", "fallback": True}
+    return vals[keep], _samples(spec, vecs[:, keep]), {**info, "certificate": "inertia"}
 
 
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
@@ -372,7 +372,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
         raise EigenFailure(
             f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
         )
-    info = {"path": "lobpcg", "certificate": "probe", "blocks": tuple(blocks), **_tally(log, op),
+    info = {"certificate": "probe", "blocks": tuple(blocks), **_tally(log, op),
             "probe_lowest": float(pvals[0]), "coarse": coarse}
     return vals, _samples(spec, vecs), info
 

@@ -73,8 +73,8 @@ def convergence_study(
 ):
     """Quantum-vs-Weyl error across an h sweep.
 
-    problem(h) must return (HamiltonianSpec, weight ScalarField or None).
-    Each h gets a WeylReport; when certify is set, the quantum value is
+    problem(h) and problem(h, double=True) return the HamiltonianSpec at h,
+    the second on the N-doubled grid; the Weyl term is unweighted.  Each h gets a WeylReport; when certify is set, the quantum value is
     recomputed on the N-doubled grid and h values whose certificate exceeds
     the threshold are flagged (resolved=False) and excluded from the fit.
     """
@@ -82,14 +82,13 @@ def convergence_study(
 
     reports, resolved = [], []
     for h in h_list:
-        spec, w = problem(h)
+        spec = problem(h)
         quantum = negative_spectrum(spec, seed=seed).sum
         cert = 0.0
         if certify:
-            spec2, w2 = problem(h, double=True)
-            q2 = negative_spectrum(spec2, seed=seed).sum
+            q2 = negative_spectrum(problem(h, double=True), seed=seed).sum
             cert = abs(q2 - quantum) / max(abs(q2), 1e-300)
-        wv = weyl_term(w, spec.V, h, spin=spec.spin)
+        wv = weyl_term(None, spec.V, h, spin=spec.spin)
         reports.append(WeylReport(h=h, N=spec.grid.N, quantum=quantum, weyl=wv, certificate=cert))
         resolved.append((not certify) or cert <= certificate_threshold)
 

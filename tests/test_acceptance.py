@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from fermifield.builders import (
-    aharonov_casher_zero_mode,
     bump_potential,
     constant_potential,
     flux_quantized_constant_b,
@@ -30,7 +29,7 @@ from fermifield.field_opt import (
     total_energy,
     variant_ordering_check,
 )
-from fermifield.grid import GridSpec, VectorField, divergence
+from fermifield.grid import GridSpec, SpinorField, VectorField, divergence
 from fermifield.inequalities import (
     check_lieb_thirring,
     harmonic_energy_ratio,
@@ -109,7 +108,7 @@ def test_weyl_convergence_1d_dense_certified():
     def problem(h, double=False):
         grid = GridSpec(d=1, N=128 if double else 64, L=4.0)
         V = bump_potential(grid, amplitude=12.0, radius=1.2)
-        return HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, V=V), None
+        return HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, V=V)
 
     reports, resolved, fit = convergence_study(
         problem, [0.8, 0.4, 0.2, 0.1], certify=True,
@@ -215,7 +214,11 @@ def test_pauli_zero_mode_on_flux_quantized_torus():
     h = 0.5
     A, _Bz, phi = flux_quantized_constant_b(grid, h, n_flux=1)
     spec = HamiltonianSpec(grid=grid, h=h, flavor=PAULI, A=A)
-    u = aharonov_casher_zero_mode(grid, h, phi)
+    # the Aharonov-Casher zero mode: e^{phi/h} spin up, normalized
+    data = np.zeros((2,) + grid.shape, dtype=complex)
+    data[0] = np.exp(phi.data / h)
+    u = SpinorField(grid, data)
+    u = (1.0 / u.norm()) * u
     # the Pauli operator is a square, hence >= 0; for a normalized u the
     # residual norm ||H u|| bounds the distance of 0 to the spectrum
     residual = apply(spec, u).norm()

@@ -210,6 +210,8 @@ def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_pa
     ("check-lt", ["h_list=0"], "h_list"),
     ("check-smoothing", ["r0=0"], "r0"),
     ("weyl-converge", ["n=16", "h_list=0.5,0"], "h_list"),  # the bad h is not the first
+    # psi-outside with r left at 0: the cutoff ball has no radius
+    ("minimize-field", ["flavor=schrodinger", "variant=psi-outside", "big_r=1.0"], "r"),
 ])
 def test_main_rejected_value_exits_2_before_any_solve(experiment, sets, key, tmp_path, capsys,
                                                       monkeypatch):

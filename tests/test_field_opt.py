@@ -204,7 +204,7 @@ def test_psi_outside_gradient_on_the_lobpcg_path(flavor, d, N, amp, monkeypatch)
     ref = _trace_gradient_psi_outside(spec, dense).data
     monkeypatch.setattr(spectral, "DENSE_LIMIT", bare.dim - 1)
     ns = spectral.negative_spectrum(bare, seed=1)
-    assert ns.stats.path == "lobpcg" and len(ns.eigenvalues) == len(dense.eigenvalues)
+    assert ns.stats.certificate == "probe" and len(ns.eigenvalues) == len(dense.eigenvalues)
     got = _trace_gradient_psi_outside(spec, ns).data
     # The n LOBPCG pairs are exact eigenpairs of H + E with ||E|| <= 2 sqrt(n)
     # times their largest residual, and the Sternheimer solve projects off
@@ -668,11 +668,13 @@ def test_field_calculus_matches_the_per_case_formulas(d, N, ball):
     A = A + VectorField(g, np.random.default_rng(6).standard_normal((d,) + g.shape))
     region = ball_mask(g, (1.0,) * d, 0.7) if ball else None
     weight = np.ones(g.shape) if region is None else region
-    cases = [(field_energy_curl, _old_curl_energy_and_gradient, GLOBAL_CURL),
-             (field_energy_grad, _old_grad_energy_and_gradient, BALL_GRAD)]
-    for energy, old, variant in cases:
-        dens, grad = old(A, weight)
-        assert energy(A, region) == pytest.approx(float(np.sum(dens)) * g.weight, rel=1e-12)
+    # the curl energy is always over the torus, the gradient energy over the region
+    cases = [(field_energy_curl, _old_curl_energy_and_gradient, GLOBAL_CURL, np.ones(g.shape)),
+             (lambda A: field_energy_grad(A, region), _old_grad_energy_and_gradient, BALL_GRAD,
+              weight)]
+    for energy, old, variant, where in cases:
+        dens, grad = old(A, where)
+        assert energy(A) == pytest.approx(float(np.sum(dens)) * g.weight, rel=1e-12)
         # the field gradients: global-curl over the torus, ball-grad over its ball
         if (variant == BALL_GRAD) == ball:
             cfg = EnergyConfig(beta=1.0, variant=variant, r=0.35, R=0.7)

@@ -24,7 +24,6 @@ from fermifield.grid import (
     field_energy_grad,
     gradient,
     jacobian,
-    laplacian,
     leray_project,
     mean_zero_normalize,
     periodic_dist2,
@@ -66,15 +65,6 @@ def test_gradient_exact_on_plane_wave():
     gf = gradient(f)
     np.testing.assert_allclose(gf.data[0], 1j * kx * f.data, atol=1e-12)
     np.testing.assert_allclose(gf.data[1], 1j * ky * f.data, atol=1e-12)
-
-
-def test_laplacian_matches_gradient_divergence():
-    g = GridSpec(d=2, N=16, L=3.0)
-    rng = np.random.default_rng(0)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    lhs = laplacian(f).data
-    rhs = divergence(gradient(f)).data
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_curl_of_gradient_vanishes():

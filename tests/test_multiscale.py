@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from fermifield.grid import GridSpec, ScalarField, VectorField
+from fermifield.grid import GridSpec, VectorField
 from fermifield.multiscale import (
     PartitionSpec,
-    dyadic_apply,
     dyadic_build,
     mollifier_kernel,
     mollify,
@@ -104,32 +103,11 @@ def test_dyadic_i0_kills_deep_shells():
     assert np.any(fam.f(-fam.i0 + 1, t) > 0.0)
 
 
-def test_dyadic_enlarged_cutoff_dominates():
-    fam = dyadic_build(W=2.0, w=0.2)
-    t = np.linspace(-12.0, 120.0, 5000)
-    for i in (-2, -1, 0, 1, 3):
-        f, ft = fam.f(i, t), fam.f_tilde(i, t)
-        assert np.all(ft[f > 1e-14] > 1e-14)  # f_tilde = 1 on supp f interior
-        assert np.all(ft[np.abs(f - 1) < 1e-14] > 1 - 1e-12)
-
-
 def test_dyadic_build_validation():
     with pytest.raises(ValueError):
         dyadic_build(W=1.0, w=0.05, h=0.1)  # w below h
     with pytest.raises(ValueError):
         dyadic_build(W=1.0, w=1.5)
-
-
-def test_dyadic_apply_is_fourier_multiplier():
-    g = GridSpec(d=1, N=64, L=2.0)
-    fam = dyadic_build(W=4.0, w=0.5)
-    rng = np.random.default_rng(0)
-    u = ScalarField(g, rng.standard_normal(g.shape) + 0j)
-    h = 0.5
-    out = dyadic_apply(fam, 1, u, h)
-    mult = fam.f(1, fam.t(h**2 * g.k2))
-    expect = np.fft.ifft(mult * np.fft.fft(u.data))
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Hamiltonian application, dense assembly, gauge arithmetic, IMS splitting."""
+"""Hamiltonian application, dense assembly, the gauge and IMS identities."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +10,8 @@ from fermifield.builders import (
     constant_potential,
     random_divfree_potential,
 )
-from fermifield.grid import GridSpec, ScalarField, SpinorField, VectorField
-from fermifield.operators import (
-    GaugeError,
-    HamiltonianSpec,
-    apply,
-    apply_fourier,
-    dense_matrix,
-    gauge_shift,
-    ims_localized_family,
-    nearest_admissible_shift,
-    pauli_expanded_apply,
-)
+from fermifield.grid import GridSpec, ScalarField, SpinorField, VectorField, curl, gradient
+from fermifield.operators import HamiltonianSpec, apply, apply_fourier, dense_matrix
 
 
 def _random_spinor(g, spin, rng):
@@ -49,8 +41,6 @@ def test_spec_validation(grid2d, grid3d):
 
 
 def test_spin_follows_the_flavor(grid3d):
-    from dataclasses import replace
-
     schrodinger = HamiltonianSpec(grid=grid3d, h=1.0)
     assert schrodinger.spin == 1 and schrodinger.dim == grid3d.size
     assert replace(schrodinger, flavor="pauli").spin == 2
@@ -74,7 +64,8 @@ def test_dense_matrix_matches_apply(spec1d, rng):
 
 
 def test_pauli_factored_matches_expanded(rng):
-    # [sigma.(D+A)]^2 applied directly vs (D+A)^2 + h sigma.B. The two forms
+    # [sigma.(D+A)]^2 applied directly vs (D+A)^2 + h sigma.B, the Schrodinger
+    # operator with the same A on each spin component plus the Zeeman term. The two forms
     # agree only below the aliasing threshold, so both A and the spinor are
     # band-limited: second-order products stay inside the dual lattice.
     g = GridSpec(d=3, N=16, L=2.0)
@@ -85,15 +76,16 @@ def test_pauli_factored_matches_expanded(rng):
         (2, 3, 3, 3)
     )
     u = SpinorField(g, np.fft.ifftn(uh, axes=(1, 2, 3)))
-    lhs = apply(spec, u)
-    rhs = pauli_expanded_apply(spec, u)
-    scale = np.max(np.abs(lhs.data))
-    np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-11 * scale)
+    lhs = apply(spec, u).data
+    kinetic = apply(HamiltonianSpec(grid=g, h=0.7, A=A), u.data[None])[0]  # spin as a batch axis
+    B, (up, down) = curl(A).data, u.data
+    zeeman = np.stack([B[2] * up + (B[0] - 1j * B[1]) * down,
+                       (B[0] + 1j * B[1]) * up - B[2] * down])
+    scale = np.max(np.abs(lhs))
+    np.testing.assert_allclose(lhs, kinetic + spec.h * zeeman, atol=1e-11 * scale)
 
 
 def test_localized_apply_sandwiches_psi(spec1d, rng):
-    from dataclasses import replace
-
     psi = ScalarField(spec1d.grid, np.cos(np.pi * spec1d.grid.axis / spec1d.grid.L) ** 2)
     loc = replace(spec1d, psi=psi)
     u = _random_spinor(spec1d.grid, 1, rng)
@@ -102,25 +94,14 @@ def test_localized_apply_sandwiches_psi(spec1d, rng):
     np.testing.assert_allclose(lhs, psi.data * inner, atol=1e-10)
 
 
-def test_nearest_admissible_shift(spec1d):
-    unit = 2 * np.pi * spec1d.h / spec1d.grid.L
-    c = nearest_admissible_shift(spec1d, [2.3 * unit])
-    assert c[0] == pytest.approx(2 * unit)
-
-
-def test_gauge_shift_rejects_inadmissible(spec1d):
-    with pytest.raises(GaugeError):
-        gauge_shift(spec1d, [0.123])
-
-
 def test_gauge_shift_preserves_spectrum():
     from fermifield.spectral import negative_spectrum
 
     g = GridSpec(d=1, N=64, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, V=bump_potential(g, amplitude=4.0))
+    # admissible shift: a multiple of 2 pi h / L, so the gauge phase is periodic
     unit = 2 * np.pi * spec.h / g.L
-    shifted, phase = gauge_shift(spec, [3 * unit])
-    assert abs(np.abs(phase.data).max() - 1.0) < 1e-12
+    shifted = spec.with_A(VectorField(g, np.full((1,) + g.shape, -3 * unit)))
     s0 = negative_spectrum(spec).sum
     s1 = negative_spectrum(shifted).sum
     assert s1 == pytest.approx(s0, rel=1e-10)
@@ -133,23 +114,17 @@ def test_ims_identity_is_exact(rng):
     (x,) = g.coords
     theta = 0.25 * np.pi * (1 - np.cos(2 * np.pi * x / g.L))
     cutoffs = [ScalarField(g, np.cos(theta)), ScalarField(g, np.sin(theta))]
-    family, err = ims_localized_family(spec, cutoffs)
-    assert len(family) == 2
+    family = [replace(spec, psi=phi) for phi in cutoffs]
+    err = spec.h**2 * sum(np.sum(gradient(phi).data ** 2, axis=0) for phi in cutoffs)
 
     uh = np.zeros(g.N, dtype=complex)
     uh[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     u = SpinorField(g, np.fft.ifft(uh)[None, :])
     lhs = sum(np.real(u.inner(apply(loc, u))) for loc in family)
     rhs = np.real(u.inner(apply(spec, u))) + np.real(
-        np.sum(np.conj(u.data) * err.data * u.data) * g.weight
+        np.sum(np.conj(u.data) * err * u.data) * g.weight
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_ims_rejects_broken_partition(spec1d):
-    bad = [ScalarField(spec1d.grid, 0.5 * np.ones(spec1d.grid.shape))]
-    with pytest.raises(ValueError):
-        ims_localized_family(spec1d, bad)
 
 
 def test_constant_potential_shift_identity(rng):
@@ -178,7 +153,7 @@ _CORE_CASES = [
 def _core_spec(flavor, d, N, with_A, with_psi, rng):
     g = GridSpec(d=d, N=N, L=2.0)
     A = VectorField(g, 0.5 * rng.standard_normal((d,) + g.shape)) if with_A else None
-    psi = (ScalarField.from_function(g, lambda x, *_: np.cos(np.pi * x / g.L) ** 2)
+    psi = (ScalarField(g, np.broadcast_to(np.cos(np.pi * g.coords[0] / g.L) ** 2, g.shape))
            if with_psi else None)
     return HamiltonianSpec(grid=g, h=0.6, flavor=flavor, A=A, psi=psi,
                            V=bump_potential(g, amplitude=3.0, radius=0.6))

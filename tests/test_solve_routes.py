@@ -54,11 +54,10 @@ def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
     with_field = [st for field, st, _ in solves if field]
     assert at_zero and with_field
     for st, dtype in at_zero:  # the spin-reduced dim-512 operator
-        assert (st.path, st.certificate, st.dim, st.copies) == ("dense", "lapack", 512, 2)
+        assert (st.certificate, st.dim, st.copies) == ("lapack", 512, 2)
         assert dtype == np.float64
     for st in with_field:
-        assert (st.path, st.certificate, st.dim, st.fallback) == ("lobpcg", "inertia", 1024,
-                                                                  False)
+        assert (st.certificate, st.dim, st.fallback) == ("inertia", 1024, False)
         assert st.blocks == (st.inertia + 2,) and st.probe_lowest is None
     assert dense_calls and all(dt == np.float64 for dt in dense_calls)
 
@@ -68,7 +67,7 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
                                                "variant-order", ["ratios=2 4", "max_iters=1"])
     assert solves
     for _, st, _ in solves:
-        assert (st.path, st.certificate, st.dim, st.inertia) == ("dense", "lapack", 512, None)
+        assert (st.certificate, st.dim, st.inertia) == ("lapack", 512, None)
     assert len(dense_calls) == len(solves)
 
 
@@ -91,7 +90,7 @@ def test_weyl3d_iterative_solves_keep_the_probe_route(h, with_a):
     A = (0.55 / float(np.sqrt(np.mean(A.data ** 2)))) * A
     spec = HamiltonianSpec(grid=g, h=h, flavor="pauli", A=A if with_a else None, V=V)
     st = spectral.negative_spectrum(spec, seed=1).stats
-    assert (st.path, st.certificate, st.inertia) == ("lobpcg", "probe", None)
+    assert (st.certificate, st.inertia) == ("probe", None)
     c = st.coarse
     assert (st.blocks, st.iterations, st.matvecs,
             (c.dim, c.blocks, c.iterations, c.matvecs)) == WEYL3D_STATS[(h, with_a)]

@@ -68,7 +68,7 @@ def test_vectors_are_one_read_only_normalized_block(spec1d, spec3d, path, monkey
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     ns = negative_spectrum(spec, seed=1)
     m = len(ns.eigenvalues)
-    assert m > 0 and ns.stats.path == ("lobpcg" if path == "lobpcg" else "dense")
+    assert m > 0 and ns.stats.certificate == ("probe" if path == "lobpcg" else "lapack")
     assert ns.vectors.shape == (spec.dim, m)
     assert not ns.vectors.flags.writeable
     with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ def test_lobpcg_vectors_of_a_real_operator_are_real(monkeypatch):
     assert np.any(np.diff(vals) < 1e-9) and vals.size >= 4
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     ns = negative_spectrum(spec, seed=1)
-    assert ns.stats.path == "lobpcg" and ns.vectors.dtype == np.float64
+    assert ns.stats.certificate == "probe" and ns.vectors.dtype == np.float64
     np.testing.assert_allclose(ns.eigenvalues, vals, rtol=0,
                                atol=1e-9 * spectral._operator_scale(spec))
     w = g.weight
@@ -312,7 +312,7 @@ def test_spin_reduction_matches_full_dense(case, iterative, monkeypatch):
     np.testing.assert_allclose(ns.eigenvalues, ref, rtol=0, atol=1e-10 * scale)
     np.testing.assert_array_equal(ns.eigenvalues[0::2], ns.eigenvalues[1::2])
     assert ns.stats.copies == 2 and ns.stats.dim == spec.dim // 2
-    assert ns.stats.path == ("lobpcg" if iterative else "dense")
+    assert ns.stats.certificate == ("probe" if iterative else "lapack")
     assert ns.spec is spec
 
 
@@ -549,8 +549,7 @@ def test_half_grid_start_matches_dense(case, monkeypatch):
         monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
     ns = negative_spectrum(spec, seed=1)
     st = ns.stats
-    assert (st.path, st.certificate, st.coarse.dim) == ("lobpcg", "probe",
-                                                         spec.dim // 2**spec.grid.d)
+    assert (st.certificate, st.coarse.dim) == ("probe", spec.dim // 2**spec.grid.d)
     assert st.blocks[0] == st.coarse.blocks[-1]  # the fine block starts at the bracketing size
     if case == "grows-on-the-half-grid":
         assert st.coarse.blocks[0] == 4 and len(st.coarse.blocks) >= 2
@@ -665,8 +664,7 @@ def test_inertia_route_matches_dense(flavor):
     ns = negative_spectrum(spec, seed=1)
     vals, vecs = _dense_reference(spec)
     st = ns.stats
-    assert (st.path, st.certificate, st.inertia, st.fallback) == ("lobpcg", "inertia", len(vals),
-                                                                   False)
+    assert (st.certificate, st.inertia, st.fallback) == ("inertia", len(vals), False)
     assert st.blocks == (len(vals) + 2,) and st.probe_lowest is None and st.matvecs > 0
     np.testing.assert_allclose(ns.eigenvalues, vals, rtol=1e-12, atol=0)
     w = g.weight
@@ -687,8 +685,7 @@ def test_inertia_route_falls_back_to_dense_when_lobpcg_misses(monkeypatch):
     ns = negative_spectrum(spec, seed=1)
     vals, _ = _dense_reference(spec)
     st = ns.stats
-    assert (st.path, st.certificate, st.inertia, st.fallback) == ("dense", "lapack", len(vals),
-                                                                   True)
+    assert (st.certificate, st.inertia, st.fallback) == ("lapack", len(vals), True)
     assert st.probe_lowest is None and len(st.iterations) == 1
     np.testing.assert_array_equal(ns.eigenvalues, vals)
 

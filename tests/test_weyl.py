@@ -65,7 +65,7 @@ def test_convergence_study_1d_is_monotone():
     def problem(h, double=False):
         g = GridSpec(d=1, N=128 if double else 64, L=4.0)
         return HamiltonianSpec(grid=g, h=h,
-                               V=bump_potential(g, amplitude=12.0, radius=1.2)), None
+                               V=bump_potential(g, amplitude=12.0, radius=1.2))
 
     reports, resolved, fit = convergence_study(problem, [0.8, 0.4, 0.2, 0.1])
     assert all(resolved)
