@@ -179,6 +179,12 @@ def test_real_builders_give_float64_fields():
     assert [f.data.dtype for f in fields] == [np.float64] * len(fields)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.5])
+def test_cutoff_ball_rejects_nonpositive_radius(radius):
+    with pytest.raises(ValueError, match="cutoff radius must be positive"):
+        cutoff_ball(GridSpec(d=2, N=8, L=2.0), radius)
+
+
 def test_field_calculus_keeps_a_real_field_real():
     g = GridSpec(d=3, N=8, L=2.0)
     A = random_divfree_potential(g, seed=2)

@@ -103,6 +103,13 @@ def test_dyadic_i0_kills_deep_shells():
     assert np.any(fam.f(-fam.i0 + 1, t) > 0.0)
 
 
+def test_dyadic_t_puts_the_fermi_surface_at_zero():
+    # t = (u^2 - W)/(wW): the shell i = 0 sits on u^2 = W, u = 0 is the floor -1/w
+    fam = dyadic_build(W=2.0, w=0.2)
+    np.testing.assert_allclose(fam.t([2.0, 0.0, 2.0 * 1.2]), [0.0, -5.0, 1.0], atol=1e-14)
+    assert fam.f(0, 0.0) == pytest.approx(1.0)
+
+
 def test_dyadic_build_validation():
     with pytest.raises(ValueError):
         dyadic_build(W=1.0, w=0.05, h=0.1)  # w below h

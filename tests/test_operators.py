@@ -10,7 +10,15 @@ from fermifield.builders import (
     constant_potential,
     random_divfree_potential,
 )
-from fermifield.grid import GridSpec, ScalarField, SpinorField, VectorField, curl, gradient
+from fermifield.grid import (
+    GridSpec,
+    ScalarField,
+    SpinorField,
+    VectorField,
+    curl,
+    divergence,
+    gradient,
+)
 from fermifield.operators import HamiltonianSpec, apply, apply_fourier, dense_matrix
 
 
@@ -92,6 +100,33 @@ def test_localized_apply_sandwiches_psi(spec1d, rng):
     lhs = apply(loc, u).data
     inner = apply(spec1d, SpinorField(spec1d.grid, psi.data * u.data)).data
     np.testing.assert_allclose(lhs, psi.data * inner, atol=1e-10)
+
+
+def test_free_kinetic_is_minus_h2_div_grad(rng):
+    # without A the core multiplies by h^2 |k|^2; on a field with no Nyquist
+    # mode that is -h^2 div grad, whose first derivatives zero the Nyquist entry
+    g = GridSpec(d=2, N=16, L=3.0)
+    fh = np.fft.fft2(rng.standard_normal(g.shape))
+    fh[g.N // 2, :] = fh[:, g.N // 2] = 0.0
+    f = ScalarField(g, np.fft.ifft2(fh).real)
+    spec = HamiltonianSpec(grid=g, h=0.7)
+    lhs = apply(spec, SpinorField(g, f.data[None])).data[0]
+    rhs = -spec.h**2 * divergence(gradient(f)).data
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_inadmissible_constant_shift_moves_spectrum():
+    # a constant A = a makes the free operator the multiplier (hk + a)^2; unless
+    # a is a multiple of 2 pi h / L no lattice relabelling undoes it
+    g = GridSpec(d=1, N=32, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5)
+    a = 0.123
+    shifted = spec.with_A(VectorField(g, np.full((1,) + g.shape, a)))
+    evals = np.linalg.eigvalsh(dense_matrix(shifted))
+    (k,) = g.k
+    np.testing.assert_allclose(evals, np.sort((spec.h * k + a) ** 2), atol=1e-10)
+    free = np.linalg.eigvalsh(dense_matrix(spec))
+    assert np.max(np.abs(evals - free)) > 0.1 * a**2
 
 
 def test_gauge_shift_preserves_spectrum():

@@ -35,10 +35,10 @@ def _registered(node) -> bool:
                for d in node.decorator_list)
 
 
-def _unreached() -> list:
+def _unreached(src: Path = SRC, benchmarks: Path = ROOT / "benchmarks") -> list:
     defs = {}  # name -> (module, definition node)
     reached = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
@@ -50,7 +50,7 @@ def _unreached() -> list:
                 targets = getattr(node, "targets", [])
                 if not any(getattr(t, "id", "") == "__all__" for t in targets):
                     reached |= _identifiers(node)
-    bench = "\n".join((ROOT / "benchmarks" / name).read_text() for name in BENCHMARK_FILES)
+    bench = "\n".join((benchmarks / name).read_text() for name in BENCHMARK_FILES)
     reached |= {name for name in defs if re.search(rf"\b{name}\b", bench)}
     todo = [name for name in reached if name in defs]
     while todo:
@@ -64,3 +64,23 @@ def _unreached() -> list:
 def test_every_public_name_is_reached():
     unreached = _unreached()
     assert not unreached, f"public names that only tests reach: {', '.join(unreached)}"
+
+
+def test_scan_flags_a_name_only_tests_reach(tmp_path):
+    src, benchmarks = tmp_path / "src", tmp_path / "benchmarks"
+    src.mkdir()
+    benchmarks.mkdir()
+    (src / "__init__.py").write_text("from .mod import orphan\n")
+    (src / "mod.py").write_text(
+        "__all__ = ['orphan', 'table_entry']\n"
+        "def table_entry(): return helper()\n"
+        "def helper(): pass\n"
+        "def benched(): pass\n"
+        "def orphan(): pass\n"
+        "@experiment('run')\n"
+        "def run(): pass\n"
+        "TABLE = {'entry': table_entry}\n")
+    for name in BENCHMARK_FILES:
+        (benchmarks / name).write_text("")
+    (benchmarks / "run.py").write_text("from mod import benched\n")
+    assert _unreached(src, benchmarks) == ["mod.orphan"]
