@@ -20,20 +20,6 @@ from .grid import (
 )
 from .profiles import bump, plateau_bump
 
-__all__ = [
-    "bump_potential",
-    "constant_on_ball",
-    "constant_potential",
-    "soft_coulomb",
-    "zero_potential_field",
-    "random_divfree_potential",
-    "rough_divfree_potential",
-    "flux_quantized_constant_b",
-    "cutoff_ball",
-    "V_BUILDERS",
-    "A_BUILDERS",
-]
-
 
 def _center(grid: GridSpec) -> tuple:
     return (grid.L / 2,) * grid.d

@@ -6,7 +6,7 @@ and the --set overrides against it once (load_config is the only reader)
 and hands the typed config to the experiment, which returns its CheckReports
 and never a verdict of its own.  Every run writes into --out: manifest.json
 (the validated config with defaults filled, seed, versions, status),
-results.csv, reports.jsonl, and two-column .dat plot files.  Exit status:
+results.csv and reports.jsonl.  Exit status:
 0 every CheckReport passed, 1 numerical failure or a failed report, 2 config
 error (the offending key is named on stderr).
 """
@@ -73,7 +73,7 @@ from .weyl import convergence_study
 
 class Experiment(NamedTuple):
     schema: dict  # key -> (kind, default); default None marks a required key
-    run: Callable  # run(cfg, seed) -> (header, rows, reports, plots)
+    run: Callable  # run(cfg, seed) -> (header, rows, reports)
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
@@ -200,9 +200,8 @@ def _spec(cfg: dict, h: float, n: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# experiments; each returns (header, rows, reports, plots)
-# rows: list of tuples; plots: {filename: [(x, y), ...]}; the run passes iff
-# every report does
+# experiments; each returns (header, rows, reports)
+# rows: list of tuples; the run passes iff every report does
 # ---------------------------------------------------------------------------
 
 
@@ -231,7 +230,6 @@ def run_weyl_converge(cfg, seed):
     ]
     kept = [r for r, ok in zip(reports, resolved) if ok]
     errs = [r.rel_err for r in sorted(kept, key=lambda r: -r.h)]
-    plots = {"relerr_vs_h.dat": [(r.h, r.rel_err) for r in reports]}
     notes = f"fit={fit}" if not isinstance(fit, tuple) or fit[0] != "rejected" else f"fit rejected: {fit[1]}"
     rep = CheckReport(
         name="weyl_convergence",
@@ -241,11 +239,13 @@ def run_weyl_converge(cfg, seed):
         passed=all(b < a for a, b in zip(errs, errs[1:])),
         notes=notes,
     )
-    return header, rows, [rep], plots
+    return header, rows, [rep]
 
 
 @experiment("minimize-field", {
     **_PROBLEM_KEYS,
+    "d": ("int", 3),  # the Pauli flavor needs d = 3
+    "n": ("int", 8),
     "h": ("float", 1.0),
     "beta": ("float", 1.0),
     "flavor": ("str", PAULI),
@@ -285,8 +285,7 @@ def run_minimize_field(cfg, seed):
         notes=(f"terminated: {rep.termination}; div={div_norm:.3e}; "
                f"el_residual={rep.el_residual:.3e}"),
     )
-    plots = {"energy_vs_iter.dat": list(enumerate(rep.energies))}
-    return header, rows, [crep], plots
+    return header, rows, [crep]
 
 
 @experiment("variant-order", {
@@ -333,8 +332,7 @@ def run_variant_order(cfg, seed):
         passed=all(b <= a + 1e-9 for a, b in steps),
         notes="largest rise of the inflation as R/r grows",
     ))
-    plots = {"inflation_vs_ratio.dat": list(zip(cfg["ratios"], inflations))}
-    return header, rows, reports, plots
+    return header, rows, reports
 
 
 @experiment("check-partition", {
@@ -370,7 +368,7 @@ def run_check_partition(cfg, seed):
         notes=f"constant={defect_const:.3e} variable={defect_var:.3e} "
               f"K={K:.3f} repaired={repaired}",
     )]
-    return header, rows, reports, {}
+    return header, rows, reports
 
 
 @experiment("check-dyadic", {
@@ -390,7 +388,7 @@ def run_check_dyadic(cfg, seed):
         lhs=dev, rhs_terms={"tolerance": 1e-12}, passed=dev <= 1e-12,
         notes=f"i0={fam.i0}",
     )]
-    return header, rows, reports, {}
+    return header, rows, reports
 
 
 @experiment("check-lt", {
@@ -427,8 +425,7 @@ def run_check_lt(cfg, seed):
         lhs=envelope, rhs_terms={"draws": float(len(ratios))},
         passed=math.isfinite(envelope), notes="corpus-wide empirical envelope",
     ))
-    plots = {"lt_ratio_vs_h.dat": [(h, r) for _, h, r, _, _ in rows]}
-    return header, rows, reports, plots
+    return header, rows, reports
 
 
 @experiment("check-smoothing", {
@@ -459,7 +456,7 @@ def run_check_smoothing(cfg, seed):
             lhs=max(vv), rhs_terms={"min": min(vv)},
             passed=stable, notes="x2 stability per halving",
         ))
-    return ["draw", "r"] + list(SMOOTHING_CONSTANTS), rows, reports, {}
+    return ["draw", "r"] + list(SMOOTHING_CONSTANTS), rows, reports
 
 
 @experiment("check-comm2", {"draws": ("int", 20), "n": ("int", 32), "box": ("float", 2.0)})
@@ -486,7 +483,7 @@ def run_check_comm2(cfg, seed):
         rep = check_comm2(f, g, a, h, digest={"draw": draw, "seed": seed})
         rows.append((draw, d, h, rep.lhs, rep.rhs, rep.ratio))
         reports.append(rep)
-    return header, rows, reports, {}
+    return header, rows, reports
 
 
 @experiment("check-separation", {
@@ -501,7 +498,7 @@ def run_check_separation(cfg, seed):
                            halvings=cfg["halvings"],
                            ell0=cfg["box_l"] * cfg["d_sep"] / 8.0)
     rows = list(zip(rep.params["ells"], rep.params["values"]))
-    return ["ell", "hs_norm"], rows, [rep], {"hs_vs_ell.dat": rows}
+    return ["ell", "hs_norm"], rows, [rep]
 
 
 @experiment("harmonic-compare", {"l_max": ("int", 50)})
@@ -517,14 +514,9 @@ def run_harmonic_compare(cfg, seed):
         notes="closed form 10/7 at l = 1, R = 2",
     )
     header = ["l", "R", "ratio", "bound"]
-    rows, plots_rows = [], []
-    for R in HARMONIC_RADII:
-        for l in range(1, cfg["l_max"] + 1):
-            ratio, bound = harmonic_energy_ratio(l, R)
-            rows.append((l, R, ratio, bound))
-            if R == 2.0:
-                plots_rows.append((l, ratio))
-    return header, rows, [rep, exact], {"ratio_vs_l_R2.dat": plots_rows}
+    rows = [(l, R) + harmonic_energy_ratio(l, R)
+            for R in HARMONIC_RADII for l in range(1, cfg["l_max"] + 1)]
+    return header, rows, [rep, exact]
 
 
 @experiment("check-sandwich", {"draws": ("int", 10), "n": ("int", 64), "box": ("float", 2.0)})
@@ -548,7 +540,7 @@ def run_check_sandwich(cfg, seed):
         rows.append((draw, grid.d, h, rep.lhs, rep.rhs_terms["outside"],
                      rep.rhs_terms["kink"], int(rep.passed)))
         reports.append(rep)
-    return header, rows, reports, {}
+    return header, rows, reports
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +557,7 @@ def list_builders() -> dict:
     }
 
 
-def _write_outputs(outdir: Path, args, cfg, header, rows, reports, plots,
+def _write_outputs(outdir: Path, args, cfg, header, rows, reports,
                    status: str, error: str | None) -> None:
     import scipy  # only for its version: importing it at set-up costs every run
 
@@ -590,11 +582,6 @@ def _write_outputs(outdir: Path, args, cfg, header, rows, reports, plots,
         writer.writerow(header)
         writer.writerows(rows)
     write_jsonl(reports, outdir / "reports.jsonl")
-    for fname, series in plots.items():
-        with open(outdir / fname, "w") as fh:
-            fh.write("# x y\n")
-            for x, y in series:
-                fh.write(f"{x!r} {y!r}\n")
 
 
 def _overrides(items: list) -> dict:
@@ -643,18 +630,18 @@ def main(argv=None) -> int:
 
     outdir = Path(args.out)
     try:
-        header, rows, reports, plots = run(cfg, args.seed)
+        header, rows, reports = run(cfg, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failure: manifest records it
-        _write_outputs(outdir, args, cfg, ["error"], [], [], {},
+        _write_outputs(outdir, args, cfg, ["error"], [], [],
                        status="failed", error=f"{type(exc).__name__}: {exc}")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
     passed = all(r.passed for r in reports)
-    _write_outputs(outdir, args, cfg, header, rows, reports, plots,
+    _write_outputs(outdir, args, cfg, header, rows, reports,
                    status="passed" if passed else "assertion-failed", error=None)
     print(f"{args.experiment}: {'PASS' if passed else 'FAIL'} "
           f"({len(rows)} result rows -> {outdir})")

@@ -56,22 +56,6 @@ from .spectral import (
     sternheimer,
 )
 
-__all__ = [
-    "EnergyConfig",
-    "Schedule",
-    "MinimizeReport",
-    "total_energy",
-    "energy_gradient",
-    "minimize",
-    "el_residual",
-    "variant_ordering_check",
-    "ordering_radii",
-    "GLOBAL_CURL",
-    "BALL_GRAD",
-    "PSI_OUTSIDE",
-    "NonSmoothPoint",
-]
-
 GLOBAL_CURL = "global-curl"
 BALL_GRAD = "ball-grad"
 PSI_OUTSIDE = "psi-outside"

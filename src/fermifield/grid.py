@@ -4,7 +4,7 @@ Periodic-box discretization, Fourier differential calculus and field arithmetic.
 All other modules build on the three sampled field types defined here.
 Derivatives are exact on the discrete dual lattice k = 2*pi*m/L; the Nyquist
 mode of every first derivative is set to zero (odd-derivative convention),
-so grad/div/curl are skew-adjoint and div(leray(A)) vanishes to rounding.
+so the first derivatives are skew-adjoint and div(leray(A)) vanishes to rounding.
 Every field derivative is read off one kernel, the Jacobian d_i a stacked
 first (jacobian), or its adjoint sum_i d_i M[i] (div_rows); both field
 energies are quadratic forms in J_ij = d_i A_j.
@@ -20,25 +20,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-
-__all__ = [
-    "GridSpec",
-    "ScalarField",
-    "VectorField",
-    "SpinorField",
-    "jacobian",
-    "div_rows",
-    "gradient",
-    "divergence",
-    "curl",
-    "field_energy_curl",
-    "field_energy_grad",
-    "leray_project",
-    "mean_zero_normalize",
-    "divfree_mean_zero",
-    "ball_mask",
-    "periodic_dist2",
-]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -264,14 +245,6 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(A: VectorField) -> ScalarField:
     return ScalarField(A.grid, div_rows(A.data, A.grid))
-
-
-def curl(A: VectorField) -> VectorField:
-    """(d_y A_z - d_z A_y, d_z A_x - d_x A_z, d_x A_y - d_y A_x); d = 3 only."""
-    if A.grid.d != 3:
-        raise ValueError("curl is defined for d = 3 only")
-    J = jacobian(A.data, A.grid)
-    return VectorField(A.grid, np.stack([J[i, j] - J[j, i] for i, j in ((1, 2), (2, 0), (0, 1))]))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def check_lieb_thirring(
     rhs_terms = {"potential": term_pot, "field": term_field}
     rhs = term_pot + term_field
     passed = math.isfinite(lhs) and (lhs == 0.0 or rhs > 0.0)
-    params = {"h": h, "flavor": flavor, "c_emp": None}  # lt_envelope measures c_emp over a corpus
+    params = {"h": h, "flavor": flavor}
     if digest:
         params.update(digest)
     return CheckReport(

@@ -18,18 +18,6 @@ import numpy as np
 from .grid import GridSpec, _fft, _ifft_like, periodic_dist2
 from .profiles import bump, pou_pair
 
-__all__ = [
-    "PartitionSpec",
-    "partition_weight",
-    "partition_defect",
-    "DyadicFamily",
-    "dyadic_build",
-    "mollify",
-    "mollifier_kernel",
-    "smoothing_constants",
-    "SMOOTHING_CONSTANTS",
-]
-
 DEFAULT_ALPHA = 4.0 / 9.0  # error-optimizing exponent for the scale function
 DEFECT_RTOL = 1e-8  # partition_defect stops refining when the integral moves less
 DEFECT_MAX_LEVEL = 8  # at most 8 quadrature levels, 8 to 1024 points an axis

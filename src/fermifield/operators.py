@@ -32,14 +32,6 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, SpinorField, VectorField, _fft, _ifft
 
-__all__ = [
-    "HamiltonianSpec",
-    "apply",
-    "apply_fourier",
-    "dense_matrix",
-    "DENSE_LIMIT",
-]
-
 DENSE_LIMIT = 4096
 BLOCK = 512  # most vectors per core call (_column_blocks) and rows per dense slab
 ORTHO = "ortho"  # apply_fourier's coefficients: the unitary transform

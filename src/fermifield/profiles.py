@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smooth_step", "bump", "plateau_bump", "pou_pair"]
-
 
 def _g(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t, dtype=float)

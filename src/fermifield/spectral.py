@@ -64,16 +64,6 @@ from .operators import (
     dense_matrix,
 )
 
-__all__ = [
-    "NegativeSpectrum",
-    "SolveStats",
-    "EigenFailure",
-    "negative_spectrum",
-    "sternheimer",
-    "current",
-    "default_tol_zero",
-]
-
 
 # Tolerances relative to _operator_scale.  RESIDUAL_TOL bounds every kept
 # eigenpair's residual; LOBPCG_TOL (1000 times inside it) and PROBE_TOL are

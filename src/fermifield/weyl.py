@@ -16,15 +16,6 @@ import numpy as np
 
 from .grid import ScalarField
 
-__all__ = [
-    "momentum_constant",
-    "weyl_term",
-    "WeylReport",
-    "convergence_study",
-    "fit_error_exponent",
-    "FitRejected",
-]
-
 
 def momentum_constant(d: int) -> float:
     """c_d with int_{R^d} [p^2 - 1]_- dp = -c_d (unit-ball shell integral)."""

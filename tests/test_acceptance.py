@@ -315,7 +315,7 @@ def test_mollification_constants_stable_over_octaves():
 
 def test_comm2_twenty_random_triples():
     # the check-comm2 corpus at its defaults and seed 7: one report per triple
-    _, _, reports, _ = run_check_comm2({"draws": 20, "n": 32, "box": 2.0}, seed=7)
+    _, _, reports = run_check_comm2({"draws": 20, "n": 32, "box": 2.0}, seed=7)
     assert len(reports) == 20
     assert all(rep.passed for rep in reports), [(r.lhs, r.rhs) for r in reports]
 
@@ -331,7 +331,7 @@ def test_momentum_separation_supercubic_decay():
 
 def test_variational_sandwich_ten_dense_cases():
     # the check-sandwich corpus at its defaults and seed 13
-    _, _, reports, _ = run_check_sandwich({"draws": 10, "n": 64, "box": 2.0}, seed=13)
+    _, _, reports = run_check_sandwich({"draws": 10, "n": 64, "box": 2.0}, seed=13)
     assert len(reports) == 10
     assert all(rep.passed for rep in reports), [r.notes for r in reports]
 

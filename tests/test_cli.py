@@ -1,5 +1,6 @@
 """Tests for the batch experiment runner: config plumbing, outputs, exit codes."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -139,13 +140,26 @@ def test_main_check_dyadic_outputs(tmp_path):
     assert reports[0]["passed"] is True
 
 
-def test_main_harmonic_compare_with_plot(tmp_path):
+def test_main_harmonic_compare_writes_only_its_three_files(tmp_path):
+    # the ratio against l at R = 2 is read from results.csv; no .dat plot file
     out = tmp_path / "run"
     assert main(["harmonic-compare", "--out", str(out),
                  "--set", "l_max=10"]) == 0
-    dat = (out / "ratio_vs_l_R2.dat").read_text().splitlines()
-    assert dat[0].startswith("#")
-    assert len(dat) == 11  # header + 10 modes
+    with open(out / "results.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if float(r["R"]) == 2.0]
+    assert [int(r["l"]) for r in rows] == list(range(1, 11))  # 10 modes
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "reports.jsonl", "results.csv"]
+
+
+def test_main_minimize_field_runs_without_a_config(tmp_path):
+    # the schema's own defaults agree: d = 3 and n = 8 for the Pauli flavor
+    out = tmp_path / "run"
+    assert main(["minimize-field", "--out", str(out), "--set", "max_iters=1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "passed"
+    assert (manifest["config"]["d"], manifest["config"]["n"],
+            manifest["config"]["flavor"]) == (3, 8, "pauli")
 
 
 def test_main_config_error_exit_2(tmp_path, capsys):

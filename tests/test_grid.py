@@ -17,7 +17,6 @@ from fermifield.grid import (
     VectorField,
     SpinorField,
     ball_mask,
-    curl,
     div_rows,
     divergence,
     field_energy_curl,
@@ -67,12 +66,14 @@ def test_gradient_exact_on_plane_wave():
     np.testing.assert_allclose(gf.data[1], 1j * ky * f.data, atol=1e-12)
 
 
-def test_curl_of_gradient_vanishes():
+def test_jacobian_of_gradient_is_symmetric():
+    # d_i d_j f = d_j d_i f: the curl of a gradient vanishes
     g = GridSpec(d=3, N=8, L=2.0)
     rng = np.random.default_rng(1)
     f = ScalarField(g, rng.standard_normal(g.shape))
-    c = curl(gradient(f))
-    assert c.norm() < 1e-10
+    J = jacobian(gradient(f).data, g)
+    antisym = VectorField(g, np.stack([J[i, j] - J[j, i] for i, j in ((1, 2), (2, 0), (0, 1))]))
+    assert antisym.norm() < 1e-10
 
 
 def test_leray_projection_is_idempotent_and_divergence_free(rng):
@@ -189,7 +190,7 @@ def test_field_calculus_keeps_a_real_field_real():
     g = GridSpec(d=3, N=8, L=2.0)
     A = random_divfree_potential(g, seed=2)
     f = V_BUILDERS["bump"](g)
-    out = [gradient(f).data, divergence(A).data, curl(A).data, leray_project(A).data,
+    out = [gradient(f).data, divergence(A).data, leray_project(A).data,
            mollify(A, 0.3).data, mollify(f, 0.3).data, jacobian(A.data, g), div_rows(A.data, g)]
     assert [a.dtype for a in out] == [np.float64] * len(out)
     assert type(field_energy_curl(A)) is float and type(field_energy_grad(A)) is float

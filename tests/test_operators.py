@@ -15,9 +15,9 @@ from fermifield.grid import (
     ScalarField,
     SpinorField,
     VectorField,
-    curl,
     divergence,
     gradient,
+    jacobian,
 )
 from fermifield.operators import HamiltonianSpec, apply, apply_fourier, dense_matrix
 
@@ -86,7 +86,9 @@ def test_pauli_factored_matches_expanded(rng):
     u = SpinorField(g, np.fft.ifftn(uh, axes=(1, 2, 3)))
     lhs = apply(spec, u).data
     kinetic = apply(HamiltonianSpec(grid=g, h=0.7, A=A), u.data[None])[0]  # spin as a batch axis
-    B, (up, down) = curl(A).data, u.data
+    J = jacobian(A.data, g)  # J[i, j] = d_i A_j, so B_i = J[j, k] - J[k, j]
+    B = [J[j, k] - J[k, j] for j, k in ((1, 2), (2, 0), (0, 1))]
+    up, down = u.data
     zeeman = np.stack([B[2] * up + (B[0] - 1j * B[1]) * down,
                        (B[0] + 1j * B[1]) * up - B[2] * down])
     scale = np.max(np.abs(lhs))
