@@ -258,6 +258,9 @@ def run_weyl_converge(cfg, seed):
     "big_r": ("float", 0.0),
 })
 def run_minimize_field(cfg, seed):
+    if cfg["d"] == 1:
+        raise ConfigError("d", "minimize-field needs d >= 2: in d = 1 the only "
+                               "mean-zero divergence-free field is 0")
     spec = _spec(cfg, cfg["h"],
                  psi_radius=cfg["r"] if cfg["variant"] == PSI_OUTSIDE else None)
     A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])

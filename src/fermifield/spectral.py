@@ -8,7 +8,9 @@ solves it, each with its own count certificate (SolveStats.certificate):
 
 - "lapack": up to DENSE_LIMIT (of the asked dimension), by default, the
   closed-form matrix (real when A is None) goes to LAPACK's MRRR driver
-  (?heevr / ?syevr) for the eigenpairs in (-inf, tol_zero] only.
+  (?heevr / ?syevr) for the eigenpairs in (-inf, tol_zero] only.  When psi
+  vanishes somewhere only its block on supp psi is solved, and ker psi is
+  added back as exact pairs at 0 (_dense_negative).
 - "inertia": up to DENSE_LIMIT, when the solved dimension is at least
   INERTIA_MIN_DIM, psi is unset and the predicted block (a quarter more
   than the Weyl count plus two guards) is at most dim / INERTIA_BLOCK_RATIO.
@@ -101,7 +103,7 @@ class SolveStats:
     # "lapack", "inertia" or "probe": what vouches for the count.  The kept pairs
     # come from dense evr under "lapack" and from LOBPCG under the other two.
     certificate: str = ""
-    dim: int = 0  # dimension solved, after the spin reduction
+    dim: int = 0  # dimension solved, after the spin reduction: |supp psi| * spin on "lapack"
     copies: int = 1  # spin copies of each solved eigenpair
     blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
     iterations: tuple = ()  # per lobpcg call, probe last
@@ -209,8 +211,7 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
           and _predicted_block(solved) <= solved.dim / INERTIA_BLOCK_RATIO):
         vals, vecs, info = _inertia_negative(solved, tol_zero, seed)
     else:
-        vals, vecs = dense_eigh(dense_matrix(solved), upper=tol_zero)
-        info = {"certificate": "lapack"}
+        vals, vecs, info = _dense_negative(solved, tol_zero)
     if solved.A is None and np.iscomplexobj(vecs):  # LOBPCG's vectors of a real operator
         vals, vecs = _real_pairs(solved, vals, vecs)
     copies = spec.spin // solved.spin
@@ -219,9 +220,39 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
     worst = _residual_check(spec, vals, vecs)
     vecs.flags.writeable = False
-    stats = SolveStats(dim=solved.dim, copies=copies, worst_residual=worst, **info)
+    stats = SolveStats(**{"dim": solved.dim, **info}, copies=copies, worst_residual=worst)
     return NegativeSpectrum(spec, vals, vecs, tol_zero,
                             bool(np.any(np.abs(vals) <= tol_zero)), stats)
+
+
+def _dense_negative(spec: HamiltonianSpec, tol_zero: float):
+    """Eigenpairs <= tol_zero by evr on the block of spec's matrix on supp psi (times spin).
+
+    psi (T - V) psi vanishes on every row and column where psi does, so the
+    block's pairs, zero outside it, and one unit column per sample of ker psi
+    at eigenvalue 0.0 (when 0 <= tol_zero), placed after the block's values
+    <= 0, are the matrix's own.  The block is compacted row by row into the
+    front of dense_matrix's buffer, so no second matrix is made; with psi
+    unset or nowhere zero that buffer goes to evr whole.  Returns the pairs
+    and the SolveStats fields.
+    """
+    H = dense_matrix(spec)
+    on = None if spec.psi is None else np.tile(spec.psi.data.ravel() != 0, spec.spin)
+    if on is None or on.all():
+        return *dense_eigh(H, upper=tol_zero), {"certificate": "lapack"}
+    at = np.flatnonzero(on)
+    k, flat = at.size, H.reshape(-1)
+    for i, row in enumerate(at):  # row >= i: a row is read before it is overwritten
+        flat[i * k:(i + 1) * k] = H[row, at]
+    vals, sub = dense_eigh(flat[:k * k].reshape(k, k), upper=tol_zero)
+    del H, flat  # the matrix's buffer goes before the columns are made
+    kernel = np.flatnonzero(~on) if tol_zero >= 0.0 else np.arange(0)
+    p, n = int(np.searchsorted(vals, 0.0, side="right")), kernel.size
+    # columns contiguous, as evr returns them, so _block copies none
+    vecs = np.zeros((spec.dim, vals.size + n), dtype=sub.dtype, order="F")
+    vecs[at, :p], vecs[at, p + n:] = sub[:, :p], sub[:, p:]
+    vecs[kernel, p + np.arange(n)] = 1.0
+    return np.insert(vals, p, np.zeros(n)), vecs, {"certificate": "lapack", "dim": k}
 
 
 def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:
@@ -568,7 +599,9 @@ def current(ns: NegativeSpectrum) -> VectorField:
     Schrodinger: J = -Re sum_j conj(w_j) (D+A) w_j; Pauli routes the momentum
     through sigma(sigma.(D+A)), which adds the spin current.  w_j = psi u_j:
     the first variation of tr[psi T(A) psi]_- is <psi u_j, dT psi u_j>, and
-    w_j = u_j without a cutoff.
+    w_j = u_j without a cutoff.  A w_j that is identically zero, as for the
+    unit columns of ker psi, adds exactly nothing and is dropped before any
+    transform.
     """
     spec = ns.spec
     g = spec.grid
@@ -576,5 +609,8 @@ def current(ns: NegativeSpectrum) -> VectorField:
     for _, (U,) in _column_blocks(spec, ns.vectors):
         if spec.psi is not None:
             U = spec.psi.data * U
+            nonzero = np.any(U.reshape(U.shape[:2] + (-1,)), axis=(0, 2))
+            if not nonzero.all():
+                U = U[:, nonzero]
         J -= np.real(_current_form(spec, U, U))
     return VectorField(g, J)

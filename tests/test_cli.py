@@ -226,6 +226,8 @@ def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_pa
     ("weyl-converge", ["n=16", "h_list=0.5,0"], "h_list"),  # the bad h is not the first
     # psi-outside with r left at 0: the cutoff ball has no radius
     ("minimize-field", ["flavor=schrodinger", "variant=psi-outside", "big_r=1.0"], "r"),
+    # in d = 1 the only mean-zero divergence-free field is 0: nothing to minimize over
+    ("minimize-field", ["flavor=schrodinger", "d=1"], "d"),
 ])
 def test_main_rejected_value_exits_2_before_any_solve(experiment, sets, key, tmp_path, capsys,
                                                       monkeypatch):

@@ -22,25 +22,28 @@ from fermifield.operators import HamiltonianSpec
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _recorded_cli_solves(monkeypatch, tmp_path, config, experiment, sets):
-    """(A is nonzero, SolveStats, vectors dtype) per solve of one CLI run; dense_eigh calls."""
+def _recorded_cli_solves(monkeypatch, tmp_path, config, experiment, sets, seed=1):
+    """(A is nonzero, SolveStats, vectors dtype, psi is set) per solve of one CLI run.
+
+    Also returns (dtype, shape) per dense_eigh call.
+    """
     solves, dense_calls = [], []
     solve, eigh = field_opt.negative_spectrum, spectral.dense_eigh
 
     def recorded_solve(spec, *args, **kwargs):
         ns = solve(spec, *args, **kwargs)
         solves.append((spec.A is not None and bool(np.any(spec.A.data)), ns.stats,
-                       ns.vectors.dtype))
+                       ns.vectors.dtype, spec.psi is not None))
         return ns
 
     def recorded_eigh(H, upper):
-        dense_calls.append(H.dtype)
+        dense_calls.append((H.dtype, H.shape))
         return eigh(H, upper)
 
     monkeypatch.setattr(field_opt, "negative_spectrum", recorded_solve)
     monkeypatch.setattr(spectral, "dense_eigh", recorded_eigh)
     argv = [experiment, "--config", str(CONFIG_DIR / config), "--out", str(tmp_path),
-            "--seed", "1", *(arg for item in sets for arg in ("--set", item))]
+            "--seed", str(seed), *(arg for item in sets for arg in ("--set", item))]
     assert main(argv) == 0
     return solves, dense_calls
 
@@ -50,8 +53,8 @@ def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
     solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path,
                                                "minimize_field_pauli.cfg", "minimize-field",
                                                ["max_iters=1"])
-    at_zero = [(st, dt) for field, st, dt in solves if not field]
-    with_field = [st for field, st, _ in solves if field]
+    at_zero = [(st, dt) for field, st, dt, _ in solves if not field]
+    with_field = [st for field, st, _, _ in solves if field]
     assert at_zero and with_field
     for st, dtype in at_zero:  # the spin-reduced dim-512 operator
         assert (st.certificate, st.dim, st.copies) == ("lapack", 512, 2)
@@ -59,16 +62,34 @@ def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
     for st in with_field:
         assert (st.certificate, st.dim, st.fallback) == ("inertia", 1024, False)
         assert st.blocks == (st.inertia + 2,) and st.probe_lowest is None
-    assert dense_calls and all(dt == np.float64 for dt in dense_calls)
+    assert dense_calls and all(dt == np.float64 for dt, _ in dense_calls)
+
+
+# configs/variant_order.cfg at seed 7 with ratios=2 4 and max_iters=1, one BLAS
+# thread: ratio, E_prime, E_ball, E_global, inflation, as solved on the whole grid
+VARIANT_ORDER_ROWS = [
+    (2.0, 8.673869057797319, 37.375604658893394, 427.5486727532042, 11.439244305348529),
+    (4.0, 49.714197201018, 214.12503440634157, 427.5486727532042, 1.9967243621866841),
+]
 
 
 def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
     solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path, "variant_order.cfg",
-                                               "variant-order", ["ratios=2 4", "max_iters=1"])
-    assert solves
-    for _, st, _ in solves:
+                                               "variant-order", ["ratios=2 4", "max_iters=1"],
+                                               seed=7)
+    # psi (T - V) psi at the start field is solved on supp psi, one point
+    localized = [st for _, st, _, psi in solves if psi]
+    whole = [st for _, st, _, psi in solves if not psi]
+    assert len(localized) == 1 and whole
+    assert (localized[0].certificate, localized[0].dim) == ("lapack", 1)
+    for st in whole:
         assert (st.certificate, st.dim, st.inertia) == ("lapack", 512, None)
-    assert len(dense_calls) == len(solves)
+    shapes = [shape for _, shape in dense_calls]
+    assert len(shapes) == len(solves) and shapes.count((1, 1)) == 1
+    assert shapes.count((512, 512)) == len(whole)
+    with open(tmp_path / "results.csv") as fh:
+        rows = [[float(x) for x in line.split(",")[:5]] for line in fh.readlines()[1:]]
+    np.testing.assert_allclose(rows, VARIANT_ORDER_ROWS, rtol=1e-12, atol=0)
 
 
 # blocks, iterations (probe last) and matvecs per solve at seed 1 and one BLAS

@@ -740,3 +740,122 @@ def test_sternheimer_capped_below_convergence_raises(spec1d, rng, monkeypatch):
     monkeypatch.setattr(spectral, "STERNHEIMER_MAXITER", 2)
     with pytest.raises(spectral.EigenFailure, match="Sternheimer"):
         spectral.sternheimer(ns, rhs, shifts)
+
+
+# ---------------------------------------------------------------------------
+# a localized operator solved on supp psi, with ker psi added back as exact pairs
+
+
+def _localized_cases():
+    from fermifield.builders import cutoff_ball, random_divfree_potential
+
+    cases = {}
+    for name, d, N, flavor, with_a in [("schrodinger-1d", 1, 32, "schrodinger", True),
+                                       ("schrodinger-2d", 2, 16, "schrodinger", True),
+                                       ("schrodinger-3d", 3, 8, "schrodinger", True),
+                                       ("pauli-A", 3, 8, "pauli", True),
+                                       ("pauli", 3, 8, "pauli", False)]:
+        g = GridSpec(d=d, N=N, L=2.0)
+        A = random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3) if with_a else None
+        cases[name] = HamiltonianSpec(grid=g, h=0.3, flavor=flavor, A=A,
+                                      V=bump_potential(g, amplitude=10.0, radius=0.7),
+                                      psi=cutoff_ball(g, 0.6))
+    return cases
+
+
+def _full_dense_spectrum(spec, tol_zero):
+    """Reference: evr on the whole matrix of spec, columns quadrature-normalized."""
+    vals, vecs = dense_eigh(spectral.dense_matrix(spec), upper=tol_zero)
+    vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
+    return spectral.NegativeSpectrum(spec, vals, vecs, tol_zero,
+                                     bool(np.any(np.abs(vals) <= tol_zero)))
+
+
+@pytest.mark.parametrize("case", list(_localized_cases()))
+def test_localized_solve_on_the_support_matches_the_full_matrix(case, monkeypatch):
+    spec = _localized_cases()[case]
+    shapes, checked, eigh, check = [], [], spectral.dense_eigh, spectral._residual_check
+
+    def recorded_eigh(H, upper):
+        shapes.append(H.shape)
+        return eigh(H, upper)
+
+    def recorded_check(spec, vals, vecs):
+        checked.append(vecs.shape[1])
+        return check(spec, vals, vecs)
+
+    monkeypatch.setattr(spectral, "dense_eigh", recorded_eigh)
+    monkeypatch.setattr(spectral, "_residual_check", recorded_check)
+    ns = negative_spectrum(spec)
+    monkeypatch.undo()
+    ref = _full_dense_spectrum(spec, ns.tol_zero)
+
+    solved = spectral._spin_reduced(spec)
+    support = np.count_nonzero(spec.psi.data) * solved.spin
+    assert 0 < support < solved.dim
+    assert shapes == [(support, support)] and ns.stats.dim == support
+    assert checked == [len(ns.eigenvalues)]  # every pair, kernel pairs included
+    if ns.stats.copies == 1:  # columns contiguous, as evr returns them (_spin_copies aside)
+        assert ns.vectors.flags.f_contiguous
+    below = ns.eigenvalues[ns.eigenvalues < -ns.tol_zero]
+    ref_below = ref.eigenvalues[ref.eigenvalues < -ns.tol_zero]
+    assert len(below) == len(ref_below) > 0
+    scale = spectral._operator_scale(spec)
+    np.testing.assert_allclose(below, ref_below, rtol=0, atol=1e-12 * scale)
+    # the kernel pairs: one unit column per zero sample, at exactly 0
+    assert np.count_nonzero(ns.eigenvalues == 0.0) >= spec.dim - support * ns.stats.copies
+    assert len(ns.eigenvalues) == len(ref.eigenvalues) and ns.zero_band == ref.zero_band
+    J, J_ref = current(ns), current(ref)
+    assert J_ref.norm() > 0
+    assert (J - J_ref).norm() <= 1e-12 * J_ref.norm()
+
+
+def test_localized_solve_keeps_the_kernel_at_tol_zero_zero_only():
+    spec = _localized_cases()["schrodinger-3d"]
+    kernel = spec.dim - np.count_nonzero(spec.psi.data)
+    at_zero = negative_spectrum(spec, tol_zero=0.0)  # check_variational_sandwich's cut
+    ref = _full_dense_spectrum(spec, 0.0)
+    scale = spectral._operator_scale(spec)
+    assert np.count_nonzero(at_zero.eigenvalues == 0.0) == kernel and at_zero.zero_band
+    neg = at_zero.eigenvalues[at_zero.eigenvalues < 0.0]
+    ref_neg = ref.eigenvalues[ref.eigenvalues < -1e-12 * scale]
+    np.testing.assert_allclose(neg, ref_neg, rtol=0, atol=1e-12 * scale)
+    assert abs(at_zero.sum - ref.sum) <= 1e-12 * scale
+    below = negative_spectrum(spec, tol_zero=-1e-8 * scale)  # 0 is above the cut
+    np.testing.assert_allclose(below.eigenvalues, neg, rtol=0, atol=1e-12 * scale)
+    assert not below.zero_band
+
+
+@pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
+def test_vanishing_psi_gives_only_kernel_pairs(flavor):
+    from fermifield.grid import ScalarField
+
+    g = GridSpec(d=3, N=4, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.6, flavor=flavor, V=bump_potential(g, amplitude=10.0),
+                           psi=ScalarField(g, np.zeros(g.shape)))
+    ns = negative_spectrum(spec)
+    assert ns.stats.dim == 0 and ns.zero_band
+    np.testing.assert_array_equal(ns.eigenvalues, np.zeros(spec.dim))
+    unit = ns.vectors * np.sqrt(g.weight)  # a permutation matrix: spin copies reorder it
+    assert np.all((unit == 0.0) | (unit == 1.0))
+    assert np.all(unit.sum(axis=0) == 1.0) and np.all(unit.sum(axis=1) == 1.0)
+    assert not np.any(current(ns).data)
+
+
+def test_psi_nowhere_zero_takes_the_whole_matrix_bit_for_bit():
+    from fermifield.builders import random_divfree_potential
+    from fermifield.grid import ScalarField
+
+    g = GridSpec(d=3, N=8, L=2.0)
+    psi = ScalarField(g, 0.5 + 0.5 * bump_potential(g, amplitude=1.0, radius=0.8).data)
+    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=10.0, radius=0.7),
+                           A=random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3),
+                           psi=psi)
+    ns = negative_spectrum(spec)
+    ref = _full_dense_spectrum(spec, ns.tol_zero)
+    assert ns.stats.dim == spec.dim
+    np.testing.assert_array_equal(ns.eigenvalues, ref.eigenvalues)
+    np.testing.assert_array_equal(ns.vectors, ref.vectors)
+    U = psi.data * operators._block(spec, ref.vectors)  # one block: m <= BLOCK
+    np.testing.assert_array_equal(current(ns).data,
+                                  -np.real(operators._current_form(spec, U, U)))
