@@ -9,8 +9,8 @@ solves it, each with its own count certificate (SolveStats.certificate):
 - "lapack": up to DENSE_LIMIT (of the asked dimension), by default, the
   closed-form matrix (real when A is None) goes to LAPACK's MRRR driver
   (?heevr / ?syevr) for the eigenpairs in (-inf, tol_zero] only.  When psi
-  vanishes somewhere only its block on supp psi is solved, and ker psi is
-  added back as exact pairs at 0 (_dense_negative).
+  vanishes somewhere only its block on supp psi is solved; ker psi, exact
+  zeros of the operator, is a count (SolveStats.kernel), not stored pairs.
 - "inertia": up to DENSE_LIMIT, when the solved dimension is at least
   INERTIA_MIN_DIM, psi is unset and the predicted block (a quarter more
   than the Weyl count plus two guards) is at most dim / INERTIA_BLOCK_RATIO.
@@ -105,6 +105,7 @@ class SolveStats:
     certificate: str = ""
     dim: int = 0  # dimension solved, after the spin reduction: |supp psi| * spin on "lapack"
     copies: int = 1  # spin copies of each solved eigenpair
+    kernel: int = 0  # ker psi's zeros in the solved spec when 0 <= tol_zero; counted, not stored
     blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
     iterations: tuple = ()  # per lobpcg call, probe last
     unconverged: int = 0  # lobpcg calls that ended above their residual target
@@ -122,14 +123,18 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class NegativeSpectrum:
-    """All eigenvalues lambda_j <= tol_zero with orthonormal eigenvectors."""
+    """Eigenpairs lambda_j <= tol_zero, orthonormal; ker psi's counted in stats.kernel only."""
 
     spec: HamiltonianSpec
     eigenvalues: np.ndarray  # sorted ascending
     vectors: np.ndarray  # (dim, m) read-only columns, quadrature-normalized
     tol_zero: float
-    zero_band: bool  # some |lambda| <= tol_zero present
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def zero_band(self) -> bool:
+        """Some |lambda| <= tol_zero present, ker psi's included."""
+        return self.stats.kernel > 0 or bool(np.any(np.abs(self.eigenvalues) <= self.tol_zero))
 
     @property
     def sum(self) -> float:
@@ -221,20 +226,18 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     worst = _residual_check(spec, vals, vecs)
     vecs.flags.writeable = False
     stats = SolveStats(**{"dim": solved.dim, **info}, copies=copies, worst_residual=worst)
-    return NegativeSpectrum(spec, vals, vecs, tol_zero,
-                            bool(np.any(np.abs(vals) <= tol_zero)), stats)
+    return NegativeSpectrum(spec, vals, vecs, tol_zero, stats)
 
 
 def _dense_negative(spec: HamiltonianSpec, tol_zero: float):
     """Eigenpairs <= tol_zero by evr on the block of spec's matrix on supp psi (times spin).
 
     psi (T - V) psi vanishes on every row and column where psi does, so the
-    block's pairs, zero outside it, and one unit column per sample of ker psi
-    at eigenvalue 0.0 (when 0 <= tol_zero), placed after the block's values
-    <= 0, are the matrix's own.  The block is compacted row by row into the
-    front of dense_matrix's buffer, so no second matrix is made; with psi
-    unset or nowhere zero that buffer goes to evr whole.  Returns the pairs
-    and the SolveStats fields.
+    block's pairs, zero outside it, are the matrix's own, and its other
+    eigenvalues are ker psi's zeros, counted as "kernel" when 0 <= tol_zero.
+    The block is compacted row by row into the front of dense_matrix's
+    buffer, so no second matrix is made; with psi unset or nowhere zero that
+    buffer goes to evr whole.  Returns the pairs and the SolveStats fields.
     """
     H = dense_matrix(spec)
     on = None if spec.psi is None else np.tile(spec.psi.data.ravel() != 0, spec.spin)
@@ -246,13 +249,11 @@ def _dense_negative(spec: HamiltonianSpec, tol_zero: float):
         flat[i * k:(i + 1) * k] = H[row, at]
     vals, sub = dense_eigh(flat[:k * k].reshape(k, k), upper=tol_zero)
     del H, flat  # the matrix's buffer goes before the columns are made
-    kernel = np.flatnonzero(~on) if tol_zero >= 0.0 else np.arange(0)
-    p, n = int(np.searchsorted(vals, 0.0, side="right")), kernel.size
-    # columns contiguous, as evr returns them, so _block copies none
-    vecs = np.zeros((spec.dim, vals.size + n), dtype=sub.dtype, order="F")
-    vecs[at, :p], vecs[at, p + n:] = sub[:, :p], sub[:, p:]
-    vecs[kernel, p + np.arange(n)] = 1.0
-    return np.insert(vals, p, np.zeros(n)), vecs, {"certificate": "lapack", "dim": k}
+    # columns contiguous, as evr returns them, so _block copies none at spin 1
+    vecs = np.zeros((spec.dim, vals.size), dtype=sub.dtype, order="F")
+    vecs[at] = sub
+    return vals, vecs, {"certificate": "lapack", "dim": k,
+                        "kernel": spec.dim - k if tol_zero >= 0.0 else 0}
 
 
 def _spin_reduced(spec: HamiltonianSpec) -> HamiltonianSpec:
@@ -555,7 +556,10 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     coefficients, every unconverged column in one block; a column stops at
     STERNHEIMER_RTOL times its residual at x = 0, and EigenFailure is raised
     if one has not within STERNHEIMER_MAXITER steps.  rhs and X are samples.
+    Q must remove every pair <= tol_zero: ValueError if ns.stats.kernel > 0.
     """
+    if ns.stats.kernel:
+        raise ValueError(f"sternheimer: {ns.stats.kernel} pairs of ker psi are not stored")
     spec, w = ns.spec, ns.spec.grid.weight
     H, M = _plane_wave_operator(spec), _kinetic_inverse(spec)
     U = _coefficients(spec, ns.vectors)
@@ -599,18 +603,13 @@ def current(ns: NegativeSpectrum) -> VectorField:
     Schrodinger: J = -Re sum_j conj(w_j) (D+A) w_j; Pauli routes the momentum
     through sigma(sigma.(D+A)), which adds the spin current.  w_j = psi u_j:
     the first variation of tr[psi T(A) psi]_- is <psi u_j, dT psi u_j>, and
-    w_j = u_j without a cutoff.  A w_j that is identically zero, as for the
-    unit columns of ker psi, adds exactly nothing and is dropped before any
-    transform.
+    w_j = u_j without a cutoff.  ker psi's pairs, with w_j = 0, are not
+    stored and add nothing.
     """
-    spec = ns.spec
-    g = spec.grid
+    spec, g = ns.spec, ns.spec.grid
     J = np.zeros((g.d,) + g.shape)
     for _, (U,) in _column_blocks(spec, ns.vectors):
         if spec.psi is not None:
             U = spec.psi.data * U
-            nonzero = np.any(U.reshape(U.shape[:2] + (-1,)), axis=(0, 2))
-            if not nonzero.all():
-                U = U[:, nonzero]
         J -= np.real(_current_form(spec, U, U))
     return VectorField(g, J)

@@ -40,3 +40,16 @@ def test_column_blocks_tile_the_columns_in_order(m, monkeypatch):
             assert block.shape == (spec.spin, cols[:, at].shape[1]) + g.shape
             np.testing.assert_array_equal(operators._columns(block), cols[:, at])
     assert seen == list(range(m))  # every column once, in order
+
+
+# Fortran-ordered columns of one spin component are viewed, not copied: the
+# order="F" columns of spectral._dense_negative rely on it.  At spin 2 the spin
+# axis sits outside the column axis in either order, so _block copies both.
+@pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_views_columns_only_at_spin_1_in_fortran_order(flavor, order):
+    g = GridSpec(d=3, N=8, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor)
+    cols = np.zeros((spec.dim, 3), order=order)
+    block = operators._block(spec, cols)
+    assert np.shares_memory(block, cols) == (spec.spin == 1 and order == "F")

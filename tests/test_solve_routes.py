@@ -77,13 +77,15 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
     solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path, "variant_order.cfg",
                                                "variant-order", ["ratios=2 4", "max_iters=1"],
                                                seed=7)
-    # psi (T - V) psi at the start field is solved on supp psi, one point
+    # psi (T - V) psi at the start field is solved on supp psi, one point; the
+    # other 511 eigenvalues, ker psi's zeros, are counted, not stored
     localized = [st for _, st, _, psi in solves if psi]
     whole = [st for _, st, _, psi in solves if not psi]
     assert len(localized) == 1 and whole
-    assert (localized[0].certificate, localized[0].dim) == ("lapack", 1)
+    st = localized[0]
+    assert (st.certificate, st.dim, st.kernel) == ("lapack", 1, 511)
     for st in whole:
-        assert (st.certificate, st.dim, st.inertia) == ("lapack", 512, None)
+        assert (st.certificate, st.dim, st.inertia, st.kernel) == ("lapack", 512, None, 0)
     shapes = [shape for _, shape in dense_calls]
     assert len(shapes) == len(solves) and shapes.count((1, 1)) == 1
     assert shapes.count((512, 512)) == len(whole)

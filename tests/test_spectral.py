@@ -235,6 +235,11 @@ def _full_eigh_kept(spec, tol_zero):
     return vals[vals <= tol_zero]
 
 
+def _with_kernel(ns):
+    """ns's stored eigenvalues and its stats.kernel * stats.copies counted zeros, ascending."""
+    return np.sort(np.concatenate([ns.eigenvalues, np.zeros(ns.stats.kernel * ns.stats.copies)]))
+
+
 def _subset_cases():
     from fermifield.builders import cutoff_ball, random_divfree_potential
 
@@ -256,15 +261,23 @@ def test_dense_subset_equals_full_eigh_filtered(case):
     spec = _subset_cases()[case]
     ns = negative_spectrum(spec)
     ref = _full_eigh_kept(spec, ns.tol_zero)
-    assert len(ns.eigenvalues) == len(ref)
-    np.testing.assert_allclose(ns.eigenvalues, ref, rtol=0, atol=1e-12)
-    assert len(ns.eigenvectors) == len(ref)
+    assert len(_with_kernel(ns)) == len(ref)
+    np.testing.assert_allclose(_with_kernel(ns), ref, rtol=0, atol=1e-12)
+    assert len(ns.eigenvectors) == len(ns.eigenvalues)
     if case == "empty":
         assert ns.sum == 0.0 and not ns.zero_band
     if case == "psi-zero-band":
-        # psi (T - V) psi vanishes outside supp psi: a whole band sits at 0
-        assert ns.zero_band
+        # psi (T - V) psi vanishes outside supp psi: a whole band sits at 0, every
+        # kept pair in ker psi, counted and not stored
+        assert ns.zero_band and ns.stats.kernel > 1 and len(ns.eigenvalues) == 0
         assert np.count_nonzero(np.abs(ref) <= ns.tol_zero) > 1
+        full = _full_dense_spectrum(spec, ns.tol_zero)
+        assert full.zero_band
+        # the reference's kept columns lie in ker psi up to round-off: against the
+        # current of the same operator without psi, theirs is round-off too
+        assert not np.any(current(ns).data)
+        bare = current(negative_spectrum(replace(spec, psi=None)))
+        assert current(full).norm() <= 1e-12 * bare.norm()
 
 
 def test_dense_eigh_subset_matches_full(rng):
@@ -742,8 +755,18 @@ def test_sternheimer_capped_below_convergence_raises(spec1d, rng, monkeypatch):
         spectral.sternheimer(ns, rhs, shifts)
 
 
+def test_sternheimer_refuses_a_spectrum_that_only_counts_ker_psi(rng):
+    # Q would leave ker psi's pairs <= tol_zero in its range: they are not stored
+    spec = _localized_cases()["schrodinger-3d"]
+    ns = negative_spectrum(spec)
+    assert ns.stats.kernel > 0 and len(ns.eigenvalues) > 0
+    rhs = rng.standard_normal((spec.dim, 1))
+    with pytest.raises(ValueError, match="ker psi"):
+        spectral.sternheimer(ns, rhs, ns.eigenvalues[:1])
+
+
 # ---------------------------------------------------------------------------
-# a localized operator solved on supp psi, with ker psi added back as exact pairs
+# a localized operator solved on supp psi, with ker psi counted, not stored
 
 
 def _localized_cases():
@@ -767,8 +790,7 @@ def _full_dense_spectrum(spec, tol_zero):
     """Reference: evr on the whole matrix of spec, columns quadrature-normalized."""
     vals, vecs = dense_eigh(spectral.dense_matrix(spec), upper=tol_zero)
     vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
-    return spectral.NegativeSpectrum(spec, vals, vecs, tol_zero,
-                                     bool(np.any(np.abs(vals) <= tol_zero)))
+    return spectral.NegativeSpectrum(spec, vals, vecs, tol_zero)
 
 
 @pytest.mark.parametrize("case", list(_localized_cases()))
@@ -794,17 +816,20 @@ def test_localized_solve_on_the_support_matches_the_full_matrix(case, monkeypatc
     support = np.count_nonzero(spec.psi.data) * solved.spin
     assert 0 < support < solved.dim
     assert shapes == [(support, support)] and ns.stats.dim == support
-    assert checked == [len(ns.eigenvalues)]  # every pair, kernel pairs included
-    if ns.stats.copies == 1:  # columns contiguous, as evr returns them (_spin_copies aside)
+    assert checked == [len(ns.eigenvalues)]  # every stored pair, and only those
+    if ns.stats.copies == 1:  # evr's columns, F-ordered: _block views them at spin 1
         assert ns.vectors.flags.f_contiguous
+    # every stored column is felt by psi; ker psi is a count
+    weighted = np.tile(spec.psi.data.ravel(), spec.spin)[:, None] * ns.vectors
+    assert np.all(np.any(weighted != 0.0, axis=0))
+    assert ns.stats.kernel * ns.stats.copies == spec.dim - support * ns.stats.copies
     below = ns.eigenvalues[ns.eigenvalues < -ns.tol_zero]
     ref_below = ref.eigenvalues[ref.eigenvalues < -ns.tol_zero]
     assert len(below) == len(ref_below) > 0
     scale = spectral._operator_scale(spec)
     np.testing.assert_allclose(below, ref_below, rtol=0, atol=1e-12 * scale)
-    # the kernel pairs: one unit column per zero sample, at exactly 0
-    assert np.count_nonzero(ns.eigenvalues == 0.0) >= spec.dim - support * ns.stats.copies
-    assert len(ns.eigenvalues) == len(ref.eigenvalues) and ns.zero_band == ref.zero_band
+    assert len(_with_kernel(ns)) == len(ref.eigenvalues) and ns.zero_band == ref.zero_band
+    np.testing.assert_allclose(_with_kernel(ns), ref.eigenvalues, rtol=0, atol=1e-12 * scale)
     J, J_ref = current(ns), current(ref)
     assert J_ref.norm() > 0
     assert (J - J_ref).norm() <= 1e-12 * J_ref.norm()
@@ -816,14 +841,19 @@ def test_localized_solve_keeps_the_kernel_at_tol_zero_zero_only():
     at_zero = negative_spectrum(spec, tol_zero=0.0)  # check_variational_sandwich's cut
     ref = _full_dense_spectrum(spec, 0.0)
     scale = spectral._operator_scale(spec)
-    assert np.count_nonzero(at_zero.eigenvalues == 0.0) == kernel and at_zero.zero_band
+    assert at_zero.stats.kernel == kernel and at_zero.zero_band and ref.zero_band
+    assert not np.any(at_zero.eigenvalues == 0.0)  # the kernel is counted, not stored
+    # the reference's structural zeros sit at round-off on either side of the cut
     neg = at_zero.eigenvalues[at_zero.eigenvalues < 0.0]
     ref_neg = ref.eigenvalues[ref.eigenvalues < -1e-12 * scale]
     np.testing.assert_allclose(neg, ref_neg, rtol=0, atol=1e-12 * scale)
     assert abs(at_zero.sum - ref.sum) <= 1e-12 * scale
+    J, J_ref = current(at_zero), current(ref)
+    assert J_ref.norm() > 0
+    assert (J - J_ref).norm() <= 1e-12 * J_ref.norm()
     below = negative_spectrum(spec, tol_zero=-1e-8 * scale)  # 0 is above the cut
     np.testing.assert_allclose(below.eigenvalues, neg, rtol=0, atol=1e-12 * scale)
-    assert not below.zero_band
+    assert below.stats.kernel == 0 and not below.zero_band
 
 
 @pytest.mark.parametrize("flavor", ["schrodinger", "pauli"])
@@ -834,12 +864,12 @@ def test_vanishing_psi_gives_only_kernel_pairs(flavor):
     spec = HamiltonianSpec(grid=g, h=0.6, flavor=flavor, V=bump_potential(g, amplitude=10.0),
                            psi=ScalarField(g, np.zeros(g.shape)))
     ns = negative_spectrum(spec)
-    assert ns.stats.dim == 0 and ns.zero_band
-    np.testing.assert_array_equal(ns.eigenvalues, np.zeros(spec.dim))
-    unit = ns.vectors * np.sqrt(g.weight)  # a permutation matrix: spin copies reorder it
-    assert np.all((unit == 0.0) | (unit == 1.0))
-    assert np.all(unit.sum(axis=0) == 1.0) and np.all(unit.sum(axis=1) == 1.0)
-    assert not np.any(current(ns).data)
+    ref = _full_dense_spectrum(spec, ns.tol_zero)  # the zero matrix: dim pairs at 0
+    assert ns.stats.dim == 0 and ns.zero_band and ref.zero_band
+    assert ns.vectors.shape == (spec.dim, 0)  # every pair is ker psi's, counted
+    np.testing.assert_array_equal(_with_kernel(ns), ref.eigenvalues)
+    np.testing.assert_array_equal(_with_kernel(ns), np.zeros(spec.dim))
+    assert not np.any(current(ns).data) and not np.any(current(ref).data)
 
 
 def test_psi_nowhere_zero_takes_the_whole_matrix_bit_for_bit():
