@@ -261,12 +261,14 @@ def run_minimize_field(cfg, seed):
     if cfg["d"] == 1:
         raise ConfigError("d", "minimize-field needs d >= 2: in d = 1 the only "
                                "mean-zero divergence-free field is 0")
+    if cfg["r"] and cfg["big_r"] and cfg["big_r"] < cfg["r"]:
+        raise ConfigError("big_r", f"the field-energy ball needs big_r >= r, got "
+                                   f"big_r={cfg['big_r']} and r={cfg['r']}")
     spec = _spec(cfg, cfg["h"],
                  psi_radius=cfg["r"] if cfg["variant"] == PSI_OUTSIDE else None)
     A0 = _build_A(cfg["a_init"], spec.grid, cfg["h"], seed, cfg["a_args"])
-    ecfg = _configured(EnergyConfig, {"beta": "beta", "variant": "variant", "r": "r", "R": "big_r"},
-                       beta=cfg["beta"], variant=cfg["variant"], r=cfg["r"] or None,
-                       R=cfg["big_r"] or None)
+    ecfg = _configured(EnergyConfig, {"beta": "beta", "variant": "variant", "R": "big_r"},
+                       beta=cfg["beta"], variant=cfg["variant"], R=cfg["big_r"] or None)
     sched = Schedule(max_iters=cfg["max_iters"], grad_tol=cfg["grad_tol"])
     rep = minimize(A0, spec, ecfg, sched, seed=seed)
     div_norm = divergence(rep.final_A).norm()
@@ -382,7 +384,7 @@ def run_check_dyadic(cfg, seed):
     fam = _configured(dyadic_build, {"W": "w_fermi", "w": "w_width", "h": "h"},
                       W=cfg["w_fermi"], w=cfg["w_width"], h=cfg["h"])
     u = np.linspace(0.0, 4.0 * math.sqrt(cfg["w_fermi"]), cfg["n_grid"])
-    dev = float(np.max(np.abs(fam.sum_f_sq(u) - 1.0)))
+    dev = float(np.max(np.abs(fam.sum_f_sq(fam.t(u**2)) - 1.0)))
     header = ["quantity", "value"]
     rows = [("max_partition_deviation", dev), ("i0", fam.i0)]
     reports = [CheckReport(

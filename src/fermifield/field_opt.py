@@ -73,7 +73,6 @@ class NonSmoothPoint(RuntimeError):
 class EnergyConfig:
     beta: float
     variant: str = GLOBAL_CURL
-    r: float | None = None  # localization radius (informational; psi sets it)
     R: float | None = None  # field-energy ball radius for localized variants
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class EnergyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant in (BALL_GRAD, PSI_OUTSIDE) and self.R is None:
             raise ValueError("localized variants need the ball radius R")
-        if self.r is not None and self.R is not None and self.R < self.r:
-            raise ValueError("need R >= r")
 
     def region(self, grid):
         """The field-energy ball, always centered in the box (None: whole torus)."""
@@ -99,29 +96,23 @@ def _field_energy(A: VectorField, cfg: EnergyConfig) -> float:
     return field_energy_grad(A, cfg.region(A.grid))
 
 
-def _spectrum_at(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
-                 spectrum: NegativeSpectrum | None) -> NegativeSpectrum:
-    """The spectrum the variant's trace part reads at sA: the one given, else solved.
+def _trace(sA: HamiltonianSpec, cfg: EnergyConfig, seed: int,
+           spectrum: NegativeSpectrum | None) -> tuple[float, NegativeSpectrum]:
+    """The variant's trace part at sA and the spectrum it read: the one given, else solved.
 
-    For psi-outside that of the operator without psi.
+    For psi-outside that is tr psi^2 [H]_- off the spectrum of the operator
+    without psi.
     """
-    if spectrum is not None:
-        if spectrum.spec.A is not sA.A:
-            raise ValueError("spectrum was solved at a different vector potential")
-        return spectrum
-    if cfg.variant == PSI_OUTSIDE:
-        if sA.psi is None:
-            raise ValueError("psi-outside variant needs the localization cutoff")
-        sA = replace(sA, psi=None)
-    return negative_spectrum(sA, seed=seed)
-
-
-def _trace_part(sA: HamiltonianSpec, cfg: EnergyConfig, ns: NegativeSpectrum) -> float:
-    """The variant's trace part at sA, read off ns = _spectrum_at(sA, ...)."""
+    if spectrum is not None and spectrum.spec.A is not sA.A:
+        raise ValueError("spectrum was solved at a different vector potential")
     if cfg.variant != PSI_OUTSIDE:
-        return ns.sum
+        ns = negative_spectrum(sA, seed=seed) if spectrum is None else spectrum
+        return ns.sum, ns
+    if sA.psi is None:
+        raise ValueError("psi-outside variant needs the localization cutoff")
+    ns = negative_spectrum(replace(sA, psi=None), seed=seed) if spectrum is None else spectrum
     weights = ns.expectations(sA.psi.data ** 2)  # <u_j, psi^2 u_j>
-    return float(np.minimum(ns.eigenvalues, 0.0) @ weights)
+    return float(np.minimum(ns.eigenvalues, 0.0) @ weights), ns
 
 
 def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig,
@@ -133,9 +124,7 @@ def total_energy(A: VectorField | None, spec: HamiltonianSpec, cfg: EnergyConfig
     or for psi-outside that of the operator without psi.  spectrum: that
     NegativeSpectrum if already solved, as in energy_gradient.
     """
-    sA = spec.with_A(A)
-    ns = _spectrum_at(sA, cfg, seed, spectrum)
-    tr = _trace_part(sA, cfg, ns)
+    tr, ns = _trace(spec.with_A(A), cfg, seed, spectrum)
     fe = _field_energy(A, cfg) if A is not None else 0.0
     total = tr + cfg.beta * fe
     parts = {
@@ -180,7 +169,7 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectru
     densities sum to Re[Pi(Y_j, u_j) + Pi(u_j, Y_j)] over j <= 0, Pi the
     current form.  The k above the kept block (lam_k > tol_zero) sum to
     -2 lam_j (H - lam_j)^-1 Q psi^2 u_j, Q the projector off the block,
-    which spectral.sternheimer solves; spectrum: _spectrum_at's at spec's A.
+    which spectral.sternheimer solves; spectrum: _trace's at spec's A.
     """
     g = spec.grid
     vals, vecs = spectrum.eigenvalues, spectrum.vectors
@@ -205,22 +194,27 @@ def _trace_gradient_psi_outside(spec: HamiltonianSpec, spectrum: NegativeSpectru
     return VectorField(g, grad)
 
 
+def _trace_gradient(sA: HamiltonianSpec, cfg: EnergyConfig,
+                    ns: NegativeSpectrum) -> VectorField:
+    """The variant's trace gradient at sA, ns the spectrum _trace read there."""
+    if cfg.variant == PSI_OUTSIDE:
+        return _trace_gradient_psi_outside(sA, ns)
+    return (-KAPPA_J) * current(ns)
+
+
 def energy_gradient(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
-                    seed: int = 0, reject_zero_band: bool = True,
-                    spectrum: NegativeSpectrum | None = None) -> VectorField:
+                    seed: int = 0, spectrum: NegativeSpectrum | None = None) -> VectorField:
     """Unconstrained gradient field: <grad, a> = d/dt E(A + t a) at t = 0.
 
-    spectrum: total_energy's parts["spectrum"] at this A if already solved.
+    NonSmoothPoint at a zero band of the traced operator (a degenerate
+    crossing for psi-outside).  spectrum: total_energy's parts["spectrum"]
+    at this A if already solved.
     """
     sA = spec.with_A(A)
-    ns = _spectrum_at(sA, cfg, seed, spectrum)
-    if cfg.variant == PSI_OUTSIDE:
-        tg = _trace_gradient_psi_outside(sA, ns)
-    else:
-        if reject_zero_band and ns.zero_band:
-            raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
-        tg = (-KAPPA_J) * current(ns)
-    return tg + cfg.beta * _field_gradient(A, cfg)
+    _, ns = _trace(sA, cfg, seed, spectrum)
+    if cfg.variant != PSI_OUTSIDE and ns.zero_band:
+        raise NonSmoothPoint("eigenvalue in the zero band; derivative undefined")
+    return _trace_gradient(sA, cfg, ns) + cfg.beta * _field_gradient(A, cfg)
 
 
 def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
@@ -230,12 +224,14 @@ def el_residual(A: VectorField, spec: HamiltonianSpec, cfg: EnergyConfig,
     Half the first variation of the energy is lhs - J, with lhs half the
     field part's (beta curl B for global-curl) and J the variant's current
     (minus half the trace gradient), so this is ||lhs - J|| / max(||lhs||,
-    ||J||) for each variant's own equation.  A zero band is not rejected;
-    spectrum as in energy_gradient.
+    ||J||) for each variant's own equation.  A zero band is not rejected:
+    the trace gradient is read off the kept pairs there.  spectrum as in
+    energy_gradient.
     """
+    sA = spec.with_A(A)
+    _, ns = _trace(sA, cfg, seed, spectrum)
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
-    half = 0.5 * energy_gradient(A, spec, cfg, seed, reject_zero_band=False,
-                                 spectrum=spectrum)
+    half = lhs + 0.5 * _trace_gradient(sA, cfg, ns)
     scale = max(lhs.norm(), (lhs - half).norm(), 1e-300)
     return half.norm() / scale
 
@@ -414,7 +410,7 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
 
     A = _start(A0, spec.grid)
     start = negative_spectrum(spec.with_A(A), seed=seed)
-    cfg_global = EnergyConfig(beta=beta, variant=GLOBAL_CURL, r=r)
+    cfg_global = EnergyConfig(beta=beta, variant=GLOBAL_CURL)
     rep_global = minimize(A, spec, cfg_global, schedule, seed=seed, spectrum=start)
     tol_opt = 1e-6 * max(abs(rep_global.energies[0]), 1.0)
     # measured inflation: how much of the global minimizer's gradient energy
@@ -424,7 +420,7 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
 
     rows, prime_start = [], None
     for R in radii:
-        cfg_ball = EnergyConfig(beta=beta, variant=BALL_GRAD, r=r, R=R)
+        cfg_ball = EnergyConfig(beta=beta, variant=BALL_GRAD, R=R)
         rep_ball = minimize(A, spec, cfg_ball, schedule, seed=seed, spectrum=start)
         # pointwise certification: at any divergence-free A the ball energy is
         # <= the global one; both variants trace the same operator, so the
@@ -434,9 +430,9 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
         e_ball = min(rep_ball.energy, e_ball_at_global)
         # the psi-outside descent starts at the ball minimizer, so its energy
         # is already certified against the psi-squared trace there
-        cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, r=r, R=R)
+        cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, R=R)
         if prime_start is None or prime_start.spec.A is not rep_ball.final_A:
-            prime_start = _spectrum_at(spec.with_A(rep_ball.final_A), cfg_prime, seed, None)
+            _, prime_start = _trace(spec.with_A(rep_ball.final_A), cfg_prime, seed, None)
         rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed,
                              spectrum=prime_start)
         e_prime = rep_prime.energy

@@ -197,7 +197,8 @@ class DyadicFamily:
 
     @property
     def i0(self) -> int:
-        return int(np.floor(abs(np.log2(self.w)))) + 1
+        """Smallest i with 3/4 2^i >= 1/w: f_{-i0} is 1 down to the floor t = -1/w."""
+        return int(np.ceil(np.log2(4.0 / (3.0 * self.w))))
 
     def t(self, u2) -> np.ndarray:
         return (np.asarray(u2, dtype=float) - self.W) / (self.w * self.W)

@@ -140,6 +140,20 @@ def test_main_check_dyadic_outputs(tmp_path):
     assert reports[0]["passed"] is True
 
 
+def test_main_check_dyadic_checks_the_floor_shells(tmp_path, monkeypatch):
+    # w = 0.55 needs i0 = 2: with one shell fewer, Sum f_i^2 misses 0.06 near
+    # t = -1/w, the Fermi-sea floor, which the check must reach
+    from fermifield.multiscale import DyadicFamily
+
+    assert main(["check-dyadic", "--out", str(tmp_path / "i0"), "--set", "w_width=0.55"]) == 0
+    monkeypatch.setattr(DyadicFamily, "i0",
+                        property(lambda fam: int(np.floor(abs(np.log2(fam.w)))) + 1))
+    out = tmp_path / "one_fewer"
+    assert main(["check-dyadic", "--out", str(out), "--set", "w_width=0.55"]) == 1
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert reports[0]["lhs"] > 0.05 and reports[0]["notes"] == "i0=1"
+
+
 def test_main_harmonic_compare_writes_only_its_three_files(tmp_path):
     # the ratio against l at R = 2 is read from results.csv; no .dat plot file
     out = tmp_path / "run"
@@ -226,6 +240,9 @@ def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_pa
     ("weyl-converge", ["n=16", "h_list=0.5,0"], "h_list"),  # the bad h is not the first
     # psi-outside with r left at 0: the cutoff ball has no radius
     ("minimize-field", ["flavor=schrodinger", "variant=psi-outside", "big_r=1.0"], "r"),
+    # the field-energy ball is smaller than the cutoff ball
+    ("minimize-field", ["flavor=schrodinger", "variant=psi-outside", "r=0.6", "big_r=0.3"],
+     "big_r"),
     # in d = 1 the only mean-zero divergence-free field is 0: nothing to minimize over
     ("minimize-field", ["flavor=schrodinger", "d=1"], "d"),
 ])

@@ -38,8 +38,6 @@ def test_energy_config_validation():
         EnergyConfig(beta=1.0, variant="nope")
     with pytest.raises(ValueError):
         EnergyConfig(beta=1.0, variant=BALL_GRAD)  # missing R
-    with pytest.raises(ValueError):
-        EnergyConfig(beta=1.0, variant=BALL_GRAD, r=1.0, R=0.5)
 
 
 def test_total_energy_parts_add_up(spec3d):
@@ -74,7 +72,7 @@ def test_gradient_matches_finite_differences(flavor, d, N, variant, cutoff):
                                              g.shape))
     spec = HamiltonianSpec(grid=g, h=0.6, flavor=flavor, psi=psi,
                            V=bump_potential(g, amplitude=8.0, radius=0.7))
-    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.4, R=0.8)
+    cfg = EnergyConfig(beta=2.0, variant=variant, R=0.8)
     A = random_divfree_potential(g, seed=2, kmax=1, amplitude=0.3)
     a = random_divfree_potential(g, seed=9, kmax=1, amplitude=1.0)
     dd = energy_gradient(A, spec, cfg).inner(a).real
@@ -88,7 +86,7 @@ def test_gradient_matches_finite_differences(flavor, d, N, variant, cutoff):
 def test_psi_outside_gradient_matches_finite_differences(spec3d):
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.3))
-    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.3, R=0.8)
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, R=0.8)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     a = random_divfree_potential(spec.grid, seed=7, kmax=2, amplitude=1.0)
     dd = energy_gradient(A, spec, cfg).inner(a).real
@@ -103,7 +101,7 @@ def test_psi_outside_trace_matches_eigenvector_loop(spec3d):
     from fermifield.spectral import negative_spectrum
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
-    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, R=1.2)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     _, parts = total_energy(A, spec, cfg)
     ns = negative_spectrum(replace(spec.with_A(A), psi=None))
@@ -121,7 +119,7 @@ def test_psi_outside_trace_is_zero_without_negative_spectrum(spec3d):
     # T - V with V = -1 is positive, so no eigenvalue lies at or below tol_zero
     g = spec3d.grid
     spec = replace(spec3d, V=ScalarField(g, -np.ones(g.shape)), psi=cutoff_ball(g, 0.6))
-    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, R=1.2)
     A = random_divfree_potential(g, seed=3, kmax=2, amplitude=0.15)
     for a in (None, A):
         E, parts = total_energy(a, spec, cfg)
@@ -230,7 +228,7 @@ def test_psi_outside_point_decomposes_once(flavor, d, N, amp, monkeypatch):
     g = GridSpec(d=d, N=N, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor=flavor, psi=cutoff_ball(g, 0.6),
                            V=bump_potential(g, amplitude=amp, radius=0.7))
-    cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    cfg = EnergyConfig(beta=1.0, variant=PSI_OUTSIDE, R=1.2)
     A = random_divfree_potential(g, seed=3, kmax=1, amplitude=0.3)
     solves, eighs = [], []
     solve, eigh = field_opt.negative_spectrum, spectral.dense_eigh
@@ -330,7 +328,7 @@ def _ordering_spec():
 def _ordering_reference(spec, A0, r, R, beta, sched):
     """One radius as each was checked before: three descents, each solving its own start."""
     spec = replace(spec, psi=cutoff_ball(spec.grid, r))
-    cfgs = [EnergyConfig(beta=beta, variant=v, r=r, R=R)
+    cfgs = [EnergyConfig(beta=beta, variant=v, R=R)
             for v in (GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE)]
     rep_global = minimize(A0, spec, cfgs[0], sched)
     rep_ball = minimize(A0, spec, cfgs[1], sched)
@@ -429,7 +427,7 @@ def test_variant_ordering_checks_every_radius_before_solving(radii, monkeypatch)
 def test_minimize_reuses_the_accepted_spectrum(spec3d, variant, monkeypatch):
     import fermifield.field_opt as field_opt
 
-    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    cfg = EnergyConfig(beta=2.0, variant=variant, R=0.8)
     A0 = random_divfree_potential(spec3d.grid, seed=11, kmax=2, amplitude=0.3)
     calls = []
     solve = field_opt.negative_spectrum
@@ -468,7 +466,7 @@ def test_el_residual_of_psi_outside_is_its_own_equation(spec3d):
     from fermifield.spectral import negative_spectrum
 
     spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
-    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, r=0.6, R=1.2)
+    cfg = EnergyConfig(beta=2.0, variant=PSI_OUTSIDE, R=1.2)
     A = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)
     sA = spec.with_A(A)
@@ -482,7 +480,7 @@ def test_el_residual_is_the_maxwell_residual(spec3d, variant):
     from fermifield.field_opt import _field_gradient, el_residual
     from fermifield.spectral import current, negative_spectrum
 
-    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    cfg = EnergyConfig(beta=2.0, variant=variant, R=0.8)
     A = random_divfree_potential(spec3d.grid, seed=3, kmax=2, amplitude=0.15)
     J = current(negative_spectrum(spec3d.with_A(A)))
     lhs = (0.5 * cfg.beta) * _field_gradient(A, cfg)  # beta curl B for global-curl
@@ -490,19 +488,47 @@ def test_el_residual_is_the_maxwell_residual(spec3d, variant):
     assert el_residual(A, spec3d, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("variant", [GLOBAL_CURL, BALL_GRAD])
+def test_zero_band_point_has_no_gradient_but_a_residual(variant):
+    # psi (T - V) psi with psi vanishing outside a small ball: ker psi puts
+    # eigenvalues at 0, so the trace is not differentiable there
+    from fermifield.field_opt import NonSmoothPoint, _field_gradient, el_residual
+    from fermifield.spectral import current, negative_spectrum
+
+    spec, A0 = _ordering_spec()
+    spec = replace(spec, psi=cutoff_ball(spec.grid, 0.5))
+    cfg = EnergyConfig(beta=2.0, variant=variant, R=1.0)
+    ns = negative_spectrum(spec.with_A(A0))
+    assert ns.stats.kernel > 0 and ns.zero_band
+    with pytest.raises(NonSmoothPoint):
+        energy_gradient(A0, spec, cfg)
+
+    rep = minimize(A0, spec, cfg, Schedule(max_iters=3), spectrum=ns)
+    assert rep.steps == [] and rep.termination == "non-smooth point"
+    # the residual still reads the trace's current there
+    J = current(ns)
+    lhs = (0.5 * cfg.beta) * _field_gradient(A0, cfg)
+    ref = (lhs - J).norm() / max(lhs.norm(), J.norm())
+    assert np.isfinite(ref)
+    assert el_residual(A0, spec, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert rep.el_residual == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_el_residual_at_a_non_smooth_final_point_is_nan(spec3d, monkeypatch):
     import fermifield.field_opt as field_opt
 
-    gradient = field_opt.energy_gradient
+    trace_gradient, calls = field_opt._trace_gradient, []
 
-    def non_smooth_residual(*args, reject_zero_band=True, **kwargs):
-        if not reject_zero_band:  # only el_residual asks past a zero band
+    def non_smooth_residual(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:  # the one step's gradient, then el_residual's own call
             raise field_opt.NonSmoothPoint("patched")
-        return gradient(*args, reject_zero_band=reject_zero_band, **kwargs)
+        return trace_gradient(*args, **kwargs)
 
-    monkeypatch.setattr(field_opt, "energy_gradient", non_smooth_residual)
+    monkeypatch.setattr(field_opt, "_trace_gradient", non_smooth_residual)
     rep = minimize(None, spec3d, EnergyConfig(beta=2.0, variant=GLOBAL_CURL),
                    Schedule(max_iters=1))
+    assert len(calls) == 2
     assert len(rep.steps) == 1
     assert np.isnan(rep.el_residual)
 
@@ -514,7 +540,7 @@ def test_minimize_report_field_part_is_the_final_field_energy(spec3d, variant):
     spec = spec3d
     if variant == PSI_OUTSIDE:  # the only variant that traces psi^2 [H]_-
         spec = replace(spec3d, psi=cutoff_ball(spec3d.grid, 0.6))
-    cfg = EnergyConfig(beta=2.0, variant=variant, r=0.3, R=0.8)
+    cfg = EnergyConfig(beta=2.0, variant=variant, R=0.8)
     A0 = random_divfree_potential(spec.grid, seed=3, kmax=2, amplitude=0.15)
     rep = minimize(A0, spec, cfg, Schedule(max_iters=2))
     assert rep.steps  # the descent moved, so final_A is not A0
@@ -541,7 +567,7 @@ def test_field_energy_is_exact_quadratic_along_a_line(variant, d):
     from fermifield.field_opt import _field_energy, _field_gradient
 
     g = GridSpec(d=d, N=8, L=2.0)
-    cfg = EnergyConfig(beta=1.0, variant=variant, r=0.4, R=0.8)
+    cfg = EnergyConfig(beta=1.0, variant=variant, R=0.8)
     A = random_divfree_potential(g, seed=4, kmax=2, amplitude=0.5)
     G = random_divfree_potential(g, seed=5, kmax=2, amplitude=0.5)
     slope = float(np.real(_field_gradient(A, cfg).inner(G)))
@@ -677,7 +703,7 @@ def test_field_calculus_matches_the_per_case_formulas(d, N, ball):
         assert energy(A) == pytest.approx(float(np.sum(dens)) * g.weight, rel=1e-12)
         # the field gradients: global-curl over the torus, ball-grad over its ball
         if (variant == BALL_GRAD) == ball:
-            cfg = EnergyConfig(beta=1.0, variant=variant, r=0.35, R=0.7)
+            cfg = EnergyConfig(beta=1.0, variant=variant, R=0.7)
             if ball:  # EnergyConfig's ball is centered in the box, as this one
                 np.testing.assert_array_equal(cfg.region(g), region)
             got = _field_gradient(A, cfg).data

@@ -76,10 +76,13 @@ def test_partition_rejects_steep_scale():
 # dyadic shells
 
 
-def test_dyadic_partition_of_unity():
+# 0.13, 0.3 and 0.55 lie just above a power of two, where one shell fewer
+# leaves the floor t = -1/w uncovered
+@pytest.mark.parametrize("w", [0.1, 0.13, 0.3, 0.55])
+def test_dyadic_partition_of_unity(w):
     # the physical domain of t = (u^2 - W)/(wW) is t >= -1/w
-    fam = dyadic_build(W=1.0, w=0.1)
-    t = np.linspace(-1.0 / 0.1, 60.0, 10_000)
+    fam = dyadic_build(W=1.0, w=w)
+    t = np.linspace(-1.0 / w, 60.0, 10_000)
     total = fam.sum_f_sq(t)
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 

@@ -48,6 +48,11 @@ def _recorded_cli_solves(monkeypatch, tmp_path, config, experiment, sets, seed=1
     return solves, dense_calls
 
 
+# configs/minimize_field_pauli.cfg at seed 1 with max_iters=1, one BLAS thread:
+# the energy column of results.csv, the start point and the one step
+MINIMIZE_PAULI_ENERGIES = [-1.225643346953806, -1.2256504150677663]
+
+
 def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
         monkeypatch, tmp_path):
     solves, dense_calls = _recorded_cli_solves(monkeypatch, tmp_path,
@@ -63,6 +68,9 @@ def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
         assert (st.certificate, st.dim, st.fallback) == ("inertia", 1024, False)
         assert st.blocks == (st.inertia + 2,) and st.probe_lowest is None
     assert dense_calls and all(dt == np.float64 for dt, _ in dense_calls)
+    with open(tmp_path / "results.csv") as fh:
+        energies = [float(line.split(",")[1]) for line in fh.readlines()[1:]]
+    np.testing.assert_allclose(energies, MINIMIZE_PAULI_ENERGIES, rtol=1e-12, atol=0)
 
 
 # configs/variant_order.cfg at seed 7 with ratios=2 4 and max_iters=1, one BLAS
@@ -127,6 +135,15 @@ def _digest(spec) -> str:
     return sha.hexdigest()
 
 
+# configs/variant_order.cfg in full at seed 7, one BLAS thread: ratio,
+# E_prime, E_ball, E_global, inflation
+VARIANT_ORDER_FULL_ROWS = [
+    (2.0, 1.6257134820217067, 37.375604658893394, 427.5486727532042, 11.439244305348529),
+    (4.0, 14.624813833528446, 214.12503440634157, 427.5486727532042, 1.9967243621866841),
+    (8.0, 6.081191961967584, 427.5486727532042, 427.5486727532042, 1.0),
+]
+
+
 def test_variant_order_repeats_no_solve(monkeypatch, tmp_path):
     # the full bundled config: every ratio and every descent step
     digests, solve = [], field_opt.negative_spectrum
@@ -141,3 +158,6 @@ def test_variant_order_repeats_no_solve(monkeypatch, tmp_path):
     assert main(argv) == 0
     assert len(digests) > 1
     assert len(set(digests)) == len(digests)
+    with open(tmp_path / "results.csv") as fh:
+        rows = [[float(x) for x in line.split(",")[:5]] for line in fh.readlines()[1:]]
+    np.testing.assert_allclose(rows, VARIANT_ORDER_FULL_ROWS, rtol=1e-12, atol=0)
