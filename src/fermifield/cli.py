@@ -261,6 +261,9 @@ def run_minimize_field(cfg, seed):
     if cfg["d"] == 1:
         raise ConfigError("d", "minimize-field needs d >= 2: in d = 1 the only "
                                "mean-zero divergence-free field is 0")
+    if cfg["r"] and cfg["variant"] != PSI_OUTSIDE:
+        raise ConfigError("r", f"r localizes only variant=psi-outside, got {cfg['variant']}; "
+                               "ball-grad with psi is run by variant-order")
     if cfg["r"] and cfg["big_r"] and cfg["big_r"] < cfg["r"]:
         raise ConfigError("big_r", f"the field-energy ball needs big_r >= r, got "
                                    f"big_r={cfg['big_r']} and r={cfg['r']}")

@@ -3,19 +3,18 @@ Matrix-free Pauli and Schrodinger Hamiltonians on the periodic box.
 
 The kinetic part acts through FFTs, everything else by pointwise
 multiplication; the Pauli kinetic energy is applied as the factored square
-[sigma.(D+A)]^2 so it is nonnegative by construction.  For dim <= DENSE_LIMIT
-dense_matrix assembles the same operator in closed form: every kinetic piece
-is a circulant (one inverse transform of its symbol), and A, V and psi only
-scale its rows and columns.
+[sigma.(D+A)]^2 so it is nonnegative by construction.  dense_matrix assembles
+the same operator in closed form on supp psi, up to DENSE_LIMIT rows: every
+kinetic piece is a circulant (one inverse transform of its symbol) gathered
+on the support's points, and A, V and psi only scale its rows and columns.
 
 One Fourier-space core acts on raw arrays laid out (spin, *batch, *grid):
 any number of batch axes between the spin axis and the last d grid axes, so
 a whole block of vectors goes through one call.  It takes a vector in both
 spaces and returns T u as a pair (F, R) with T u = ifft(F) + R, so it has two
 entries: apply on samples and apply_fourier on unitary plane-wave
-coefficients.  n-d transforms per vector, counted in units of one grid-sized
-transform (at d = 3), the same for both entries; apply_fourier adds two per
-spin component when psi is set:
+coefficients, which takes no psi.  n-d transforms per vector, counted in
+units of one grid-sized transform (at d = 3), the same for both entries:
 
     Schrodinger, A = None    2       h^2 |k|^2 uh, V u on samples
     Schrodinger, with A      2d + 2  v_j = (D_j + A_j) u, then sum_j (D_j + A_j) v_j
@@ -230,25 +229,21 @@ def apply_fourier(spec: HamiltonianSpec, c: np.ndarray) -> np.ndarray:
 
     c is a raw block laid out like apply's, the grid axes holding
     wavenumbers in numpy's fft order.  The kinetic part stays in Fourier
-    space and V, A and psi act on samples, so a vector costs the transforms
-    of apply (module docstring), or two more per spin component when psi
-    is set.
+    space and V and A act on samples, so a vector costs the transforms of
+    apply (module docstring).  A localized operator is only ever solved as
+    dense_matrix's block on supp psi: ValueError when psi is set.
     """
+    if spec.psi is not None:
+        raise ValueError("apply_fourier takes no psi: a localized operator is solved "
+                         "on supp psi by dense_matrix")
     d, wh = spec.grid.d, np.asarray(c)
     w = _ifft(wh, d, ORTHO)
-    if spec.psi is not None:
-        w = spec.psi.data * w
-        wh = _fft(w, d, ORTHO)
     F, R = _kinetic(spec, wh, w, ORTHO)
     if spec.V is not None:  # R is the core's own array, so it is updated in place
         if R is None:
             R = -spec.V.data * w
         else:
             R -= spec.V.data * w
-    if spec.psi is not None:
-        out = _in_space(F, R, d, ORTHO)
-        out *= spec.psi.data
-        return _fft(out, d, ORTHO)
     if R is None:
         return F
     out = _fft(R, d, ORTHO)
@@ -262,26 +257,13 @@ def apply_fourier(spec: HamiltonianSpec, c: np.ndarray) -> np.ndarray:
 _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _circulant_rows(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows of C[x, y] = c[(x - y) mod N] whose first grid index is in [lo, hi).
-
-    Indexed by broadcasting one (rows, N) difference table per axis, so no
-    dim^2 index table exists; returns (rows, N^d) in flattened grid order.
-    """
-    N, d = c.shape[0], c.ndim
-    idx = []
-    for j in range(d):
-        x = np.arange(lo, hi) if j == 0 else np.arange(N)
-        shape = [1] * (2 * d)
-        shape[j], shape[d + j] = len(x), N
-        idx.append(((x[:, None] - np.arange(N)) % N).reshape(shape))
-    return c[tuple(idx)].reshape(-1, c.size)
-
-
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """The operator as a (dim, dim) matrix, assembled in closed form.
+    """The operator on supp psi (times spin) as a square matrix, assembled in closed form.
 
-    A Fourier multiplier s on the full lattice is the circulant
+    Rows and columns are the k points where psi is nonzero (every point when
+    psi is unset) in flattened grid order, spin-major: index s k + i.
+    psi (T - V) psi vanishes on every other row and column, so the block is
+    all of it.  A Fourier multiplier s on the full lattice is the circulant
     C_s[x, y] = c_s[(x - y) mod N] with c_s = ifft(s).  With C_j = C_{hk_j},
     the entries of (T_h(A) - V) are, for x, y on the grid,
 
@@ -293,38 +275,46 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
         C_{h^2|k|^2} I + sum_j C_j (M(x) sigma_j + sigma_j M(y)) + (M^2 - V) delta_xy
 
     times psi(x) psi(y).  Every factor is real when A is None, and so is the
-    matrix then (float64; complex128 otherwise).  Rows are built in slabs of
-    about BLOCK, so the temporaries stay a small multiple of BLOCK * dim
-    (dim <= DENSE_LIMIT).
+    matrix then (float64; complex128 otherwise).  Each circulant entry is
+    gathered as c[x - y], one index array per axis, where a negative index
+    wraps to the mod N; with every point kept the columns are np.ix_ aranges
+    that broadcast, so no (rows, k) index table is made.  Rows are built in
+    slabs of BLOCK, so the temporaries stay a small multiple of BLOCK * k.
+    ValueError, before the matrix is allocated, when spin k > DENSE_LIMIT.
     """
-    dim = spec.dim
-    if dim > DENSE_LIMIT:
-        raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {dim}")
     g = spec.grid
-    n, N, spin = g.size, g.N, spec.spin
+    n, spin = g.size, spec.spin
+    at = np.arange(n) if spec.psi is None else np.flatnonzero(spec.psi.data)
+    k = at.size
+    if spin * k > DENSE_LIMIT:
+        raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {spin * k}: "
+                         f"spin {spin} times {k} points of supp psi")
+    x = np.unravel_index(at, g.shape)  # row coordinates, one array per axis
+    y = np.ix_(*[np.arange(g.N)] * g.d) if k == n else x
     kin = _ifft(spec.h**2 * g.k2, g.d).real  # an even real symbol: a real circulant
-    V = np.zeros(n) if spec.V is None else spec.V.data.ravel()
+    V = np.zeros(k) if spec.V is None else spec.V.data.ravel()[at]
     # C_j is scaled by right[j](x) + left[j](y), spin blocks (a, b) last
-    mom, pot = [], np.zeros((n, 1, 1))
+    mom, pot = [], np.zeros((k, 1, 1))
     if spec.A is not None:
-        A = spec.A.data.reshape(g.d, n)
+        A = spec.A.data.reshape(g.d, n)[:, at]
         mom = [_ifft(spec.h * np.broadcast_to(kj, g.shape), g.d) for kj in g.k]
         if spec.flavor == PAULI:
-            M = np.tensordot(A.T, _SIGMA, 1)  # sigma.A, (n, 2, 2)
+            M = np.tensordot(A.T, _SIGMA, 1)  # sigma.A, (k, 2, 2)
             left, right, pot = _SIGMA[:, None] @ M, M @ _SIGMA[:, None], M @ M
         else:
             left = A[:, :, None, None]
             right, pot = left, np.sum(A * A, axis=0)[:, None, None]
     pot = pot - V[:, None, None] * np.eye(spin)
 
-    H = np.zeros((spin, n, spin, n), dtype=np.float64 if spec.A is None else np.complex128)
-    step = max(1, BLOCK * N // n)  # first-axis grid values per slab
-    for lo in range(0, N, step):
-        hi = min(lo + step, N)
-        rows = slice(lo * n // N, hi * n // N)
-        diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
-        kin_rows = _circulant_rows(kin, lo, hi)
-        mom_rows = [_circulant_rows(c, lo, hi) for c in mom]
+    H = np.zeros((spin, k, spin, k), dtype=np.float64 if spec.A is None else np.complex128)
+    step = BLOCK  # rows per slab
+    for lo in range(0, k, step):
+        rows = slice(lo, min(lo + step, k))
+        r = rows.stop - lo
+        diag = (np.arange(r), lo + np.arange(r))
+        idx = tuple(xj[rows][(slice(None),) + (None,) * yj.ndim] - yj for xj, yj in zip(x, y))
+        kin_rows = kin[idx].reshape(r, k)
+        mom_rows = [c[idx].reshape(r, k) for c in mom]
         for a in range(spin):
             for b in range(spin):
                 out = H[a, rows, b]  # a view: every update lands in H
@@ -333,9 +323,9 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
                 for j, C in enumerate(mom_rows):
                     out += C * (right[j, rows, a, b, None] + left[j, :, a, b])
                 out[diag] += pot[rows, a, b]
-    H = H.reshape(dim, dim)
+    H = H.reshape(spin * k, spin * k)
     if spec.psi is not None:
-        psi = np.tile(spec.psi.data.ravel(), spin)
+        psi = np.tile(spec.psi.data.ravel()[at], spin)
         H *= psi[:, None]
         H *= psi
     return H

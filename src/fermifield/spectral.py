@@ -6,23 +6,24 @@ is H_1 (x) I_2 with H_1 its scalar Schrodinger operator, is solved once as
 H_1 and each eigenpair repeated per spin component.  One of three routes
 solves it, each with its own count certificate (SolveStats.certificate):
 
-- "lapack": up to DENSE_LIMIT (of the asked dimension), by default, the
-  closed-form matrix (real when A is None) goes to LAPACK's MRRR driver
-  (?heevr / ?syevr) for the eigenpairs in (-inf, tol_zero] only.  When psi
-  vanishes somewhere only its block on supp psi is solved; ker psi, exact
-  zeros of the operator, is a count (SolveStats.kernel), not stored pairs.
-- "inertia": up to DENSE_LIMIT, when the solved dimension is at least
-  INERTIA_MIN_DIM, psi is unset and the predicted block (a quarter more
-  than the Weyl count plus two guards) is at most dim / INERTIA_BLOCK_RATIO.
+- "lapack": whenever psi is set, and otherwise up to DENSE_LIMIT (of the
+  asked dimension) by default, the closed-form matrix (real when A is None)
+  goes to LAPACK's MRRR driver (?heevr / ?syevr) for the eigenpairs in
+  (-inf, tol_zero] only.  With psi set that matrix is its block on supp psi
+  at any grid size, refused above DENSE_LIMIT rows; ker psi, exact zeros of
+  the operator, is a count (SolveStats.kernel), not stored pairs.
+- "inertia": up to DENSE_LIMIT, psi unset, when the solved dimension is at
+  least INERTIA_MIN_DIM and the predicted block (a quarter more than the
+  Weyl count plus two guards) is at most dim / INERTIA_BLOCK_RATIO.
   The matrix of H - tol_zero is factored in place by Bunch-Kaufman LDL^T
   (?hetrf / ?sytrf); by Sylvester's law of inertia its negative pivots count
   the eigenvalues below tol_zero exactly.  One LOBPCG block of that count
   plus two then solves the matrix-free operator to INERTIA_LOBPCG_TOL; if
   it finds another count, dense evr solves a re-assembled matrix and the
   fallback is recorded.
-- "probe": above DENSE_LIMIT, where every grid has N / 2 >= 8, the same
-  spec sampled at every other point is first solved on N / 2 to a loose
-  target, from the predicted block grown until bracketed at zero; its
+- "probe": above DENSE_LIMIT, psi unset, where every grid has N / 2 >= 8,
+  the same spec sampled at every other point is first solved on N / 2 to a
+  loose target, from the predicted block grown until bracketed at zero; its
   vectors, zero-padded to N, start LOBPCG (scipy) on N at that size, with
   its residual target scaled to the operator, doubled from the vectors
   found until bracketed again (SolveStats.coarse is the half-grid solve's
@@ -81,9 +82,7 @@ INERTIA_LOBPCG_TOL = 1e-13
 # The inertia route's rule, from the dense-versus-iterative crossover in
 # BENCH_eigensolver.json (one BLAS thread): at dim 512 evr wins at every block
 # (0.016 s real, 0.05 s complex, against 0.1 s or more), and the inertia route
-# wins up to a predicted block of about 8 at dim 1024 and 32 at dim 4096.  A
-# localized operator stays dense: where psi is small but nonzero its eigenvalues
-# crowd zero, and LOBPCG's count at tol_zero would rest on round-off.
+# wins up to a predicted block of about 8 at dim 1024 and 32 at dim 4096.
 INERTIA_MIN_DIM = 1024
 INERTIA_BLOCK_RATIO = 128
 
@@ -210,9 +209,13 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     if tol_zero is None:
         tol_zero = default_tol_zero(spec)
     solved = _spin_reduced(spec)
-    if spec.dim > DENSE_LIMIT:
+    if solved.psi is not None:
+        # where psi is small but nonzero its eigenvalues crowd zero, and an
+        # iterative count at tol_zero would rest on round-off: always dense
+        vals, vecs, info = _dense_negative(solved, tol_zero)
+    elif spec.dim > DENSE_LIMIT:
         vals, vecs, info = _lobpcg_negative(solved, tol_zero, seed)
-    elif (solved.dim >= INERTIA_MIN_DIM and solved.psi is None
+    elif (solved.dim >= INERTIA_MIN_DIM
           and _predicted_block(solved) <= solved.dim / INERTIA_BLOCK_RATIO):
         vals, vecs, info = _inertia_negative(solved, tol_zero, seed)
     else:
@@ -230,28 +233,21 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
 
 
 def _dense_negative(spec: HamiltonianSpec, tol_zero: float):
-    """Eigenpairs <= tol_zero by evr on the block of spec's matrix on supp psi (times spin).
+    """Eigenpairs <= tol_zero by evr on dense_matrix's block of spec on supp psi (times spin).
 
     psi (T - V) psi vanishes on every row and column where psi does, so the
     block's pairs, zero outside it, are the matrix's own, and its other
     eigenvalues are ker psi's zeros, counted as "kernel" when 0 <= tol_zero.
-    The block is compacted row by row into the front of dense_matrix's
-    buffer, so no second matrix is made; with psi unset or nowhere zero that
-    buffer goes to evr whole.  Returns the pairs and the SolveStats fields.
+    With psi unset or nowhere zero the block is the whole matrix, and evr's
+    columns are kept as they come.  Returns the pairs and the SolveStats fields.
     """
-    H = dense_matrix(spec)
-    on = None if spec.psi is None else np.tile(spec.psi.data.ravel() != 0, spec.spin)
-    if on is None or on.all():
-        return *dense_eigh(H, upper=tol_zero), {"certificate": "lapack"}
-    at = np.flatnonzero(on)
-    k, flat = at.size, H.reshape(-1)
-    for i, row in enumerate(at):  # row >= i: a row is read before it is overwritten
-        flat[i * k:(i + 1) * k] = H[row, at]
-    vals, sub = dense_eigh(flat[:k * k].reshape(k, k), upper=tol_zero)
-    del H, flat  # the matrix's buffer goes before the columns are made
+    vals, sub = dense_eigh(dense_matrix(spec), upper=tol_zero)
+    k = sub.shape[0]
+    if k == spec.dim:
+        return vals, sub, {"certificate": "lapack"}
     # columns contiguous, as evr returns them, so _block copies none at spin 1
     vecs = np.zeros((spec.dim, vals.size), dtype=sub.dtype, order="F")
-    vecs[at] = sub
+    vecs[np.tile(spec.psi.data.ravel() != 0, spec.spin)] = sub
     return vals, vecs, {"certificate": "lapack", "dim": k,
                         "kernel": spec.dim - k if tol_zero >= 0.0 else 0}
 
@@ -297,16 +293,11 @@ def _spin_copies(vals: np.ndarray, vecs: np.ndarray, spin: int):
 
 
 def _weyl_count(spec: HamiltonianSpec) -> float:
-    """Weyl's count of eigenvalues below 0: spin |B_d| (2 pi h)^-d sum V_+^{d/2} w.
-
-    The sum runs over supp psi when psi is set.
-    """
+    """Weyl's count of eigenvalues below 0: spin |B_d| (2 pi h)^-d sum V_+^{d/2} w."""
     g = spec.grid
     if spec.V is None:
         return 0.0
     vplus = np.maximum(spec.V.data, 0.0) ** (g.d / 2)
-    if spec.psi is not None:
-        vplus = np.where(spec.psi.data != 0, vplus, 0.0)
     ball = np.pi ** (g.d / 2) / math.gamma(g.d / 2 + 1)
     return float(spec.spin * ball * (2 * np.pi * spec.h) ** (-g.d) * vplus.sum() * g.weight)
 
@@ -431,7 +422,7 @@ def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log:
 def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
     """Start block for spec from the same operator on N / 2, and that solve's SolveStats.
 
-    V, A and psi are sampled at every other point.  The coarse blocks start
+    V and A are sampled at every other point.  The coarse blocks start
     at the predicted block and grow until they bracket tol_zero, solved to
     COARSE_LOBPCG_TOL times the coarse operator scale; their vectors,
     zero-padded to N, are the start block.
@@ -442,7 +433,7 @@ def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
     def sampled(f):
         return None if f is None else type(f)(half, f.data[(...,) + (slice(None, None, 2),) * g.d])
 
-    coarse = replace(spec, grid=half, A=sampled(spec.A), V=sampled(spec.V), psi=sampled(spec.psi))
+    coarse = replace(spec, grid=half, A=sampled(spec.A), V=sampled(spec.V))
     op, log = _plane_wave_operator(coarse), []
     _, vecs, blocks = _bracketed(op, _kinetic_inverse(coarse), coarse.dim,
                                  _predicted_block(coarse), rng,
@@ -556,10 +547,12 @@ def sternheimer(ns: NegativeSpectrum, rhs: np.ndarray, shifts: np.ndarray) -> np
     coefficients, every unconverged column in one block; a column stops at
     STERNHEIMER_RTOL times its residual at x = 0, and EigenFailure is raised
     if one has not within STERNHEIMER_MAXITER steps.  rhs and X are samples.
-    Q must remove every pair <= tol_zero: ValueError if ns.stats.kernel > 0.
+    The CG runs on apply_fourier, which takes no psi: ValueError for a
+    localized spectrum, whose ker psi pairs Q could not remove anyway.
     """
-    if ns.stats.kernel:
-        raise ValueError(f"sternheimer: {ns.stats.kernel} pairs of ker psi are not stored")
+    if ns.spec.psi is not None:
+        raise ValueError("sternheimer: psi is set; the operator is solved on supp psi only "
+                         "and ker psi's pairs are not stored")
     spec, w = ns.spec, ns.spec.grid.weight
     H, M = _plane_wave_operator(spec), _kinetic_inverse(spec)
     U = _coefficients(spec, ns.vectors)

@@ -245,6 +245,8 @@ def test_main_rejected_config_value_exit_2(experiment, config, sets, key, tmp_pa
      "big_r"),
     # in d = 1 the only mean-zero divergence-free field is 0: nothing to minimize over
     ("minimize-field", ["flavor=schrodinger", "d=1"], "d"),
+    # only psi-outside reads r: ball-grad with psi is variant-order's run
+    ("minimize-field", ["flavor=schrodinger", "variant=ball-grad", "r=0.6", "big_r=1.2"], "r"),
 ])
 def test_main_rejected_value_exits_2_before_any_solve(experiment, sets, key, tmp_path, capsys,
                                                       monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from fermifield.builders import (
     bump_potential,
     constant_potential,
+    cutoff_ball,
     random_divfree_potential,
 )
 from fermifield.grid import (
@@ -188,10 +189,14 @@ _CORE_CASES = [
 
 
 def _core_spec(flavor, d, N, with_A, with_psi, rng):
+    """with_psi: False (unset), True (cos^2, nowhere exactly 0) or "ball" (0 off a ball)."""
     g = GridSpec(d=d, N=N, L=2.0)
     A = VectorField(g, 0.5 * rng.standard_normal((d,) + g.shape)) if with_A else None
-    psi = (ScalarField(g, np.broadcast_to(np.cos(np.pi * g.coords[0] / g.L) ** 2, g.shape))
-           if with_psi else None)
+    psi = None
+    if with_psi == "ball":
+        psi = cutoff_ball(g, 0.8)
+    elif with_psi:
+        psi = ScalarField(g, np.broadcast_to(np.cos(np.pi * g.coords[0] / g.L) ** 2, g.shape))
     return HamiltonianSpec(grid=g, h=0.6, flavor=flavor, A=A, psi=psi,
                            V=bump_potential(g, amplitude=3.0, radius=0.6))
 
@@ -221,6 +226,11 @@ def test_fourier_entry_is_apply_between_unitary_transforms(flavor, d, N, with_A,
     c = rng.standard_normal((spec.spin, 5) + g.shape) + 1j * rng.standard_normal(
         (spec.spin, 5) + g.shape
     )
+    if with_psi:
+        # a localized operator is solved as dense_matrix's block on supp psi only
+        with pytest.raises(ValueError, match="takes no psi"):
+            apply_fourier(spec, c)
+        return
     axes = tuple(range(-d, 0))
     ref = np.fft.fftn(apply(spec, np.fft.ifftn(c, axes=axes, norm="ortho")), axes=axes,
                       norm="ortho")
@@ -247,15 +257,14 @@ def test_transform_count_per_vector(flavor, d, N, with_A, per_vector, rng, monke
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(lib, name, counted)
-    # apply costs the same with and without psi; apply_fourier, two more per
-    # spin component with psi (psi acts on samples at both ends)
+    # apply costs the same with and without psi; apply_fourier takes no psi
     for with_psi in (False, True):
         spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
         block = rng.standard_normal((spec.spin, 5) + spec.grid.shape)
-        for entry, extra in ((apply, 0), (apply_fourier, 2 * spec.spin * with_psi)):
+        for entry in (apply,) if with_psi else (apply, apply_fourier):
             volume.clear()
             entry(spec, block)
-            assert sum(volume) == (per_vector + extra) * 5 * spec.grid.size, (entry, with_psi)
+            assert sum(volume) == per_vector * 5 * spec.grid.size, (entry, with_psi)
 
 
 def test_apply_rejects_mismatched_block(spec1d):
@@ -277,7 +286,7 @@ def _dense_by_columns(spec):
 
 
 @pytest.mark.parametrize("block", [512, 3])  # 3: several row slabs per matrix
-@pytest.mark.parametrize("with_psi", [False, True])
+@pytest.mark.parametrize("with_psi", [False, True, "ball"])
 @pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
 def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, with_psi,
                                                          block, rng, monkeypatch):
@@ -287,4 +296,12 @@ def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, w
     monkeypatch.setattr(operators, "BLOCK", block)
     ref = _dense_by_columns(spec)
     H = dense_matrix(spec)
-    np.testing.assert_allclose(H, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+    # the block on supp psi, spin-major: every point unless psi vanishes somewhere
+    psi = np.ones(spec.grid.size) if spec.psi is None else spec.psi.data.ravel()
+    on = np.tile(psi != 0, spec.spin)
+    if with_psi == "ball":
+        assert 0 < H.shape[0] < spec.dim
+    supp = np.flatnonzero(on)
+    assert not np.any(ref[~on]) and not np.any(ref[:, ~on])  # psi H psi is 0 off the block
+    np.testing.assert_allclose(H, ref[np.ix_(supp, supp)], rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))

@@ -229,9 +229,19 @@ def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
         spectral._residual_check(spec1d, vals, bad)
 
 
+def _full_matrix(spec):
+    """Reference: psi (T - V) psi on every point, whatever supp psi; dense_matrix's assembly."""
+    H = spectral.dense_matrix(replace(spec, psi=None))
+    if spec.psi is not None:
+        psi = np.tile(spec.psi.data.ravel(), spec.spin)
+        H *= psi[:, None]
+        H *= psi
+    return H
+
+
 def _full_eigh_kept(spec, tol_zero):
-    """Reference: every eigenvalue of the dense matrix, then the <= tol_zero filter."""
-    vals = np.linalg.eigvalsh(spectral.dense_matrix(spec))
+    """Reference: every eigenvalue of the whole dense matrix, then the <= tol_zero filter."""
+    vals = np.linalg.eigvalsh(_full_matrix(spec))
     return vals[vals <= tol_zero]
 
 
@@ -325,7 +335,8 @@ def test_spin_reduction_matches_full_dense(case, iterative, monkeypatch):
     np.testing.assert_allclose(ns.eigenvalues, ref, rtol=0, atol=1e-10 * scale)
     np.testing.assert_array_equal(ns.eigenvalues[0::2], ns.eigenvalues[1::2])
     assert ns.stats.copies == 2 and ns.stats.dim == spec.dim // 2
-    assert ns.stats.certificate == ("probe" if iterative else "lapack")
+    # a localized spec stays dense at any DENSE_LIMIT
+    assert ns.stats.certificate == ("probe" if iterative and spec.psi is None else "lapack")
     assert ns.spec is spec
 
 
@@ -635,8 +646,8 @@ def _inertia_cases():
 def test_inertia_count_equals_dense_count(case):
     spec = _inertia_cases()[case]
     tol = default_tol_zero(spec)
-    vals, _ = dense_eigh(spectral.dense_matrix(spec), upper=tol)
-    assert spectral._inertia(spectral.dense_matrix(spec), tol) == len(vals) > 0
+    vals, _ = dense_eigh(_full_matrix(spec), upper=tol)
+    assert spectral._inertia(_full_matrix(spec), tol) == len(vals) > 0
     if case == "psi-zero-band":
         assert np.sum(np.abs(vals) <= tol) > spec.dim // 2
 
@@ -788,7 +799,7 @@ def _localized_cases():
 
 def _full_dense_spectrum(spec, tol_zero):
     """Reference: evr on the whole matrix of spec, columns quadrature-normalized."""
-    vals, vecs = dense_eigh(spectral.dense_matrix(spec), upper=tol_zero)
+    vals, vecs = dense_eigh(_full_matrix(spec), upper=tol_zero)
     vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
     return spectral.NegativeSpectrum(spec, vals, vecs, tol_zero)
 
@@ -889,3 +900,33 @@ def test_psi_nowhere_zero_takes_the_whole_matrix_bit_for_bit():
     U = psi.data * operators._block(spec, ref.vectors)  # one block: m <= BLOCK
     np.testing.assert_array_equal(current(ns).data,
                                   -np.real(operators._current_form(spec, U, U)))
+
+
+def _variant_order_spec(N, r):
+    """configs/variant_order.cfg's operator at A = 0 on N, localized to the ball of radius r."""
+    from fermifield.builders import cutoff_ball
+
+    g = GridSpec(d=3, N=N, L=4.0)
+    return HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=8.0, radius=1.2),
+                           psi=cutoff_ball(g, r))
+
+
+def test_localized_solve_above_the_dense_limit_takes_the_support_block():
+    # dim 32768 > DENSE_LIMIT, but supp psi has 2103 points: one dense block
+    spec = _variant_order_spec(32, 1.0)
+    support = np.count_nonzero(spec.psi.data)
+    assert spec.dim > spectral.DENSE_LIMIT >= support
+    ns = negative_spectrum(spec)
+    assert (ns.stats.certificate, ns.stats.dim) == ("lapack", support)
+    assert ns.stats.kernel == spec.dim - support and ns.vectors.shape[0] == spec.dim
+    assert len(ns.eigenvalues) > 0
+    assert ns.stats.worst_residual <= 1e-12 * spectral._operator_scale(spec)
+    assert ns.sum == pytest.approx(-1.84176, abs=1e-5)
+
+
+def test_dense_block_above_the_limit_is_refused_naming_the_support():
+    spec = _variant_order_spec(64, 1.0)
+    support = np.count_nonzero(spec.psi.data)
+    assert spec.spin * support > spectral.DENSE_LIMIT
+    with pytest.raises(ValueError, match=f"{support} points of supp psi"):
+        negative_spectrum(spec)
