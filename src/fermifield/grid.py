@@ -191,6 +191,9 @@ class SpinorField(_Field):
 # slows.  On a 2-core Xeon VM a (2, 5, 16^3) spinor block took 1.8 ms whole
 # and 1.0 ms as three slabs of at most four vectors, a (23, 32^3) block 32 ms
 # and 20 ms one vector at a time, with bit-identical results.
+# operators.dense_matrix sizes its row slabs by the same budget, a complex row
+# of k entries taking 16 k bytes: Pauli d=3 N=8 with A assembles its 16.8 MB
+# matrix at a 19.0 MB traced peak in 32-row slabs, 36.4 MB in 512-row ones.
 FFT_SLAB_BYTES = 1 << 18
 
 

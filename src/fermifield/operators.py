@@ -20,6 +20,11 @@ units of one grid-sized transform (at d = 3), the same for both entries:
     Schrodinger, with A      2d + 2  v_j = (D_j + A_j) u, then sum_j (D_j + A_j) v_j
     Pauli, A = None          4       (sigma.hk)^2 = h^2 |k|^2 on the full lattice
     Pauli, with A            8       sigma.(D+A) twice, the middle spinor in both spaces
+
+Working sets are bounded in bytes, not counts, so they stay put as the
+dimension grows: the columns of a (dim, m) array reach the core
+COLUMN_BLOCK_BYTES at a time (_column_blocks), and dense_matrix builds its
+rows in slabs of FFT_SLAB_BYTES, the transforms' cache budget.
 """
 
 from __future__ import annotations
@@ -29,10 +34,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, SpinorField, VectorField, _fft, _ifft
+from .grid import FFT_SLAB_BYTES, GridSpec, ScalarField, SpinorField, VectorField, _fft, _ifft
 
 DENSE_LIMIT = 4096
-BLOCK = 512  # most vectors per core call (_column_blocks) and rows per dense slab
+# Most bytes of one complex (spin, m, *grid) array per core call: _column_blocks
+# hands the core m = budget / (16 dim) columns at a time (at least one), 512 at
+# dim 1024 and 16 at dim 32768, so the core's few temporaries of that size
+# stay a fixed working set whatever the dimension.
+COLUMN_BLOCK_BYTES = 1 << 23
 ORTHO = "ortho"  # apply_fourier's coefficients: the unitary transform
 
 PAULI = "pauli"
@@ -89,14 +98,23 @@ def _columns(block: np.ndarray) -> np.ndarray:
     return np.moveaxis(block, 1, -1).reshape(dim, block.shape[1])
 
 
-def _column_blocks(spec: HamiltonianSpec, *cols: np.ndarray):
-    """(column slice, blocks) for BLOCK columns at a time of the (dim, m) arrays cols.
+def _column_slices(spec: HamiltonianSpec, m: int):
+    """Slices tiling range(m) in order, COLUMN_BLOCK_BYTES of complex columns each.
 
-    The one walk from columns to core-sized blocks, so no dim x m temporary
-    of the core is made; blocks holds one _block per array, in order.
+    The one walk over the columns of a (dim, m) array of spec's vectors, so
+    no dim x m temporary is made: at least one column per slice.
     """
-    for lo in range(0, cols[0].shape[1], BLOCK):
-        at = slice(lo, lo + BLOCK)
+    per = max(1, COLUMN_BLOCK_BYTES // (16 * spec.dim))
+    for lo in range(0, m, per):
+        yield slice(lo, min(lo + per, m))
+
+
+def _column_blocks(spec: HamiltonianSpec, *cols: np.ndarray):
+    """(column slice, blocks) for each _column_slices slice of the (dim, m) arrays cols.
+
+    blocks holds one core-sized _block per array, in order.
+    """
+    for at in _column_slices(spec, cols[0].shape[1]):
         yield at, [_block(spec, X[:, at]) for X in cols]
 
 
@@ -278,8 +296,9 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     matrix then (float64; complex128 otherwise).  Each circulant entry is
     gathered as c[x - y], one index array per axis, where a negative index
     wraps to the mod N; with every point kept the columns are np.ix_ aranges
-    that broadcast, so no (rows, k) index table is made.  Rows are built in
-    slabs of BLOCK, so the temporaries stay a small multiple of BLOCK * k.
+    that broadcast, so no (rows, k) index table is made.  Rows are built, and
+    scaled by psi, in slabs of FFT_SLAB_BYTES // (16 k) rows (at least one),
+    so the temporaries stay a small multiple of that cache-sized budget.
     ValueError, before the matrix is allocated, when spin k > DENSE_LIMIT.
     """
     g = spec.grid
@@ -306,8 +325,9 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
             right, pot = left, np.sum(A * A, axis=0)[:, None, None]
     pot = pot - V[:, None, None] * np.eye(spin)
 
+    psi = None if spec.psi is None else spec.psi.data.ravel()[at]
     H = np.zeros((spin, k, spin, k), dtype=np.float64 if spec.A is None else np.complex128)
-    step = BLOCK  # rows per slab
+    step = max(1, FFT_SLAB_BYTES // (16 * max(k, 1)))  # rows per slab: a complex (rows, k) in cache
     for lo in range(0, k, step):
         rows = slice(lo, min(lo + step, k))
         r = rows.stop - lo
@@ -323,9 +343,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
                 for j, C in enumerate(mom_rows):
                     out += C * (right[j, rows, a, b, None] + left[j, :, a, b])
                 out[diag] += pot[rows, a, b]
-    H = H.reshape(spin * k, spin * k)
-    if spec.psi is not None:
-        psi = np.tile(spec.psi.data.ravel()[at], spin)
-        H *= psi[:, None]
-        H *= psi
-    return H
+                if psi is not None:  # psi(x), then psi(y)
+                    out *= psi[rows, None]
+                    out *= psi
+    return H.reshape(spin * k, spin * k)

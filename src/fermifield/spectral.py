@@ -60,6 +60,7 @@ from .operators import (
     HamiltonianSpec,
     _block,
     _column_blocks,
+    _column_slices,
     _columns,
     _current_form,
     apply,
@@ -147,10 +148,16 @@ class NegativeSpectrum:
         return [SpinorField(self.spec.grid, u.reshape(shape)) for u in self.vectors.T]
 
     def expectations(self, f: np.ndarray) -> np.ndarray:
-        """<u_j, f u_j> for every column u_j, f a real function on the grid."""
-        g, m = self.spec.grid, self.vectors.shape[1]
-        dens = np.abs(self.vectors.reshape(self.spec.spin, g.size, m)) ** 2
-        return f.ravel() @ dens.sum(axis=0) * g.weight
+        """<u_j, f u_j> for every column u_j, f a real function on the grid.
+
+        One _column_slices slice at a time, so |u|^2 is never a (dim, m) array.
+        """
+        spec, m = self.spec, self.vectors.shape[1]
+        out = np.empty(m)
+        for at in _column_slices(spec, m):
+            dens = np.abs(self.vectors[:, at].reshape(spec.spin, spec.grid.size, -1)) ** 2
+            out[at] = f.ravel() @ dens.sum(axis=0) * spec.grid.weight
+        return out
 
 
 def _operator_scale(spec: HamiltonianSpec) -> float:
@@ -225,7 +232,8 @@ def negative_spectrum(spec: HamiltonianSpec, tol_zero: float | None = None,
     copies = spec.spin // solved.spin
     if copies > 1:
         vals, vecs = _spin_copies(vals, vecs, copies)
-    vecs /= np.sqrt(np.sum(np.abs(vecs) ** 2, axis=0) * spec.grid.weight)
+    for at in _column_slices(spec, vecs.shape[1]):  # no (dim, m) |u|^2
+        vecs[:, at] /= np.sqrt(np.sum(np.abs(vecs[:, at]) ** 2, axis=0) * spec.grid.weight)
     worst = _residual_check(spec, vals, vecs)
     vecs.flags.writeable = False
     stats = SolveStats(**{"dim": solved.dim, **info}, copies=copies, worst_residual=worst)
@@ -457,7 +465,7 @@ def _zero_pad(c: np.ndarray, N: int, d: int) -> np.ndarray:
 
 
 def _plane_wave_operator(spec: HamiltonianSpec):
-    """spec's operator on columns of unitary plane-wave coefficients, BLOCK per core call.
+    """spec's operator on columns of unitary plane-wave coefficients, by _column_blocks.
 
     op.matvecs counts the columns it applied.  Any (dim, m) array goes in,
     lobpcg's integer identity included.

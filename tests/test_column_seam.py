@@ -13,23 +13,33 @@ from fermifield.grid import GridSpec
 from fermifield.operators import HamiltonianSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fermifield"
-# a hand-written walk over BLOCK columns, range(0, m, BLOCK)
-WALK = re.compile(r"range\(0,.*, BLOCK\)")
+# a column count worked out from the budget, the start of a hand-written walk
+WALK = re.compile(r"COLUMN_BLOCK_BYTES\s*//")
 
 
 def test_only_operators_walks_block_columns():
-    assert not hasattr(spectral, "BLOCK") and not hasattr(field_opt, "BLOCK")
+    for module in (spectral, field_opt):
+        assert not hasattr(module, "COLUMN_BLOCK_BYTES") and not hasattr(module, "BLOCK")
     walks = {path.name: len(WALK.findall(path.read_text())) for path in SRC.glob("*.py")}
-    assert walks.pop("operators.py") == 1  # the generator itself
+    assert walks.pop("operators.py") == 1  # _column_slices itself
     assert not any(walks.values()), walks
+
+
+@pytest.mark.parametrize("N,per", [(8, 512), (16, 64), (128, 1)])
+def test_column_budget_is_bytes_of_complex_columns(N, per):
+    # Pauli: dim 1024 takes 512 columns a call, dim 8192 takes 64, and a
+    # column above the budget (dim 2^22) still goes one at a time
+    spec = HamiltonianSpec(grid=GridSpec(d=3, N=N, L=2.0), h=0.5, flavor="pauli")
+    slices = list(operators._column_slices(spec, 2 * per + 1))
+    assert [at.stop - at.start for at in slices] == [per, per, 1]
 
 
 # blocks of 3: one partial block, one full block, and two full plus a partial one
 @pytest.mark.parametrize("m", [1, 3, 7])
 def test_column_blocks_tile_the_columns_in_order(m, monkeypatch):
-    monkeypatch.setattr(operators, "BLOCK", 3)
     g = GridSpec(d=3, N=4, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.5, flavor="pauli")
+    monkeypatch.setattr(operators, "COLUMN_BLOCK_BYTES", 3 * 16 * spec.dim)
     rng = np.random.default_rng(m)
     X, Y = rng.standard_normal((2, spec.dim, m))
     seen = []

@@ -285,15 +285,21 @@ def _dense_by_columns(spec):
     return H
 
 
-@pytest.mark.parametrize("block", [512, 3])  # 3: several row slabs per matrix
+def _slab_budget(spec, rows, monkeypatch):
+    """Set dense_matrix's slab budget to rows of supp psi's k points ("all": one slab)."""
+    import fermifield.operators as operators
+
+    k = spec.grid.size if spec.psi is None else np.count_nonzero(spec.psi.data)
+    monkeypatch.setattr(operators, "FFT_SLAB_BYTES", 16 * k * (k if rows == "all" else rows))
+    return k
+
+
 @pytest.mark.parametrize("with_psi", [False, True, "ball"])
 @pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
 def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, with_psi,
-                                                         block, rng, monkeypatch):
-    import fermifield.operators as operators
-
+                                                         rng, monkeypatch):
     spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
-    monkeypatch.setattr(operators, "BLOCK", block)
+    _slab_budget(spec, "all", monkeypatch)
     ref = _dense_by_columns(spec)
     H = dense_matrix(spec)
     # the block on supp psi, spin-major: every point unless psi vanishes somewhere
@@ -305,3 +311,17 @@ def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, w
     assert not np.any(ref[~on]) and not np.any(ref[:, ~on])  # psi H psi is 0 off the block
     np.testing.assert_allclose(H, ref[np.ix_(supp, supp)], rtol=0,
                                atol=1e-13 * np.max(np.abs(ref)))
+
+
+# 1-row slabs, and two slabs of which the second is shorter (a row count
+# that does not divide k): every entry is made by the same operations
+@pytest.mark.parametrize("rows", [1, "ragged"])
+@pytest.mark.parametrize("with_psi", [False, True, "ball"])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_dense_matrix_row_slabs_equal_one_slab(flavor, d, N, with_A, with_psi, rows, rng,
+                                               monkeypatch):
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    k = _slab_budget(spec, "all", monkeypatch)
+    whole = dense_matrix(spec)
+    _slab_budget(spec, 1 if rows == 1 else k // 2 + 1, monkeypatch)  # divides no k >= 3
+    np.testing.assert_array_equal(dense_matrix(spec), whole)

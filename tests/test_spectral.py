@@ -216,8 +216,8 @@ def test_iterative_block_operators_match_columns(spec3d, rng):
 
 
 def test_residual_check_catches_one_bad_vector_in_a_block(spec1d, monkeypatch):
-    # blocks of 3: the perturbed vector sits in the last, partial block
-    monkeypatch.setattr(operators, "BLOCK", 3)
+    # blocks of 3 columns: the perturbed vector sits in the last, partial block
+    monkeypatch.setattr(operators, "COLUMN_BLOCK_BYTES", 3 * 16 * spec1d.dim)
     import scipy.linalg
 
     vals, vecs = scipy.linalg.eigh(spectral.dense_matrix(spec1d))
@@ -897,7 +897,7 @@ def test_psi_nowhere_zero_takes_the_whole_matrix_bit_for_bit():
     assert ns.stats.dim == spec.dim
     np.testing.assert_array_equal(ns.eigenvalues, ref.eigenvalues)
     np.testing.assert_array_equal(ns.vectors, ref.vectors)
-    U = psi.data * operators._block(spec, ref.vectors)  # one block: m <= BLOCK
+    U = psi.data * operators._block(spec, ref.vectors)  # one block: m within the budget
     np.testing.assert_array_equal(current(ns).data,
                                   -np.real(operators._current_form(spec, U, U)))
 
