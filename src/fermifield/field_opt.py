@@ -390,15 +390,16 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
     For each field-energy ball radius R in radii a row holds the achieved
     energies E_prime (psi outside), E_ball (ball-grad) and E_global
     (full-space curl), the measured beta-inflation factor, and an
-    'ordering_ok' flag up to optimizer tolerance.  E_prime is certified by
-    starting the psi-outside descent at the E_ball minimizer (the pointwise
+    'ordering_ok' flag up to optimizer tolerance.  E_ball is the lower of
+    the ball-grad descent's end and the ball energy at the global-curl end,
+    and E_prime <= E_ball holds with no tolerance: the psi-outside descent
+    starts at whichever of the two fields gave E_ball (the pointwise
     inequality tr psi^2 [H]_- <= tr [psi H psi]_- holds for every A).
 
     Each distinct operator is solved once: the global-curl descent does not
     depend on R and runs once, and it and every ball-grad descent start at
     the same field, where both trace psi (T_h(A) - V) psi, so that start is
-    solved once for all of them.  A psi-outside descent starts where its
-    row's ball-grad descent ended, and rows whose ball-grad descents end at
+    solved once for all of them.  Rows whose psi-outside descents start at
     the same field share that start's solve.  Every radius is checked
     before any solve.
     """
@@ -428,13 +429,13 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
         e_ball_at_global = (rep_global.parts["trace"]
                             + beta * _field_energy(probe, cfg_ball))
         e_ball = min(rep_ball.energy, e_ball_at_global)
-        # the psi-outside descent starts at the ball minimizer, so its energy
-        # is already certified against the psi-squared trace there
+        # the psi-outside descent starts where E_ball was reached, so its
+        # energy is already certified against the psi-squared trace there
+        A_ball = rep_ball.final_A if rep_ball.energy <= e_ball_at_global else probe
         cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, R=R)
-        if prime_start is None or prime_start.spec.A is not rep_ball.final_A:
-            _, prime_start = _trace(spec.with_A(rep_ball.final_A), cfg_prime, seed, None)
-        rep_prime = minimize(rep_ball.final_A, spec, cfg_prime, schedule, seed=seed,
-                             spectrum=prime_start)
+        if prime_start is None or prime_start.spec.A is not A_ball:
+            _, prime_start = _trace(spec.with_A(A_ball), cfg_prime, seed, None)
+        rep_prime = minimize(A_ball, spec, cfg_prime, schedule, seed=seed, spectrum=prime_start)
         e_prime = rep_prime.energy
 
         inside = field_energy_grad(probe, cfg_ball.region(spec.grid))

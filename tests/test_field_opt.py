@@ -326,20 +326,26 @@ def _ordering_spec():
 
 
 def _ordering_reference(spec, A0, r, R, beta, sched):
-    """One radius as each was checked before: three descents, each solving its own start."""
+    """One radius as each was checked before: three descents, each solving its own start.
+
+    The psi-outside descent starts at the field that gave E_ball: the
+    ball-grad end unless the global-curl end has the lower ball energy.
+    """
     spec = replace(spec, psi=cutoff_ball(spec.grid, r))
     cfgs = [EnergyConfig(beta=beta, variant=v, R=R)
             for v in (GLOBAL_CURL, BALL_GRAD, PSI_OUTSIDE)]
     rep_global = minimize(A0, spec, cfgs[0], sched)
     rep_ball = minimize(A0, spec, cfgs[1], sched)
     e_ball_at_global, _ = total_energy(rep_global.final_A, spec, cfgs[1])
-    e_prime_at_ball, _ = total_energy(rep_ball.final_A, spec, cfgs[2])
-    rep_prime = minimize(rep_ball.final_A, spec, cfgs[2], sched)
+    at_ball = rep_ball.energy <= e_ball_at_global
+    A_ball = rep_ball.final_A if at_ball else rep_global.final_A
+    e_prime_at_start, _ = total_energy(A_ball, spec, cfgs[2])
+    rep_prime = minimize(A_ball, spec, cfgs[2], sched)
     full = field_energy_grad(rep_global.final_A)
     inside = field_energy_grad(rep_global.final_A, cfgs[1].region(spec.grid))
     return {"E_global": rep_global.energy,
             "E_ball": min(rep_ball.energy, e_ball_at_global),
-            "E_prime": min(rep_prime.energy, e_prime_at_ball),
+            "E_prime": min(rep_prime.energy, e_prime_at_start),
             "inflation": full / inside if inside > 1e-14 else 1.0}
 
 
@@ -353,7 +359,7 @@ def test_variant_ordering_reuses_the_runs_it_certifies(monkeypatch):
     # reference: certify E_ball and E_prime with fresh solves at both points
     calls.clear()
     ref = _ordering_reference(spec, A0, r, R, beta, sched)
-    # the shared start, e_ball_at_global and e_prime_at_ball
+    # the shared start, e_ball_at_global and e_prime_at_start
     assert reused == len(calls) - 3
     assert res["E_ball"] == ref["E_ball"]
     assert res["E_prime"] == pytest.approx(ref["E_prime"], rel=1e-14, abs=0.0)
@@ -393,11 +399,13 @@ def test_variant_ordering_solves_each_operator_once(monkeypatch):
     trials = sum(reports[0]["global"].trials) + sum(sum(rep["ball"].trials) for rep in reports)
     assert len(solves) == 1 + trials
     # the operator without psi: one negative_spectrum per psi-outside point,
-    # except that rows whose ball-grad descents end at the same field share
-    # the psi-outside start there; gradients and residuals solve nothing again
+    # except that rows whose psi-outside descents start at the same field
+    # share that start's solve; gradients and residuals solve nothing again.
+    # A row's psi-outside start is the field that gave its E_ball.
     bare = [sp for sp in calls if sp.psi is None]
-    ends = [rep["ball"].final_A for rep in reports]
-    assert len(bare) == points.count(PSI_OUTSIDE) - (ends[0] is ends[1]) > 0
+    starts = [rep["ball"].final_A if row["E_ball"] == rep["ball"].energy
+              else rep["global"].final_A for row, rep in zip(rows, reports)]
+    assert len(bare) == points.count(PSI_OUTSIDE) - (starts[0] is starts[1]) > 0
     # no two solves of the operator without psi see the same field
     assert len({sp.A.data.tobytes() for sp in bare}) == len(bare)
 
@@ -407,6 +415,21 @@ def test_variant_ordering_solves_each_operator_once(monkeypatch):
         assert res["E_ball"] == ref["E_ball"]
         assert res["inflation"] == ref["inflation"]
         assert res["E_prime"] == pytest.approx(ref["E_prime"], rel=1e-12, abs=0.0)
+
+
+def test_psi_outside_starts_where_e_ball_was_reached():
+    # variant_order.cfg's operator with a psi that vanishes nowhere, so every
+    # descent moves; E_ball comes from the global-curl end in both rows
+    g = GridSpec(d=3, N=8, L=4.0)
+    psi = ScalarField(g, 0.3 + 0.7 * cutoff_ball(g, 1.5).data)
+    spec = HamiltonianSpec(grid=g, h=0.6, V=bump_potential(g, amplitude=8.0, radius=1.2),
+                           psi=psi)
+    A0 = random_divfree_potential(g, seed=0, amplitude=0.2)
+    rows = variant_ordering_check(spec, 0.5, (1.0, 2.0), beta=2.0, A0=A0,
+                                  schedule=Schedule(max_iters=4))
+    for res in rows:
+        assert res["E_ball"] < res["reports"]["ball"].energy
+        assert res["E_prime"] <= res["E_ball"]  # no tolerance: certified by construction
 
 
 @pytest.mark.parametrize("radii", [(0.6,), (0.6, 1.0), (1.0, 0.6), (1.0, 2.0, -2.0), ()])
