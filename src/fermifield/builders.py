@@ -14,6 +14,8 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _divfree_mean_zero_hat,
+    _ifft,
     ball_mask,
     divfree_mean_zero,
     periodic_dist2,
@@ -88,15 +90,12 @@ def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> VectorField:
     need.  Divergence-free (d >= 2), mean zero and of unit L^2 norm.
     """
     rng = np.random.default_rng(seed)
-    kk = np.sqrt(grid.k2)
-    envelope = np.zeros(grid.shape)
-    nz = kk > 0
-    envelope[nz] = kk[nz] ** -2.5
-    data = np.empty((grid.d,) + grid.shape)
+    envelope = np.where(grid.k2 > 0, np.sqrt(grid.k2), np.inf) ** -2.5  # 0 at k = 0
+    ah = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
-        white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        data[j] = np.fft.ifftn(envelope * white).real
-    A = divfree_mean_zero(VectorField(grid, data))
+        ah[j] = envelope * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    # Re ifft reads only the Hermitian part, with which the real, even projection commutes
+    A = VectorField(grid, _ifft(_divfree_mean_zero_hat(ah, grid), grid.d).real)
     return (1.0 / max(A.norm(), 1e-300)) * A
 
 

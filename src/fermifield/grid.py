@@ -4,7 +4,7 @@ Periodic-box discretization, Fourier differential calculus and field arithmetic.
 All other modules build on the three sampled field types defined here.
 Derivatives are exact on the discrete dual lattice k = 2*pi*m/L; the Nyquist
 mode of every first derivative is set to zero (odd-derivative convention),
-so the first derivatives are skew-adjoint and div(leray(A)) vanishes to rounding.
+so the first derivatives are skew-adjoint and div(divfree_mean_zero(A)) is round-off.
 Every field derivative is read off one kernel, the Jacobian d_i a stacked
 first (jacobian), or its adjoint sum_i d_i M[i] (div_rows); both field
 energies are quadratic forms in J_ij = d_i A_j.
@@ -273,29 +273,24 @@ def field_energy_grad(A: VectorField, region: np.ndarray | None = None) -> float
     return float(dens.sum() * A.grid.weight)
 
 
-def leray_project(A: VectorField) -> VectorField:
-    """Divergence-free (Helmholtz) part of A; the zero mode is kept."""
-    g = A.grid
-    ah = _fft(A.data, g.d)
-    k = g.k_deriv
-    k2 = sum(kj**2 for kj in k)
-    k2[k2 == 0.0] = 1.0  # zero/Nyquist modes: k.a = 0 there anyway
-    kdot = sum(k[j] * ah[j] for j in range(g.d))
-    out = np.stack([ah[j] - k[j] * kdot / k2 for j in range(g.d)])
-    return VectorField(g, _ifft_like(out, A.data, g.d))
-
-
-def mean_zero_normalize(A: VectorField) -> VectorField:
-    """Subtract the average constant vector from each component."""
-    out = A.data.copy()
-    for j in range(A.grid.d):
-        out[j] -= np.sum(A.data[j]) / A.grid.size
-    return VectorField(A.grid, out)
+def _divfree_mean_zero_hat(ah: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """ah, a vector field's coefficients, overwritten without its k = 0 mode and,
+    in d >= 2, without its gradient part k (k.ah)/|k|^2, k = k_deriv (Leray)."""
+    if grid.d >= 2:
+        k = grid.k_deriv
+        k2 = sum(kj**2 for kj in k)
+        k2[k2 == 0.0] = 1.0  # zero/Nyquist modes: k.a = 0 there anyway
+        kdot = sum(kj * ah[j] for j, kj in enumerate(k))
+        for j, kj in enumerate(k):
+            ah[j] -= kj * kdot / k2
+    ah[(slice(None),) + (0,) * grid.d] = 0.0
+    return ah
 
 
 def divfree_mean_zero(A: VectorField) -> VectorField:
     """A Leray-projected (in d >= 2; in d = 1 only its mean is divergence-free), then mean-zero."""
-    return mean_zero_normalize(leray_project(A) if A.grid.d >= 2 else A)
+    g = A.grid
+    return VectorField(g, _ifft_like(_divfree_mean_zero_hat(_fft(A.data, g.d), g), A.data, g.d))
 
 
 def periodic_dist2(grid: GridSpec, center) -> np.ndarray:

@@ -22,9 +22,8 @@ from fermifield.grid import (
     field_energy_curl,
     field_energy_grad,
     gradient,
+    divfree_mean_zero,
     jacobian,
-    leray_project,
-    mean_zero_normalize,
     periodic_dist2,
 )
 from fermifield.multiscale import mollify
@@ -76,20 +75,72 @@ def test_jacobian_of_gradient_is_symmetric():
     assert antisym.norm() < 1e-10
 
 
-def test_leray_projection_is_idempotent_and_divergence_free(rng):
+def test_divfree_mean_zero_is_idempotent_and_divergence_free(rng):
     g = GridSpec(d=3, N=8, L=2.0)
     A = VectorField(g, rng.standard_normal((3,) + g.shape))
-    P = leray_project(A)
+    P = divfree_mean_zero(A)
     assert divergence(P).norm() < 1e-10
-    PP = leray_project(P)
+    PP = divfree_mean_zero(P)
     np.testing.assert_allclose(PP.data, P.data, atol=1e-12)
+
+
+def test_divfree_mean_zero_in_one_dimension_only_removes_the_mean(rng):
+    # in d = 1 every field is a gradient: only the constant is divergence-free
+    g = GridSpec(d=1, N=16, L=2.0)
+    A = VectorField(g, rng.standard_normal((1,) + g.shape) + 3.0)
+    np.testing.assert_allclose(divfree_mean_zero(A).data, A.data - A.data.mean(),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_divfree_mean_zero_keeps_the_modes_without_a_derivative(d, rng):
+    # where every k_deriv component vanishes (the Nyquist corners) k.A = 0,
+    # so the coefficients there are kept; only k = 0 goes
+    g = GridSpec(d=d, N=8, L=2.0)
+    A = VectorField(g, rng.standard_normal((d,) + g.shape))
+    axes = tuple(range(1, d + 1))
+    ah = np.fft.fftn(A.data, axes=axes)
+    out = np.fft.fftn(divfree_mean_zero(A).data, axes=axes)
+    corners = sum(kj**2 for kj in g.k_deriv) == 0.0
+    assert np.count_nonzero(corners) == 2**d
+    origin = (slice(None),) + (0,) * d
+    np.testing.assert_allclose(out[origin], 0.0, rtol=0, atol=1e-12)
+    corners[(0,) * d] = False
+    np.testing.assert_allclose(out[:, corners], ah[:, corners], rtol=0,
+                               atol=1e-12 * np.max(np.abs(ah)))
+    assert np.min(np.abs(ah[:, corners])) > 1e-3  # the test field has content there
+
+
+def _rough_reference(grid, seed):
+    """The rough draw built in real space: a real inverse transform per
+    component, then divfree_mean_zero, then unit norm."""
+    rng = np.random.default_rng(seed)
+    kk = np.sqrt(grid.k2)
+    envelope = np.zeros(grid.shape)
+    nz = kk > 0
+    envelope[nz] = kk[nz] ** -2.5
+    data = np.empty((grid.d,) + grid.shape)
+    for j in range(grid.d):
+        white = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        data[j] = np.fft.ifftn(envelope * white).real
+    A = divfree_mean_zero(VectorField(grid, data))
+    return (1.0 / A.norm()) * A
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rough_draw_matches_its_real_space_construction(d, N, seed):
+    g = GridSpec(d=d, N=N, L=2.0)
+    ref = _rough_reference(g, seed).data
+    got = rough_divfree_potential(g, seed=seed).data
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_curl_energy_equals_grad_energy_for_divfree(rng):
     # for periodic divergence-free fields, int |curl A|^2 = int |grad x A|^2
     g = GridSpec(d=3, N=8, L=2.0)
     raw = VectorField(g, rng.standard_normal((3,) + g.shape))
-    A = mean_zero_normalize(leray_project(raw))
+    A = divfree_mean_zero(raw)
     ec = field_energy_curl(A)
     eg = field_energy_grad(A)
     assert ec == pytest.approx(eg, rel=1e-10)
@@ -126,10 +177,10 @@ def test_periodic_dist2_is_the_nearest_image_distance():
     assert np.array_equal(ball_mask(g, center, 0.5), periodic_dist2(g, center) <= 0.25)
 
 
-def test_mean_zero_normalize(rng):
+def test_divfree_mean_zero_has_mean_zero(rng):
     g = GridSpec(d=2, N=8, L=1.0)
     A = VectorField(g, rng.standard_normal((2,) + g.shape) + 3.0)
-    Z = mean_zero_normalize(A)
+    Z = divfree_mean_zero(A)
     for j in range(2):
         assert abs(Z.data[j].mean()) < 1e-13
 
@@ -190,7 +241,7 @@ def test_field_calculus_keeps_a_real_field_real():
     g = GridSpec(d=3, N=8, L=2.0)
     A = random_divfree_potential(g, seed=2)
     f = V_BUILDERS["bump"](g)
-    out = [gradient(f).data, divergence(A).data, leray_project(A).data,
+    out = [gradient(f).data, divergence(A).data, divfree_mean_zero(A).data,
            mollify(A, 0.3).data, mollify(f, 0.3).data, jacobian(A.data, g), div_rows(A.data, g)]
     assert [a.dtype for a in out] == [np.float64] * len(out)
     assert type(field_energy_curl(A)) is float and type(field_energy_grad(A)) is float
