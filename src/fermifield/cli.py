@@ -68,7 +68,7 @@ from .multiscale import (
 )
 from .operators import PAULI, SCHRODINGER, HamiltonianSpec
 from .profiles import bump, plateau_bump, smooth_step
-from .weyl import convergence_study
+from .weyl import FitRejected, convergence_study, fit_error_exponent
 
 
 class Experiment(NamedTuple):
@@ -219,7 +219,7 @@ def run_weyl_converge(cfg, seed):
     def problem(h, double=False):
         return _spec(cfg, h, n=cfg["n"] * (2 if double else 1))
 
-    reports, resolved, fit = convergence_study(
+    reports, resolved = convergence_study(
         problem, cfg["h_list"], certify=bool(cfg["certify"]),
         certificate_threshold=cfg["cert_threshold"], seed=seed,
     )
@@ -230,7 +230,10 @@ def run_weyl_converge(cfg, seed):
     ]
     kept = [r for r, ok in zip(reports, resolved) if ok]
     errs = [r.rel_err for r in sorted(kept, key=lambda r: -r.h)]
-    notes = f"fit={fit}" if not isinstance(fit, tuple) or fit[0] != "rejected" else f"fit rejected: {fit[1]}"
+    try:
+        notes = f"fit={fit_error_exponent(kept)}"
+    except FitRejected as exc:
+        notes = f"fit rejected: {exc}"
     rep = CheckReport(
         name="weyl_convergence",
         params=dict(cfg),

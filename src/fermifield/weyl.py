@@ -62,12 +62,12 @@ def convergence_study(
     certificate_threshold: float = 1e-3,
     seed: int = 0,
 ):
-    """Quantum-vs-Weyl error across an h sweep.
+    """Quantum-vs-Weyl error across an h sweep: (reports, resolved).
 
     problem(h) and problem(h, double=True) return the HamiltonianSpec at h,
     the second on the N-doubled grid; the Weyl term is unweighted.  Each h gets a WeylReport; when certify is set, the quantum value is
     recomputed on the N-doubled grid and h values whose certificate exceeds
-    the threshold are flagged (resolved=False) and excluded from the fit.
+    the threshold are flagged (resolved=False), to be left out of a fit.
     """
     from .spectral import negative_spectrum
 
@@ -82,14 +82,7 @@ def convergence_study(
         wv = weyl_term(None, spec.V, h, spin=spec.spin)
         reports.append(WeylReport(h=h, N=spec.grid.N, quantum=quantum, weyl=wv, certificate=cert))
         resolved.append((not certify) or cert <= certificate_threshold)
-
-    fit = None
-    kept = [r for r, ok in zip(reports, resolved) if ok]
-    try:
-        fit = fit_error_exponent(kept)
-    except FitRejected as exc:
-        fit = ("rejected", str(exc))
-    return reports, resolved, fit
+    return reports, resolved
 
 
 class FitRejected(RuntimeError):

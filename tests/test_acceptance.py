@@ -46,7 +46,7 @@ from fermifield.multiscale import (
 from fermifield.operators import PAULI, SCHRODINGER, HamiltonianSpec, apply
 from fermifield.profiles import bump, plateau_bump, smooth_step
 from fermifield.spectral import negative_spectrum
-from fermifield.weyl import convergence_study, weyl_term
+from fermifield.weyl import convergence_study, fit_error_exponent, weyl_term
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +110,14 @@ def test_weyl_convergence_1d_dense_certified():
         V = bump_potential(grid, amplitude=12.0, radius=1.2)
         return HamiltonianSpec(grid=grid, h=h, flavor=SCHRODINGER, V=V)
 
-    reports, resolved, fit = convergence_study(
+    reports, resolved = convergence_study(
         problem, [0.8, 0.4, 0.2, 0.1], certify=True,
         certificate_threshold=1e-3,
     )
     assert all(resolved), "grid-doubling certificates must pass at every h"
     errs = [r.rel_err for r in reports]
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
-    slope, _se, dropped = fit
+    slope, _se, dropped = fit_error_exponent(reports)
     assert dropped == 0
     assert 1.0 <= slope <= 2.5, slope
 

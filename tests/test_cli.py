@@ -364,6 +364,15 @@ def test_main_check_separation_rows_are_the_sweep_values(tmp_path):
         zip(report["params"]["ells"], report["params"]["values"]))
 
 
+def test_main_weyl_converge_notes_a_rejected_fit(tmp_path):
+    # two points are too few to fit: the run states why in its notes
+    out = tmp_path / "run"
+    main(["weyl-converge", "--out", str(out), "--set", "n=16", "--set", "h_list=0.8,0.4",
+          "--set", "certify=0"])
+    report = json.loads((out / "reports.jsonl").read_text())
+    assert report["notes"] == "fit rejected: non-monotone error: no admissible point subset"
+
+
 def test_list_builders_takes_no_flags():
     with pytest.raises(SystemExit):
         main(["list-builders", "--seed", "1"])

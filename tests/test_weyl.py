@@ -67,11 +67,11 @@ def test_convergence_study_1d_is_monotone():
         return HamiltonianSpec(grid=g, h=h,
                                V=bump_potential(g, amplitude=12.0, radius=1.2))
 
-    reports, resolved, fit = convergence_study(problem, [0.8, 0.4, 0.2, 0.1])
+    reports, resolved = convergence_study(problem, [0.8, 0.4, 0.2, 0.1])
     assert all(resolved)
     errs = [r.rel_err for r in reports]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-    slope, stderr, dropped = fit
+    slope, stderr, dropped = fit_error_exponent(reports)
     assert dropped == 0
     assert 1.0 <= slope <= 2.5
 
