@@ -431,11 +431,11 @@ def variant_ordering_check(spec: HamiltonianSpec, r: float, radii, beta: float,
         e_ball = min(rep_ball.energy, e_ball_at_global)
         # the psi-outside descent starts where E_ball was reached, so its
         # energy is already certified against the psi-squared trace there
-        A_ball = rep_ball.final_A if rep_ball.energy <= e_ball_at_global else probe
+        A_e_ball = rep_ball.final_A if rep_ball.energy <= e_ball_at_global else probe
         cfg_prime = EnergyConfig(beta=beta, variant=PSI_OUTSIDE, R=R)
-        if prime_start is None or prime_start.spec.A is not A_ball:
-            _, prime_start = _trace(spec.with_A(A_ball), cfg_prime, seed, None)
-        rep_prime = minimize(A_ball, spec, cfg_prime, schedule, seed=seed, spectrum=prime_start)
+        if prime_start is None or prime_start.spec.A is not A_e_ball:
+            _, prime_start = _trace(spec.with_A(A_e_ball), cfg_prime, seed, None)
+        rep_prime = minimize(A_e_ball, spec, cfg_prime, schedule, seed=seed, spectrum=prime_start)
         e_prime = rep_prime.energy
 
         inside = field_energy_grad(probe, cfg_ball.region(spec.grid))

@@ -338,9 +338,9 @@ def _ordering_reference(spec, A0, r, R, beta, sched):
     rep_ball = minimize(A0, spec, cfgs[1], sched)
     e_ball_at_global, _ = total_energy(rep_global.final_A, spec, cfgs[1])
     at_ball = rep_ball.energy <= e_ball_at_global
-    A_ball = rep_ball.final_A if at_ball else rep_global.final_A
-    e_prime_at_start, _ = total_energy(A_ball, spec, cfgs[2])
-    rep_prime = minimize(A_ball, spec, cfgs[2], sched)
+    A_e_ball = rep_ball.final_A if at_ball else rep_global.final_A
+    e_prime_at_start, _ = total_energy(A_e_ball, spec, cfgs[2])
+    rep_prime = minimize(A_e_ball, spec, cfgs[2], sched)
     full = field_energy_grad(rep_global.final_A)
     inside = field_energy_grad(rep_global.final_A, cfgs[1].region(spec.grid))
     return {"E_global": rep_global.energy,
