@@ -23,12 +23,11 @@ solves it, each with its own count certificate (SolveStats.certificate):
   fallback is recorded.
 - "probe": above DENSE_LIMIT, psi unset, where every grid has N / 2 >= 8,
   the same spec sampled at every other point is first solved on N / 2 to a
-  loose target, from the predicted block grown until bracketed at zero; its
-  vectors, zero-padded to N, start LOBPCG (scipy) on N at that size, with
-  its residual target scaled to the operator, doubled from the vectors
-  found until bracketed again (SolveStats.coarse is the half-grid solve's
-  own SolveStats).  A one-vector probe solve from an independent start
-  guards against a missed lowest eigenvalue.
+  loose target, from the predicted block grown until bracketed at zero
+  (SolveStats.coarse); its kept vectors, zero-padded to N, alone start
+  LOBPCG (scipy) on N.  A one-column probe on their orthogonal complement
+  bounds the next eigenvalue from below (Courant-Fischer): above tol_zero it
+  certifies the count, else its vector joins the block, solved again.
 
 Every iterative solve, LOBPCG and sternheimer's CG, works on unitary
 plane-wave coefficients (operators.apply_fourier), where the preconditioner,
@@ -106,13 +105,13 @@ class SolveStats:
     dim: int = 0  # dimension solved, after the spin reduction: |supp psi| * spin on "lapack"
     copies: int = 1  # spin copies of each solved eigenpair
     kernel: int = 0  # ker psi's zeros in the solved spec when 0 <= tol_zero; counted, not stored
-    blocks: tuple = ()  # LOBPCG start-block sizes tried, probe excluded
-    iterations: tuple = ()  # per lobpcg call, probe last
+    blocks: tuple = ()  # LOBPCG block sizes solved, probes excluded: two or more if regrown
+    iterations: tuple = ()  # per lobpcg call, each probe after its block
     unconverged: int = 0  # lobpcg calls that ended above their residual target
     worst_residual: float = 0.0  # largest ||H u - lam u|| over the kept pairs
     matvecs: int = 0  # operator columns applied by lobpcg, probe included
-    # lobpcg probe's lowest value; less the lowest kept eigenvalue (tol_zero if
-    # none is kept) it is the certificate gap.  None off the probe route.
+    # the probe's value on the kept block's complement, a lower bound on the next
+    # eigenvalue; less tol_zero it is the certificate gap.  None off the probe route.
     probe_lowest: float | None = None
     inertia: int | None = None  # eigenvalues below tol_zero by LDL^T; None off the inertia route
     fallback: bool = False  # the inertia route's LOBPCG missed that count; dense evr solved
@@ -366,33 +365,34 @@ def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
 
 
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
-    """Eigenpairs <= tol_zero by LOBPCG blocks grown until bracketed, then probed.
+    """Eigenpairs <= tol_zero by LOBPCG on the kept block, certified by a probe off it.
 
-    The block starts from the zero-padded vectors of the same spec solved on
-    N / 2 (_coarse_start), at the size that bracketed there, and each larger
-    block starts from the vectors the last one found.  lobpcg's tol is absolute,
-    so its targets are LOBPCG_TOL and, for the probe, PROBE_TOL times the
-    operator scale.  The probe is one column from an independent random
-    start on this grid, as only its lowest value is read.  Returns the kept
-    pairs and the SolveStats fields.
+    The block starts from the kept vectors of _coarse_start, with no guard
+    columns.  A one-column probe from a random start then runs on the kept
+    vectors' complement (lobpcg's Y); by Courant-Fischer a value there above
+    tol_zero certifies the count.  Else the probe's vector joins them and a
+    block one larger is solved again; past min(dim - 5, 600) columns, as
+    lobpcg takes no Y with under 5 left, EigenFailure is raised.  Targets:
+    LOBPCG_TOL, and PROBE_TOL for the probe, times the operator scale.
+    Returns the kept pairs and the SolveStats fields.
     """
     dim, op, pre = spec.dim, _plane_wave_operator(spec), _kinetic_inverse(spec)
-    rng = np.random.default_rng(seed)
-    scale = _operator_scale(spec)
+    rng, scale = np.random.default_rng(seed), _operator_scale(spec)
     log = []  # (iterations, warned) per lobpcg call
-    start, coarse = _coarse_start(spec, tol_zero, rng)
-    vals, vecs, blocks = _bracketed(op, pre, dim, start.shape[1], rng, LOBPCG_TOL * scale,
-                                    tol_zero, log, start)
-    keep = vals <= tol_zero
-    vals, vecs = vals[keep], vecs[:, keep]
-
-    # probe solve: an independent start must not find anything lower
-    pvals, _ = _lobpcg_lowest(op, pre, dim, 1, rng, PROBE_TOL * scale, log)
-    floor = vals[0] if vals.size else tol_zero
-    if pvals[0] < floor - max(1e-8, 1e-6 * abs(floor)):
-        raise EigenFailure(
-            f"probe found eigenvalue {pvals[0]:.6e} below computed floor {floor:.6e}"
-        )
+    vecs, coarse = _coarse_start(spec, tol_zero, rng)
+    vals, k, blocks, cap = np.empty(0), vecs.shape[1], [], min(dim - 5, 600)
+    while True:
+        if k > cap:
+            raise EigenFailure(f"negative spectrum needs more than {cap} vectors")
+        if k:
+            blocks.append(k)
+            vals, vecs = _lobpcg_lowest(op, pre, dim, k, rng, LOBPCG_TOL * scale, log, vecs)
+            vals, vecs = vals[vals <= tol_zero], vecs[:, vals <= tol_zero]
+        pvals, pvecs = _lobpcg_lowest(op, pre, dim, 1, rng, PROBE_TOL * scale, log,
+                                      Y=vecs if vals.size else None)
+        if pvals[0] > tol_zero:
+            break
+        k, vecs = k + 1, np.concatenate([vecs, pvecs], axis=1)
     info = {"certificate": "probe", "blocks": tuple(blocks), **_tally(log, op),
             "probe_lowest": float(pvals[0]), "coarse": coarse}
     return vals, _samples(spec, vecs), info
@@ -404,16 +404,15 @@ def _tally(log: list, op) -> dict:
             "unconverged": sum(warned for _, warned in log), "matvecs": op.matvecs}
 
 
-def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log: list,
-               start=None):
+def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log: list):
     """Lowest blocks from k columns (at least 4), doubled until one value is above tol_zero.
 
-    Each larger block starts from the vectors the last one found; at most
-    min(dim - 4, 600) columns, past which EigenFailure is raised.  Returns
-    the last block's pairs and the block sizes tried.
+    The half-grid start's solve.  Each larger block starts from the vectors
+    the last one found; at most min(dim - 4, 600) columns, past which
+    EigenFailure is raised.  Returns the last block's pairs and sizes tried.
     """
     cap = min(dim - 4, 600)
-    k, blocks = min(max(4, k), cap), []
+    k, blocks, start = min(max(4, k), cap), [], None
     while True:
         blocks.append(k)
         vals, vecs = _lobpcg_lowest(op, pre, dim, k, rng, tol, log, start)
@@ -432,8 +431,8 @@ def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
 
     V and A are sampled at every other point.  The coarse blocks start
     at the predicted block and grow until they bracket tol_zero, solved to
-    COARSE_LOBPCG_TOL times the coarse operator scale; their vectors,
-    zero-padded to N, are the start block.
+    COARSE_LOBPCG_TOL times the coarse operator scale; the vectors of its
+    values <= tol_zero, zero-padded to N, are the start block (maybe empty).
     """
     g = spec.grid
     half = GridSpec(d=g.d, N=g.N // 2, L=g.L)
@@ -443,10 +442,10 @@ def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
 
     coarse = replace(spec, grid=half, A=sampled(spec.A), V=sampled(spec.V))
     op, log = _plane_wave_operator(coarse), []
-    _, vecs, blocks = _bracketed(op, _kinetic_inverse(coarse), coarse.dim,
-                                 _predicted_block(coarse), rng,
-                                 COARSE_LOBPCG_TOL * _operator_scale(coarse), tol_zero, log)
-    padded = _zero_pad(_block(coarse, vecs), g.N, g.d)
+    vals, vecs, blocks = _bracketed(op, _kinetic_inverse(coarse), coarse.dim,
+                                    _predicted_block(coarse), rng,
+                                    COARSE_LOBPCG_TOL * _operator_scale(coarse), tol_zero, log)
+    padded = _zero_pad(_block(coarse, vecs[:, vals <= tol_zero]), g.N, g.d)
     return _columns(padded), SolveStats(dim=coarse.dim, blocks=tuple(blocks), **_tally(log, op))
 
 
@@ -506,10 +505,11 @@ def _samples(spec: HamiltonianSpec, coef: np.ndarray) -> np.ndarray:
     return _columns(_ifft(_block(spec, coef), spec.grid.d, ORTHO))
 
 
-def _lobpcg_lowest(op, pre, dim: int, k: int, rng, tol: float, log: list, start=None):
+def _lobpcg_lowest(op, pre, dim: int, k: int, rng, tol: float, log: list, start=None, Y=None):
     """Lowest-k block solve from start's columns plus random ones, sorted ascending.
 
-    tol is lobpcg's absolute residual target.  Appends (iterations, warned)
+    With Y, the solve is on the orthogonal complement of Y's orthonormal
+    columns.  tol is lobpcg's absolute residual target.  Appends (iterations, warned)
     to log, warned being True when lobpcg ended above its target: its
     UserWarnings are recorded rather than shown; other warnings pass on.
     """
@@ -520,7 +520,7 @@ def _lobpcg_lowest(op, pre, dim: int, k: int, rng, tol: float, log: list, start=
         X[:, :start.shape[1]] = start
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        out = spla.lobpcg(op, X, M=pre, largest=False, tol=max(tol, 1e-12),
+        out = spla.lobpcg(op, X, M=pre, Y=Y, largest=False, tol=max(tol, 1e-12),
                           maxiter=400, retLambdaHistory=True)
     for w in caught:
         if not issubclass(w.category, UserWarning):

@@ -102,14 +102,15 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
     np.testing.assert_allclose(rows, VARIANT_ORDER_ROWS, rtol=1e-12, atol=0)
 
 
-# blocks, iterations (probe last) and matvecs per solve at seed 1 and one BLAS
-# thread on the fine grid, then the half-grid start's dim (N = 8, spin-reduced
-# at A = 0), blocks, iterations and matvecs
+# blocks (the half grid's kept count, no guard columns), iterations (probe
+# last) and matvecs per solve at seed 1 and one BLAS thread on the fine grid,
+# then the half-grid start's dim (N = 8, spin-reduced at A = 0), blocks,
+# iterations and matvecs
 WEYL3D_STATS = {
-    (0.6, False): ((4,), (28, 16), 100, (512, (4,), (16,), 53)),
-    (0.6, True): ((4,), (35, 33), 136, (1024, (4,), (21,), 64)),
-    (0.45, False): ((4,), (17, 14), 76, (512, (4,), (15,), 49)),
-    (0.45, True): ((5,), (43, 28), 183, (1024, (5,), (23,), 88)),
+    (0.6, False): ((1,), (10, 24), 36, (512, (4,), (16,), 53)),
+    (0.6, True): ((2,), (19, 41), 81, (1024, (4,), (21,), 64)),
+    (0.45, False): ((1,), (9, 19), 30, (512, (4,), (15,), 49)),
+    (0.45, True): ((2,), (23, 51), 98, (1024, (5,), (23,), 88)),
 }
 
 
@@ -120,8 +121,9 @@ def test_weyl3d_iterative_solves_keep_the_probe_route(h, with_a):
     A = builders.random_divfree_potential(g, seed=1, amplitude=0.3)
     A = (0.55 / float(np.sqrt(np.mean(A.data ** 2)))) * A
     spec = HamiltonianSpec(grid=g, h=h, flavor="pauli", A=A if with_a else None, V=V)
-    st = spectral.negative_spectrum(spec, seed=1).stats
-    assert (st.certificate, st.inertia) == ("probe", None)
+    ns = spectral.negative_spectrum(spec, seed=1)
+    st = ns.stats
+    assert (st.certificate, st.inertia) == ("probe", None) and st.probe_lowest > ns.tol_zero
     c = st.coarse
     assert (st.blocks, st.iterations, st.matvecs,
             (c.dim, c.blocks, c.iterations, c.matvecs)) == WEYL3D_STATS[(h, with_a)]

@@ -563,22 +563,71 @@ def _half_grid_cases():
     }
 
 
+def _half_grid(spec):
+    """spec on N / 2 with V and A sampled at every other point, as the probe route starts."""
+    g = spec.grid
+    half = GridSpec(d=g.d, N=g.N // 2, L=g.L)
+    at = (...,) + (slice(None, None, 2),) * g.d
+
+    def sampled(f):
+        return None if f is None else type(f)(half, f.data[at])
+
+    return replace(spec, grid=half, V=sampled(spec.V), A=sampled(spec.A))
+
+
 @pytest.mark.parametrize("case", list(_half_grid_cases()))
 def test_half_grid_start_matches_dense(case, monkeypatch):
     spec = _half_grid_cases()[case]
     dense, _ = dense_eigh(spectral.dense_matrix(spec), upper=default_tol_zero(spec))
     assert len(dense) >= 4
+    coarse_kept, _ = dense_eigh(spectral.dense_matrix(_half_grid(spec)),
+                                upper=default_tol_zero(spec))
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
     if case == "grows-on-the-half-grid":
         monkeypatch.setattr(spectral, "_weyl_count", lambda s: 0.0)
     ns = negative_spectrum(spec, seed=1)
     st = ns.stats
     assert (st.certificate, st.coarse.dim) == ("probe", spec.dim // 2**spec.grid.d)
-    assert st.blocks[0] == st.coarse.blocks[-1]  # the fine block starts at the bracketing size
+    # the fine block is the half grid's kept vectors, and its probe certifies the count
+    assert st.blocks[0] == len(coarse_kept) and st.probe_lowest > ns.tol_zero
     if case == "grows-on-the-half-grid":
         assert st.coarse.blocks[0] == 4 and len(st.coarse.blocks) >= 2
     assert len(ns.eigenvalues) == len(dense)
     assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
+
+
+def test_probe_regrows_a_block_that_misses_a_kept_vector(monkeypatch):
+    spec = _half_grid_cases()["schrodinger-2d-A"]
+    dense, _ = dense_eigh(spectral.dense_matrix(spec), upper=default_tol_zero(spec))
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    original = spectral._coarse_start
+
+    def missing_one(*args):  # the start block lacks an interior kept vector
+        start, coarse = original(*args)
+        assert start.shape[1] == len(dense) >= 3
+        return np.delete(start, 1, axis=1), coarse
+
+    monkeypatch.setattr(spectral, "_coarse_start", missing_one)
+    ns = negative_spectrum(spec, seed=1)
+    st = ns.stats
+    # the first probe finds the missed eigenvalue, joins the block, and the
+    # second probe certifies the regrown block's count
+    assert st.blocks == (len(dense) - 1, len(dense)) and len(st.iterations) == 4
+    assert st.probe_lowest > ns.tol_zero
+    assert len(ns.eigenvalues) == len(dense)
+    assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
+
+
+def test_block_past_the_cap_raises_eigen_failure(spec1d, monkeypatch):
+    # lobpcg refuses a probe's Y with fewer than 5 dimensions left over
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+
+    def too_wide(spec, tol_zero, rng):
+        return rng.standard_normal((spec.dim, spec.dim - 4)) + 0j, spectral.SolveStats()
+
+    monkeypatch.setattr(spectral, "_coarse_start", too_wide)
+    with pytest.raises(spectral.EigenFailure, match="more than 27 vectors"):
+        negative_spectrum(spec1d)
 
 
 def test_probe_start_is_outside_the_span_of_the_main_start(monkeypatch):
@@ -590,12 +639,17 @@ def test_probe_start_is_outside_the_span_of_the_main_start(monkeypatch):
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec, seed=3)
     assert ns.stats.coarse is not None
-    main = [X for X, _, _, _ in calls if X.shape[0] == spec.dim]
-    X_main, X_probe = main[0], main[-1]
-    assert X_main.shape[1] == ns.stats.blocks[0] > 1 and X_probe.shape[1] == 1
+    fine = [c for c in calls if c[0].shape[0] == spec.dim]
+    X_main, X_probe = fine[0][0], fine[-1][0]
+    assert X_main.shape[1] == ns.stats.blocks[0] and X_probe.shape[1] == 1
     Q, _ = np.linalg.qr(X_main)
     p = X_probe[:, 0]
     assert np.linalg.norm(p - Q @ (Q.conj().T @ p)) > 0.9 * np.linalg.norm(p)
+    # the probe's vector lies on the complement of the kept ones (lobpcg's Y)
+    (_, _, vals, vecs), (_, _, _, probe) = fine[-2:]
+    kept = vecs[:, vals <= ns.tol_zero]
+    assert kept.shape[1] == len(ns.eigenvalues) > 0
+    assert np.linalg.norm(kept.conj().T @ probe) <= 1e-10 * np.linalg.norm(probe)
 
 
 def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
@@ -611,9 +665,11 @@ def test_probe_lowest_is_the_probe_value_above_the_floor(spec3d, monkeypatch):
     _recording_lobpcg(monkeypatch, calls)
     ns = negative_spectrum(spec3d)
     assert (ns.stats.certificate, ns.stats.inertia) == ("probe", None)
-    gap = ns.stats.probe_lowest - ns.eigenvalues[0]
-    assert ns.stats.probe_lowest == calls[-1][2].min()
-    assert -1e-8 <= gap <= 1e-6 * spectral._operator_scale(spec3d)
+    assert ns.stats.probe_lowest == calls[-1][2].min() > ns.tol_zero
+    # on the complement of the kept block: the first eigenvalue above it
+    every, _ = dense_eigh(spectral.dense_matrix(spec3d), upper=np.inf)
+    above = every[len(ns.eigenvalues)]
+    assert abs(ns.stats.probe_lowest - above) <= 1e-6 * spectral._operator_scale(spec3d)
     # the half-grid start's own record, on N / 2 = 4
     coarse = ns.stats.coarse
     assert isinstance(coarse, spectral.SolveStats)
