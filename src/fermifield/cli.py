@@ -5,7 +5,8 @@ registers its config schema with @experiment; main validates the INI file
 and the --set overrides against it once (load_config is the only reader)
 and hands the typed config to the experiment, which returns its CheckReports
 and never a verdict of its own.  Every run writes into --out: manifest.json
-(the validated config with defaults filled, seed, versions, status),
+(the validated config with defaults filled, seed, versions with the BLAS
+build, the thread variables as found in the environment, status),
 results.csv and reports.jsonl.  Exit status:
 0 every CheckReport passed, 1 numerical failure or a failed report, 2 config
 error (the offending key is named on stderr).
@@ -18,6 +19,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -568,21 +570,29 @@ def list_builders() -> dict:
     }
 
 
+# the environment variables that size the BLAS, OpenMP and numexpr thread pools
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _write_outputs(outdir: Path, args, cfg, header, rows, reports,
                    status: str, error: str | None) -> None:
     import scipy  # only for its version: importing it at set-up costs every run
 
     outdir.mkdir(parents=True, exist_ok=True)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     manifest = {
         "experiment": args.experiment,
         "seed": args.seed,
         "threads": args.threads,
+        "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
         "config": cfg,
         "versions": {
             "fermifield": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
+            "blas": f"{blas['name']} {blas['version']}",
         },
         "status": status,
         "error": error,

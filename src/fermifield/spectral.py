@@ -18,16 +18,18 @@ solves it, each with its own count certificate (SolveStats.certificate):
   The matrix of H - tol_zero is factored in place by Bunch-Kaufman LDL^T
   (?hetrf / ?sytrf); by Sylvester's law of inertia its negative pivots count
   the eigenvalues below tol_zero exactly.  One LOBPCG block of that count
-  plus two then solves the matrix-free operator to INERTIA_LOBPCG_TOL; if
-  it finds another count, dense evr solves a re-assembled matrix and the
-  fallback is recorded.
+  then solves the matrix-free operator to INERTIA_LOBPCG_TOL (none runs at
+  a count of 0); if it finds another count, dense evr solves a
+  re-assembled matrix and the fallback is recorded.
 - "probe": above DENSE_LIMIT, psi unset, where every grid has N / 2 >= 8,
   the same spec sampled at every other point is first solved on N / 2 to a
   loose target, from the predicted block grown until bracketed at zero
   (SolveStats.coarse); its kept vectors, zero-padded to N, alone start
   LOBPCG (scipy) on N.  A one-column probe on their orthogonal complement
   bounds the next eigenvalue from below (Courant-Fischer): above tol_zero it
-  certifies the count, else its vector joins the block, solved again.
+  certifies the count, else its vector joins the block, solved again.  The
+  first probe starts from the half grid's first vector above the kept ones,
+  zero-padded, plus a random vector of equal norm; a later one at random.
 
 Every iterative solve, LOBPCG and sternheimer's CG, works on unitary
 plane-wave coefficients (operators.apply_fourier), where the preconditioner,
@@ -310,7 +312,11 @@ def _weyl_count(spec: HamiltonianSpec) -> float:
 
 
 def _predicted_block(spec: HamiltonianSpec) -> int:
-    """LOBPCG's first block: a quarter more than the Weyl count plus two guard columns."""
+    """A quarter more than the Weyl count plus two guard columns.
+
+    The inertia route's size test and the half grid's first bracketing
+    block; no kept LOBPCG block carries the guards.
+    """
     return math.ceil(1.25 * _weyl_count(spec)) + 2
 
 
@@ -344,34 +350,40 @@ def _inertia(H: np.ndarray, shift: float) -> int:
 
 
 def _inertia_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
-    """Eigenpairs <= tol_zero from their inertia count m and one LOBPCG block of m + 2.
+    """Eigenpairs <= tol_zero from their inertia count m and one LOBPCG block of m.
 
-    m is exact, so the block needs no growth and no probe; its target is
-    INERTIA_LOBPCG_TOL times the operator scale.  If LOBPCG finds other than
-    m values <= tol_zero, dense evr solves a re-assembled matrix and the
-    SolveStats fields record the fallback.  Returns the kept pairs and those fields.
+    m is exact, so the block needs no guard columns, no growth and no probe
+    (and at m = 0 no LOBPCG runs); its target is INERTIA_LOBPCG_TOL times
+    the operator scale.  If LOBPCG finds other than m values <= tol_zero,
+    dense evr solves a re-assembled matrix and the SolveStats fields record
+    the fallback.  Returns the kept pairs and those fields.
     """
     m = _inertia(dense_matrix(spec), tol_zero)
+    if m == 0:
+        return np.empty(0), np.empty((spec.dim, 0), dtype=np.complex128), {
+            "certificate": "inertia", "inertia": 0}
     op, log = _plane_wave_operator(spec), []
-    vals, vecs = _lobpcg_lowest(op, _kinetic_inverse(spec), spec.dim, m + 2,
+    vals, vecs = _lobpcg_lowest(op, _kinetic_inverse(spec), spec.dim, m,
                                 np.random.default_rng(seed),
                                 INERTIA_LOBPCG_TOL * _operator_scale(spec), log)
-    info = {"inertia": m, "blocks": (m + 2,), **_tally(log, op)}
-    keep = vals <= tol_zero
-    if np.count_nonzero(keep) != m:
+    info = {"inertia": m, "blocks": (m,), **_tally(log, op)}
+    if np.count_nonzero(vals <= tol_zero) != m:
         vals, vecs = dense_eigh(dense_matrix(spec), upper=tol_zero)
         return vals, vecs, {**info, "certificate": "lapack", "fallback": True}
-    return vals[keep], _samples(spec, vecs[:, keep]), {**info, "certificate": "inertia"}
+    return vals, _samples(spec, vecs), {**info, "certificate": "inertia"}
 
 
 def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     """Eigenpairs <= tol_zero by LOBPCG on the kept block, certified by a probe off it.
 
     The block starts from the kept vectors of _coarse_start, with no guard
-    columns.  A one-column probe from a random start then runs on the kept
-    vectors' complement (lobpcg's Y); by Courant-Fischer a value there above
-    tol_zero certifies the count.  Else the probe's vector joins them and a
-    block one larger is solved again; past min(dim - 5, 600) columns, as
+    columns.  A one-column probe then runs on the kept vectors' complement
+    (lobpcg's Y); by Courant-Fischer a value there above tol_zero certifies
+    the count.  The first probe starts from _coarse_start's warm vector plus
+    a random one of equal norm, never the warm vector alone: an eigenvector
+    above a missed kept vector would hold the probe there, above tol_zero.
+    Else the probe's vector joins them and a block one larger is solved
+    again, its probe from a random start; past min(dim - 5, 600) columns, as
     lobpcg takes no Y with under 5 left, EigenFailure is raised.  Targets:
     LOBPCG_TOL, and PROBE_TOL for the probe, times the operator scale.
     Returns the kept pairs and the SolveStats fields.
@@ -379,7 +391,7 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
     dim, op, pre = spec.dim, _plane_wave_operator(spec), _kinetic_inverse(spec)
     rng, scale = np.random.default_rng(seed), _operator_scale(spec)
     log = []  # (iterations, warned) per lobpcg call
-    vecs, coarse = _coarse_start(spec, tol_zero, rng)
+    vecs, warm, coarse = _coarse_start(spec, tol_zero, rng)
     vals, k, blocks, cap = np.empty(0), vecs.shape[1], [], min(dim - 5, 600)
     while True:
         if k > cap:
@@ -388,11 +400,15 @@ def _lobpcg_negative(spec: HamiltonianSpec, tol_zero: float, seed: int):
             blocks.append(k)
             vals, vecs = _lobpcg_lowest(op, pre, dim, k, rng, LOBPCG_TOL * scale, log, vecs)
             vals, vecs = vals[vals <= tol_zero], vecs[:, vals <= tol_zero]
-        pvals, pvecs = _lobpcg_lowest(op, pre, dim, 1, rng, PROBE_TOL * scale, log,
+        start = None
+        if warm is not None:
+            r = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            start = (r + warm * (np.linalg.norm(r) / np.linalg.norm(warm)))[:, None]
+        pvals, pvecs = _lobpcg_lowest(op, pre, dim, 1, rng, PROBE_TOL * scale, log, start,
                                       Y=vecs if vals.size else None)
         if pvals[0] > tol_zero:
             break
-        k, vecs = k + 1, np.concatenate([vecs, pvecs], axis=1)
+        k, vecs, warm = k + 1, np.concatenate([vecs, pvecs], axis=1), None
     info = {"certificate": "probe", "blocks": tuple(blocks), **_tally(log, op),
             "probe_lowest": float(pvals[0]), "coarse": coarse}
     return vals, _samples(spec, vecs), info
@@ -427,12 +443,14 @@ def _bracketed(op, pre, dim: int, k: int, rng, tol: float, tol_zero: float, log:
 
 
 def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
-    """Start block for spec from the same operator on N / 2, and that solve's SolveStats.
+    """Start block and warm probe vector for spec from the same operator on N / 2.
 
     V and A are sampled at every other point.  The coarse blocks start
     at the predicted block and grow until they bracket tol_zero, solved to
     COARSE_LOBPCG_TOL times the coarse operator scale; the vectors of its
-    values <= tol_zero, zero-padded to N, are the start block (maybe empty).
+    values <= tol_zero, zero-padded to N, are the start block (maybe empty),
+    and that of its first value above tol_zero, zero-padded, is the warm
+    vector.  Returns both, on coefficients, and the coarse solve's SolveStats.
     """
     g = spec.grid
     half = GridSpec(d=g.d, N=g.N // 2, L=g.L)
@@ -445,8 +463,10 @@ def _coarse_start(spec: HamiltonianSpec, tol_zero: float, rng):
     vals, vecs, blocks = _bracketed(op, _kinetic_inverse(coarse), coarse.dim,
                                     _predicted_block(coarse), rng,
                                     COARSE_LOBPCG_TOL * _operator_scale(coarse), tol_zero, log)
-    padded = _zero_pad(_block(coarse, vecs[:, vals <= tol_zero]), g.N, g.d)
-    return _columns(padded), SolveStats(dim=coarse.dim, blocks=tuple(blocks), **_tally(log, op))
+    m = np.count_nonzero(vals <= tol_zero)  # vals ascend: the kept, then the first above
+    padded = _columns(_zero_pad(_block(coarse, vecs[:, :m + 1]), g.N, g.d))
+    stats = SolveStats(dim=coarse.dim, blocks=tuple(blocks), **_tally(log, op))
+    return padded[:, :m], padded[:, m], stats
 
 
 def _zero_pad(c: np.ndarray, N: int, d: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
@@ -138,6 +139,24 @@ def test_main_check_dyadic_outputs(tmp_path):
                (out / "reports.jsonl").read_text().strip().splitlines()]
     assert reports[0]["name"] == "dyadic_partition"
     assert reports[0]["passed"] is True
+
+
+def test_manifest_records_the_blas_build_and_the_thread_variables(tmp_path, monkeypatch):
+    from fermifield.cli import THREAD_ENV
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert main(["check-dyadic", "--out", str(out), "--threads", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert manifest["versions"]["blas"] == f"{blas['name']} {blas['version']}"
+    assert sorted(manifest["thread_env"]) == sorted(THREAD_ENV) and len(THREAD_ENV) == 5
+    assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["thread_env"]["MKL_NUM_THREADS"] is None
+    # --threads is recorded only: it sets no thread variable
+    assert manifest["threads"] == 3
+    assert manifest["thread_env"] == {var: os.environ.get(var) for var in THREAD_ENV}
 
 
 def test_main_check_dyadic_checks_the_floor_shells(tmp_path, monkeypatch):

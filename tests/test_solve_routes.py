@@ -66,7 +66,7 @@ def test_minimize_pauli_solves_a_zero_dense_and_real_and_a_field_by_inertia(
         assert dtype == np.float64
     for st in with_field:
         assert (st.certificate, st.dim, st.fallback) == ("inertia", 1024, False)
-        assert st.blocks == (st.inertia + 2,) and st.probe_lowest is None
+        assert st.blocks == (st.inertia,) and st.probe_lowest is None
     assert dense_calls and all(dt == np.float64 for dt, _ in dense_calls)
     with open(tmp_path / "results.csv") as fh:
         energies = [float(line.split(",")[1]) for line in fh.readlines()[1:]]
@@ -107,10 +107,10 @@ def test_variant_order_solves_stay_dense(monkeypatch, tmp_path):
 # then the half-grid start's dim (N = 8, spin-reduced at A = 0), blocks,
 # iterations and matvecs
 WEYL3D_STATS = {
-    (0.6, False): ((1,), (10, 24), 36, (512, (4,), (16,), 53)),
-    (0.6, True): ((2,), (19, 41), 81, (1024, (4,), (21,), 64)),
-    (0.45, False): ((1,), (9, 19), 30, (512, (4,), (15,), 49)),
-    (0.45, True): ((2,), (23, 51), 98, (1024, (5,), (23,), 88)),
+    (0.6, False): ((1,), (10, 15), 27, (512, (4,), (16,), 53)),
+    (0.6, True): ((2,), (19, 33), 73, (1024, (4,), (21,), 64)),
+    (0.45, False): ((1,), (9, 13), 24, (512, (4,), (15,), 49)),
+    (0.45, True): ((2,), (23, 40), 87, (1024, (5,), (23,), 88)),
 }
 
 

@@ -603,9 +603,9 @@ def test_probe_regrows_a_block_that_misses_a_kept_vector(monkeypatch):
     original = spectral._coarse_start
 
     def missing_one(*args):  # the start block lacks an interior kept vector
-        start, coarse = original(*args)
+        start, warm, coarse = original(*args)
         assert start.shape[1] == len(dense) >= 3
-        return np.delete(start, 1, axis=1), coarse
+        return np.delete(start, 1, axis=1), warm, coarse
 
     monkeypatch.setattr(spectral, "_coarse_start", missing_one)
     ns = negative_spectrum(spec, seed=1)
@@ -618,12 +618,51 @@ def test_probe_regrows_a_block_that_misses_a_kept_vector(monkeypatch):
     assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
 
 
+def test_warm_probe_cannot_hide_a_missed_vector(monkeypatch):
+    spec = _half_grid_cases()["schrodinger-2d-A"]
+    every, vecs = dense_eigh(spectral.dense_matrix(spec), upper=np.inf)
+    dense = every[every <= default_tol_zero(spec)]
+    # an exact eigenvector above the block: alone it would hold the probe there
+    above = spectral._coefficients(spec, vecs[:, len(dense):len(dense) + 1])[:, 0]
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
+    original = spectral._coarse_start
+
+    def missing_one_warm_above(*args):
+        start, _, coarse = original(*args)
+        return np.delete(start, 1, axis=1), above, coarse
+
+    monkeypatch.setattr(spectral, "_coarse_start", missing_one_warm_above)
+    ns = negative_spectrum(spec, seed=1)
+    st = ns.stats
+    assert st.blocks == (len(dense) - 1, len(dense)) and st.probe_lowest > ns.tol_zero
+    assert len(ns.eigenvalues) == len(dense)
+    assert ns.sum == pytest.approx(np.minimum(dense, 0.0).sum(), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["schrodinger-1d", "schrodinger-2d-A"])
+def test_warm_vector_is_the_padded_first_coarse_vector_above_tol_zero(case):
+    spec = _half_grid_cases()[case]
+    tol_zero, g = default_tol_zero(spec), spec.grid
+    start, warm, _ = spectral._coarse_start(spec, tol_zero, np.random.default_rng(1))
+    half = _half_grid(spec)
+    vals, vecs = dense_eigh(spectral.dense_matrix(half), upper=np.inf)
+    m = np.count_nonzero(vals <= tol_zero)
+    assert start.shape == (spec.dim, m) and warm.shape == (spec.dim,)
+    assert vals[m + 1] - vals[m] > 0.1  # simple: its vector is fixed up to phase
+    want = spectral._columns(spectral._zero_pad(
+        spectral._block(half, spectral._coefficients(half, vecs[:, m:m + 1])), g.N, g.d))[:, 0]
+    overlap = abs(np.vdot(want, warm)) / (np.linalg.norm(want) * np.linalg.norm(warm))
+    assert overlap > 1 - 1e-6
+    # nothing outside the half grid's wavenumbers
+    assert np.count_nonzero(warm) <= half.dim
+
+
 def test_block_past_the_cap_raises_eigen_failure(spec1d, monkeypatch):
     # lobpcg refuses a probe's Y with fewer than 5 dimensions left over
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 8)
 
     def too_wide(spec, tol_zero, rng):
-        return rng.standard_normal((spec.dim, spec.dim - 4)) + 0j, spectral.SolveStats()
+        return rng.standard_normal((spec.dim, spec.dim - 4)) + 0j, None, spectral.SolveStats()
 
     monkeypatch.setattr(spectral, "_coarse_start", too_wide)
     with pytest.raises(spectral.EigenFailure, match="more than 27 vectors"):
@@ -745,7 +784,7 @@ def test_inertia_route_matches_dense(flavor):
     vals, vecs = _dense_reference(spec)
     st = ns.stats
     assert (st.certificate, st.inertia, st.fallback) == ("inertia", len(vals), False)
-    assert st.blocks == (len(vals) + 2,) and st.probe_lowest is None and st.matvecs > 0
+    assert st.blocks == (len(vals),) and st.probe_lowest is None and st.matvecs > 0
     np.testing.assert_allclose(ns.eigenvalues, vals, rtol=1e-12, atol=0)
     w = g.weight
     np.testing.assert_allclose(ns.vectors @ ns.vectors.conj().T * w, vecs @ vecs.conj().T * w,
@@ -768,6 +807,16 @@ def test_inertia_route_falls_back_to_dense_when_lobpcg_misses(monkeypatch):
     assert (st.certificate, st.inertia, st.fallback) == ("lapack", len(vals), True)
     assert st.probe_lowest is None and len(st.iterations) == 1
     np.testing.assert_array_equal(ns.eigenvalues, vals)
+
+
+def test_inertia_route_with_nothing_below_tol_zero_runs_no_lobpcg():
+    g = GridSpec(d=2, N=32, L=2.0)
+    spec = HamiltonianSpec(grid=g, h=0.3, V=constant_potential(g, -1.0))
+    ns = negative_spectrum(spec, seed=1)
+    st = ns.stats
+    assert (st.certificate, st.inertia, st.fallback) == ("inertia", 0, False)
+    assert (st.blocks, st.iterations, st.matvecs) == ((), (), 0)
+    assert ns.eigenvalues.shape == (0,) and ns.vectors.shape == (spec.dim, 0)
 
 
 # ---------------------------------------------------------------------------
