@@ -15,7 +15,6 @@ from .grid import (
     ScalarField,
     VectorField,
     _divfree_mean_zero_hat,
-    _ifft,
     ball_mask,
     divfree_mean_zero,
     periodic_dist2,
@@ -81,22 +80,31 @@ def random_divfree_potential(grid: GridSpec, seed: int = 0, kmax: int = 2,
     return divfree_mean_zero(VectorField(grid, amplitude * data))
 
 
-def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> VectorField:
-    """Random vector potential with power-law spectrum up to the grid Nyquist.
+def rough_divfree_potential(grid: GridSpec, seed: int = 0) -> np.ndarray:
+    """Random vector potential with power-law spectrum up to the grid Nyquist, as coefficients.
 
     |A_hat(k)| ~ |k|^-2.5 with random phases: the exponent that makes
     scale-local quantities like |A - A_r|^2 / r^2 independent of r over the
     resolved octaves, which is what the mollification stability studies
-    need.  Divergence-free (d >= 2), mean zero and of unit L^2 norm.
+    need.  Divergence-free (d >= 2), mean zero and of unit L^2 norm.  The
+    draw is made in Fourier space and handed over there, with no transform:
+    fftn(A) per component, a (d, *grid) complex array whose inverse
+    transform is the real field A (up to round-off).
     """
     rng = np.random.default_rng(seed)
     envelope = np.where(grid.k2 > 0, np.sqrt(grid.k2), np.inf) ** -2.5  # 0 at k = 0
     ah = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
-        ah[j] = envelope * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    # Re ifft reads only the Hermitian part, with which the real, even projection commutes
-    A = VectorField(grid, _ifft(_divfree_mean_zero_hat(ah, grid), grid.d).real)
-    return (1.0 / max(A.norm(), 1e-300)) * A
+        ah[j].real, ah[j].imag = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    ah *= envelope
+    ah = _divfree_mean_zero_hat(ah, grid)
+    # A is the real part of ifft(ah), whose transform is the Hermitian part
+    # (ah(k) + conj ah(-k)) / 2; the real, even projection commutes with it
+    neg = np.ix_(*[-np.arange(grid.N)] * grid.d)  # the index of -k, wrapped
+    for j in range(grid.d):
+        ah[j] += np.conj(ah[j][neg])  # twice the Hermitian part: the norm takes the 2
+    ah /= max(np.sqrt(np.vdot(ah, ah).real * grid.weight / grid.size), 1e-300)  # Parseval
+    return ah
 
 
 def flux_quantized_constant_b(grid: GridSpec, h: float, n_flux: int):

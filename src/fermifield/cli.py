@@ -450,9 +450,8 @@ def run_check_smoothing(cfg, seed):
     radii = [cfg["r0"] * 0.5 ** i for i in range(cfg["octaves"] + 1)]
     for r in radii:  # every radius checked before the first draw
         _configured(mollifier_kernel, {"r": "r0"}, grid=grid, r=r)
-    potentials = (rough_divfree_potential(grid, seed=seed + draw)
-                  for draw in range(cfg["draws"]))
-    series = list(smoothing_constants(grid, potentials, radii))  # one dict per draw
+    draws = (rough_divfree_potential(grid, seed=seed + draw) for draw in range(cfg["draws"]))
+    series = list(smoothing_constants(grid, draws, radii))  # one dict per draw
     rows = [(draw, r) + tuple(s[k][i] for k in SMOOTHING_CONSTANTS)
             for draw, s in enumerate(series) for i, r in enumerate(radii)]
     reports = []
@@ -577,10 +576,12 @@ THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 def _write_outputs(outdir: Path, args, cfg, header, rows, reports,
                    status: str, error: str | None) -> None:
-    import scipy  # only for its version: importing it at set-up costs every run
+    import scipy  # only for its version and BLAS: importing it at set-up costs every run
 
     outdir.mkdir(parents=True, exist_ok=True)
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    # each bundles its own BLAS: numpy's for its linalg, scipy's for evr, LDL^T and lobpcg
+    blas = {lib.__name__: lib.__config__.CONFIG["Build Dependencies"]["blas"]
+            for lib in (np, scipy)}
     manifest = {
         "experiment": args.experiment,
         "seed": args.seed,
@@ -592,7 +593,7 @@ def _write_outputs(outdir: Path, args, cfg, header, rows, reports,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
-            "blas": f"{blas['name']} {blas['version']}",
+            "blas": {lib: f"{b['name']} {b['version']}" for lib, b in blas.items()},
         },
         "status": status,
         "error": error,

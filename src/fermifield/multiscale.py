@@ -260,23 +260,26 @@ def mollify(A, r: float):
 SMOOTHING_CONSTANTS = ("c_diff", "c_d1", "c_d2", "c_d3")
 
 
-def smoothing_constants(grid: GridSpec, potentials, radii):
-    """Yield, per A in potentials, a dict from SMOOTHING_CONSTANTS to lists over radii of
+def smoothing_constants(grid: GridSpec, coefficients, radii):
+    """Yield, per draw in coefficients, a dict from SMOOTHING_CONSTANTS to lists over radii of
 
         c_diff = |A - A_r|^2 / (r^2 |grad A|^2),  c_dn = |grad^n A_r|^2 r^(2n-2) / |grad A|^2
 
     for n = 1, 2, 3, A_r = mollify(A, r), each norm a Fourier sum (Parseval).
+    A draw is given by its coefficients fftn(A) per component, (d, *grid),
+    as rough_divfree_potential makes them, so no field is transformed here.
     """
-    k2 = grid.k2
-    khats = [np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight) for r in radii]
-    for A in potentials:
-        power = grid.volume * sum(np.abs(np.fft.fftn(a) / grid.size) ** 2 for a in A.data)
-        grad_sq = float(np.sum(k2 * power))
+    k2 = grid.k2.ravel()
+    khats = [np.real(np.fft.fftn(mollifier_kernel(grid, r)) * grid.weight).ravel() for r in radii]
+    for ah in coefficients:
+        dens = np.empty((4, grid.size))  # |A_hat|^2 |k|^(2n), n = 0..3: |grad^n A|^2's density
+        dens[0] = grid.volume * sum(np.abs(a.ravel() / grid.size) ** 2 for a in ah)
+        for n in (1, 2, 3):
+            np.multiply(k2, dens[n - 1], out=dens[n])
+        grad_sq = float(np.sum(dens[1]))
         series = {name: [] for name in SMOOTHING_CONSTANTS}
         for r, khat in zip(radii, khats):
-            diff = float(np.sum((1.0 - khat) ** 2 * power))
-            series["c_diff"].append(diff / (r ** 2 * grad_sq))
-            for order in (1, 2, 3):
-                deriv = float(np.sum(k2 ** order * khat ** 2 * power))
-                series[f"c_d{order}"].append(deriv / (r ** (2 - 2 * order) * grad_sq))
+            series["c_diff"].append(float(np.dot((1.0 - khat) ** 2, dens[0])) / (r**2 * grad_sq))
+            for order, deriv in zip((1, 2, 3), dens[1:] @ khat**2):
+                series[f"c_d{order}"].append(float(deriv) / (r ** (2 - 2 * order) * grad_sq))
         yield series

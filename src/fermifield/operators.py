@@ -5,8 +5,8 @@ The kinetic part acts through FFTs, everything else by pointwise
 multiplication; the Pauli kinetic energy is applied as the factored square
 [sigma.(D+A)]^2 so it is nonnegative by construction.  dense_matrix assembles
 the same operator in closed form on supp psi, up to DENSE_LIMIT rows: every
-kinetic piece is a circulant (one inverse transform of its symbol) gathered
-on the support's points, and A, V and psi only scale its rows and columns.
+kinetic piece is a sum of one-axis circulants, so it writes only the entries
+between points on a common grid line, and A, V and psi scale those.
 
 One Fourier-space core acts on raw arrays laid out (spin, *batch, *grid):
 any number of batch axes between the spin axis and the last d grid axes, so
@@ -23,8 +23,8 @@ units of one grid-sized transform (at d = 3), the same for both entries:
 
 Working sets are bounded in bytes, not counts, so they stay put as the
 dimension grows: the columns of a (dim, m) array reach the core
-COLUMN_BLOCK_BYTES at a time (_column_blocks), and dense_matrix builds its
-rows in slabs of FFT_SLAB_BYTES, the transforms' cache budget.
+COLUMN_BLOCK_BYTES at a time (_column_blocks), and dense_matrix writes its
+rows' grid lines in chunks of FFT_SLAB_BYTES, the transforms' cache budget.
 """
 
 from __future__ import annotations
@@ -279,71 +279,71 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """The operator on supp psi (times spin) as a square matrix, assembled in closed form.
 
     Rows and columns are the k points where psi is nonzero (every point when
-    psi is unset) in flattened grid order, spin-major: index s k + i.
-    psi (T - V) psi vanishes on every other row and column, so the block is
-    all of it.  A Fourier multiplier s on the full lattice is the circulant
-    C_s[x, y] = c_s[(x - y) mod N] with c_s = ifft(s).  With C_j = C_{hk_j},
-    the entries of (T_h(A) - V) are, for x, y on the grid,
-
-        C_{h^2|k|^2} + sum_j C_j (A_j(x) + A_j(y)) + (sum_j A_j^2 - V) delta_xy
-
-    for Schrodinger, and as 2x2 spin blocks with
-    M = sigma.A (Pauli, [sigma.(D+A)]^2 expanded; M = 0 without A)
-
-        C_{h^2|k|^2} I + sum_j C_j (M(x) sigma_j + sigma_j M(y)) + (M^2 - V) delta_xy
-
-    times psi(x) psi(y).  Every factor is real when A is None, and so is the
-    matrix then (float64; complex128 otherwise).  Each circulant entry is
-    gathered as c[x - y], one index array per axis, where a negative index
-    wraps to the mod N; with every point kept the columns are np.ix_ aranges
-    that broadcast, so no (rows, k) index table is made.  Rows are built, and
-    scaled by psi, in slabs of FFT_SLAB_BYTES // (16 k) rows (at least one),
-    so the temporaries stay a small multiple of that cache-sized budget.
-    ValueError, before the matrix is allocated, when spin k > DENSE_LIMIT.
+    psi is unset) in flattened grid order, spin-major: index s k + i; psi
+    (T - V) psi vanishes on every other row and column.  Each symbol is a sum
+    of one-axis ones, h^2 k_j^2 and h k_j, whose circulants K and P_j (at
+    x_j - y_j mod N) link only points on a common grid line.  Between x != y
+    on a j-line the entries are K + P_j (A_j(x) + A_j(y)) (Schrodinger), or
+    the 2x2 blocks K I + P_j (M(x) sigma_j + sigma_j M(y)) with M = sigma.A
+    (Pauli); no P_j term without A.  The diagonal sums them over j at x = y
+    and adds sum_j A_j^2 - V or M^2 - V.  psi(x), then psi(y), scale each
+    entry.  Real (float64) when A is None, else complex128.  Each row writes
+    its d lines, found by a lookup from grid point to row, in chunks of
+    FFT_SLAB_BYTES // (16 N) rows.  ValueError, before allocating, if spin k > DENSE_LIMIT.
     """
     g = spec.grid
-    n, spin = g.size, spec.spin
+    n, N, spin = g.size, g.N, spec.spin
     at = np.arange(n) if spec.psi is None else np.flatnonzero(spec.psi.data)
-    k = at.size
-    if spin * k > DENSE_LIMIT:
-        raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {spin * k}: "
+    k, dim = at.size, spin * at.size
+    if dim > DENSE_LIMIT:
+        raise ValueError(f"dense path limited to dim <= {DENSE_LIMIT}, got {dim}: "
                          f"spin {spin} times {k} points of supp psi")
+    row = np.full(g.shape, -1)  # grid point -> row, -1 off supp psi
+    row.ravel()[at] = np.arange(k)
     x = np.unravel_index(at, g.shape)  # row coordinates, one array per axis
-    y = np.ix_(*[np.arange(g.N)] * g.d) if k == n else x
-    kin = _ifft(spec.h**2 * g.k2, g.d).real  # an even real symbol: a real circulant
+    kin = _circulant(np.fft.ifft(spec.h**2 * g.k[0].ravel()**2).real)  # an even real symbol
     V = np.zeros(k) if spec.V is None else spec.V.data.ravel()[at]
-    # C_j is scaled by right[j](x) + left[j](y), spin blocks (a, b) last
-    mom, pot = [], np.zeros((k, 1, 1))
-    if spec.A is not None:
+    diag = (g.d * kin[0, 0] - V[:, None, None]) * np.eye(spin)
+    if spec.A is not None:  # P_j is scaled by right[j](x) + left[j](y), spin blocks (a, b) last
+        mom = _circulant(np.fft.ifft(spec.h * g.k[0].ravel()))
         A = spec.A.data.reshape(g.d, n)[:, at]
-        mom = [_ifft(spec.h * np.broadcast_to(kj, g.shape), g.d) for kj in g.k]
         if spec.flavor == PAULI:
             M = np.tensordot(A.T, _SIGMA, 1)  # sigma.A, (k, 2, 2)
             left, right, pot = _SIGMA[:, None] @ M, M @ _SIGMA[:, None], M @ M
         else:
             left = A[:, :, None, None]
             right, pot = left, np.sum(A * A, axis=0)[:, None, None]
-    pot = pot - V[:, None, None] * np.eye(spin)
-
+        diag = diag + sum(mom[0, 0] * (right[j] + left[j]) for j in range(g.d)) + pot
     psi = None if spec.psi is None else spec.psi.data.ravel()[at]
-    H = np.zeros((spin, k, spin, k), dtype=np.float64 if spec.A is None else np.complex128)
-    step = max(1, FFT_SLAB_BYTES // (16 * max(k, 1)))  # rows per slab: a complex (rows, k) in cache
-    for lo in range(0, k, step):
-        rows = slice(lo, min(lo + step, k))
-        r = rows.stop - lo
-        diag = (np.arange(r), lo + np.arange(r))
-        idx = tuple(xj[rows][(slice(None),) + (None,) * yj.ndim] - yj for xj, yj in zip(x, y))
-        kin_rows = kin[idx].reshape(r, k)
-        mom_rows = [c[idx].reshape(r, k) for c in mom]
-        for a in range(spin):
-            for b in range(spin):
-                out = H[a, rows, b]  # a view: every update lands in H
-                if a == b:
-                    out += kin_rows
-                for j, C in enumerate(mom_rows):
-                    out += C * (right[j, rows, a, b, None] + left[j, :, a, b])
-                out[diag] += pot[rows, a, b]
+    H = np.zeros((dim, dim), dtype=np.float64 if spec.A is None else np.complex128)
+    flat, r = H.reshape(-1), np.arange(k)[:, None]  # entry (s, t) of H is flat[s dim + t]
+    blocks = [(a, b) for a in range(spin) for b in range(spin) if a == b or spec.A is not None]
+    step = max(1, FFT_SLAB_BYTES // (16 * N))  # rows per chunk: a complex (rows, N) in cache
+    for j in range(g.d):
+        lines = row.transpose(*range(j), *range(j + 1, g.d), j)  # x's j-line, x_j = 0..N-1
+        for rows in (slice(lo, lo + step) for lo in range(0, k, step)):
+            cols = lines[tuple(xo[rows] for xo in x[:j] + x[j + 1:])]  # (rows, N); (N,) at d = 1
+            if k < n:  # off supp psi: x's own column, which the diagonal overwrites
+                cols = np.where(cols < 0, r[rows], cols)
+            to, K = cols + r[rows] * dim, kin[x[j][rows]]  # to: flat index in block (0, 0)
+            for a, b in blocks:
+                out = K
+                if spec.A is not None:  # P_j (right(x) + left(y)), and K on the spin diagonal
+                    out = mom[x[j][rows]]
+                    out *= right[j, rows, a, b, None] + left[j, cols, a, b]
+                    if a == b:
+                        out += K
                 if psi is not None:  # psi(x), then psi(y)
-                    out *= psi[rows, None]
-                    out *= psi
-    return H.reshape(spin * k, spin * k)
+                    out = out * psi[rows, None]
+                    out *= psi[cols]
+                flat[(a * dim + b) * k:][to] = out
+    if psi is not None:
+        diag = diag * psi[:, None, None] * psi[:, None, None]
+    H.reshape(spin, k, spin, k)[:, np.arange(k), :, np.arange(k)] = diag  # over the line writes
+    return H
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """C[a, t] = c[(a - t) mod N] as a view: row a reads c backwards from c[a], round twice."""
+    twice, s = np.concatenate((c[::-1], c[::-1])), c.itemsize  # twice[N - 1 - a + t] = C[a, t]
+    return np.ndarray((c.size, c.size), c.dtype, twice, (c.size - 1) * s, (-s, s))

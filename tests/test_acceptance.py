@@ -301,8 +301,8 @@ def test_dyadic_partition_support_and_floor_index():
 def test_mollification_constants_stable_over_octaves():
     grid = GridSpec(d=3, N=128, L=2.0)
     radii = [0.2 * 0.5**i for i in range(4)]
-    potentials = (rough_divfree_potential(grid, seed=draw) for draw in range(20))
-    for draw, series in enumerate(smoothing_constants(grid, potentials, radii)):
+    draws = (rough_divfree_potential(grid, seed=draw) for draw in range(20))
+    for draw, series in enumerate(smoothing_constants(grid, draws, radii)):
         for name, vals in series.items():
             for v1, v2 in zip(vals, vals[1:]):
                 assert v2 <= 2.0 * v1 and v1 <= 2.0 * v2, (draw, name, vals)

@@ -149,8 +149,11 @@ def test_manifest_records_the_blas_build_and_the_thread_variables(tmp_path, monk
     out = tmp_path / "run"
     assert main(["check-dyadic", "--out", str(out), "--threads", "3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    assert manifest["versions"]["blas"] == f"{blas['name']} {blas['version']}"
+    # numpy and scipy each bundle a BLAS; scipy's runs evr, the LDL^T count and lobpcg
+    for lib in (np, scipy):
+        blas = lib.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert manifest["versions"]["blas"][lib.__name__] == f"{blas['name']} {blas['version']}"
+    assert sorted(manifest["versions"]["blas"]) == ["numpy", "scipy"]
     assert sorted(manifest["thread_env"]) == sorted(THREAD_ENV) and len(THREAD_ENV) == 5
     assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
     assert manifest["thread_env"]["MKL_NUM_THREADS"] is None

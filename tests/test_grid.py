@@ -127,13 +127,17 @@ def _rough_reference(grid, seed):
     return (1.0 / A.norm()) * A
 
 
-@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 32), (3, 16)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_rough_draw_matches_its_real_space_construction(d, N, seed):
+    # the draw comes as its coefficients, made with no transform: those of
+    # the real-space construction, so Hermitian
     g = GridSpec(d=d, N=N, L=2.0)
-    ref = _rough_reference(g, seed).data
-    got = rough_divfree_potential(g, seed=seed).data
+    ref = np.fft.fftn(_rough_reference(g, seed).data, axes=tuple(range(1, d + 1)))
+    got = rough_divfree_potential(g, seed=seed)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+    neg = (slice(None),) + np.ix_(*[-np.arange(N)] * d)
+    np.testing.assert_array_equal(got[neg], np.conj(got))
 
 
 def test_curl_energy_equals_grad_energy_for_divfree(rng):
@@ -225,8 +229,7 @@ def test_field_dtype_follows_its_data():
 def test_real_builders_give_float64_fields():
     g = GridSpec(d=3, N=8, L=2.0)
     fields = [V_BUILDERS[name](g) for name in ("bump", "constball", "softcoulomb")]
-    fields += [cutoff_ball(g, 0.5), A_BUILDERS["randband"](g, seed=1),
-               rough_divfree_potential(g, seed=1)]
+    fields += [cutoff_ball(g, 0.5), A_BUILDERS["randband"](g, seed=1)]
     fields += flux_quantized_constant_b(g, 1.0, 1)  # A, B_z and phi
     assert [f.data.dtype for f in fields] == [np.float64] * len(fields)
 

@@ -1,10 +1,14 @@
 """Partitions of unity, dyadic shell cutoffs, and mollification."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from fermifield.builders import rough_divfree_potential
 from fermifield.grid import GridSpec, VectorField
 from fermifield.multiscale import (
+    SMOOTHING_CONSTANTS,
     PartitionSpec,
     dyadic_build,
     mollifier_kernel,
@@ -12,6 +16,7 @@ from fermifield.multiscale import (
     partition_defect,
     partition_from_potential,
     partition_weight,
+    smoothing_constants,
 )
 
 
@@ -153,6 +158,42 @@ def test_mollify_converges_as_r_shrinks():
     assert errs[2] < errs[1] < errs[0]
     # smooth fields: ||A - A_r|| = O(r^2)
     assert errs[2] < 0.3 * errs[1]
+
+
+def _derivative_norm_sq(A, n):
+    """sum over (j_1..j_n) and components of ||d_j1 .. d_jn A||^2, in real space.
+
+    Derivatives on the full dual lattice (Nyquist included), as the
+    smoothing constants' |k|^2n weights take them.
+    """
+    g, axes = A.grid, tuple(range(1, A.grid.d + 1))
+    ah = np.fft.fftn(A.data, axes=axes)
+    total = 0.0
+    for js in itertools.product(range(g.d), repeat=n):
+        dh = ah
+        for j in js:
+            dh = 1j * g.k[j] * dh
+        total += np.sum(np.abs(np.fft.ifftn(dh, axes=axes)) ** 2) * g.weight
+    return total
+
+
+def test_smoothing_constants_from_the_draws_coefficients_match_real_space():
+    # the Fourier sums on the draw's coefficients against mollify and
+    # derivatives of the draw in real space
+    g = GridSpec(d=2, N=32, L=2.0)
+    radii = [0.4, 0.2]
+    ah = rough_divfree_potential(g, seed=5)
+    A = VectorField(g, np.fft.ifftn(ah, axes=(1, 2)).real)
+    (got,) = smoothing_constants(g, [ah], radii)
+    assert list(got) == list(SMOOTHING_CONSTANTS)
+    grad_sq = _derivative_norm_sq(A, 1)
+    for i, r in enumerate(radii):
+        Ar = mollify(A, r)
+        assert got["c_diff"][i] == pytest.approx((A - Ar).norm() ** 2 / (r**2 * grad_sq),
+                                                  rel=1e-10)
+        for n in (1, 2, 3):
+            ref = _derivative_norm_sq(Ar, n) * r ** (2 * n - 2) / grad_sq
+            assert got[f"c_d{n}"][i] == pytest.approx(ref, rel=1e-10)
 
 
 def test_mollifier_kernel_validation():

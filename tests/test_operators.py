@@ -286,11 +286,15 @@ def _dense_by_columns(spec):
 
 
 def _slab_budget(spec, rows, monkeypatch):
-    """Set dense_matrix's slab budget to rows of supp psi's k points ("all": one slab)."""
+    """Set dense_matrix's chunk budget to rows of supp psi's k points ("all": one chunk).
+
+    A chunk of rows takes each row's grid line, N complex entries of 16 bytes.
+    """
     import fermifield.operators as operators
 
     k = spec.grid.size if spec.psi is None else np.count_nonzero(spec.psi.data)
-    monkeypatch.setattr(operators, "FFT_SLAB_BYTES", 16 * k * (k if rows == "all" else rows))
+    monkeypatch.setattr(operators, "FFT_SLAB_BYTES",
+                        16 * spec.grid.N * (k if rows == "all" else rows))
     return k
 
 
@@ -313,7 +317,45 @@ def test_closed_form_dense_matrix_equals_column_assembly(flavor, d, N, with_A, w
                                atol=1e-13 * np.max(np.abs(ref)))
 
 
-# 1-row slabs, and two slabs of which the second is shorter (a row count
+def _on_a_common_line(spec):
+    """(dim, dim) mask of the entries between supp psi points that differ in at most one axis."""
+    g = spec.grid
+    at = np.arange(g.size) if spec.psi is None else np.flatnonzero(spec.psi.data)
+    x = np.stack(np.unravel_index(at, g.shape))
+    same = np.sum(x[:, :, None] != x[:, None, :], axis=0) <= 1
+    return np.tile(same, (spec.spin, spec.spin))
+
+
+@pytest.mark.parametrize("with_psi", [False, True, "ball"])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_dense_matrix_is_zero_off_the_grid_lines_through_each_point(flavor, d, N, with_A,
+                                                                    with_psi, rng):
+    # every symbol is a sum of one-axis symbols, so its circulant links only
+    # points on a common grid line: d N - d + 1 of the N^d columns of a row
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    H = dense_matrix(spec)
+    on = _on_a_common_line(spec)
+    assert not np.any(H[~on])
+    if with_psi != "ball":
+        assert np.count_nonzero(on[0]) == spec.spin * (d * (N - 1) + 1)
+
+
+@pytest.mark.parametrize("with_psi", [True, "ball"])
+@pytest.mark.parametrize("flavor,d,N,with_A", _CORE_CASES)
+def test_dense_matrix_psi_scales_the_unset_matrix_bit_for_bit(flavor, d, N, with_A, with_psi,
+                                                              rng):
+    # each summed entry times psi(x), then psi(y): the block on supp psi of
+    # the matrix without psi, scaled afterwards in that order
+    spec = _core_spec(flavor, d, N, with_A, with_psi, rng)
+    H = dense_matrix(replace(spec, psi=None))
+    psi = np.tile(spec.psi.data.ravel(), spec.spin)
+    H *= psi[:, None]
+    H *= psi
+    supp = np.flatnonzero(psi)
+    np.testing.assert_array_equal(dense_matrix(spec), H[np.ix_(supp, supp)])
+
+
+# 1-row chunks, and two chunks of which the second is shorter (a row count
 # that does not divide k): every entry is made by the same operations
 @pytest.mark.parametrize("rows", [1, "ragged"])
 @pytest.mark.parametrize("with_psi", [False, True, "ball"])

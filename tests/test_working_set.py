@@ -1,4 +1,4 @@
-"""Working sets bounded in bytes: dense_matrix's row slabs and the core's column blocks.
+"""Working sets bounded in bytes: dense_matrix's row chunks and the core's column blocks.
 
 tracemalloc sees every numpy allocation, so a peak is the same on every run
 of the same code; each bound below is a stated multiple of the budget that
@@ -29,9 +29,10 @@ def _traced_peak(fn, *args):
 
 
 def test_dense_matrix_peaks_at_the_matrix_plus_a_few_slabs():
-    # Pauli d=3 N=8 with A: a 16 MB matrix, rows in 32-row slabs of 256 KB.
-    # The temporaries of a slab are the d + 1 gathered circulant rows and two
-    # products, so ten slabs bound them; 512-row slabs peaked 19.6 MB above H.
+    # Pauli d=3 N=8 with A: a 16 MB matrix, its 512 rows in one chunk (the
+    # budget holds 2048 rows of 8-point grid lines).  The chunk's temporaries
+    # are (rows, N) lookups, circulant rows and products of 64 KB each, so ten
+    # budgets bound them; it peaks 0.7 MB above H.
     g = GridSpec(d=3, N=8, L=2.0)
     spec = HamiltonianSpec(grid=g, h=0.6, flavor="pauli",
                            V=bump_potential(g, amplitude=6.0, radius=0.7),
